@@ -70,7 +70,8 @@ def ingest_jsonl(
     1-based line number. Bad lines (invalid UTF-8, invalid JSON, missing or
     non-string text) are reported through ``on_reject`` and skipped;
     ingestion continues. Yielded + rejected covers every input line, in
-    input order.
+    input order. One UTF-8 byte-order mark at the start of the first line is
+    dropped; a U+FEFF anywhere else is kept as text.
     """
     for line_no, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
@@ -81,6 +82,8 @@ def ingest_jsonl(
                 continue
         else:
             line = raw
+        if line_no == 1:
+            line = line.removeprefix("\ufeff")
         if not line.strip():
             _reject(on_reject, line_no, "empty line")
             continue
@@ -129,9 +132,14 @@ def document_to_record(doc: Document) -> dict:
 # render identically to base-letter sequences.
 _PRESENTATION_RANGES = ((0xFB50, 0xFDFF), (0xFE70, 0xFEFF))
 
-
-def _in_presentation_block(cp: int) -> bool:
-    return any(lo <= cp <= hi for lo, hi in _PRESENTATION_RANGES)
+# Codepoint -> NFKC fold, for each presentation-form codepoint whose fold
+# differs from itself. Only these ~830 codepoints are scanned, so import stays cheap.
+_PRESENTATION_FOLD: dict[int, str] = {
+    cp: folded
+    for lo, hi in _PRESENTATION_RANGES
+    for cp in range(lo, hi + 1)
+    if (folded := unicodedata.normalize("NFKC", chr(cp))) != chr(cp)
+}
 
 
 class CharMapMode(str, Enum):
@@ -149,40 +157,31 @@ class CharMap:
     override mappings (e.g. merging alef variants, which is deliberately not
     done by default since it changes meaning). ``table_only`` applies just
     the entries. Applying a valid map twice equals applying it once.
+
+    The combined ``str.translate`` table is built once per map, when the map
+    is constructed; ``apply`` is a single translate call.
     """
 
     entries: dict[int, str] = field(default_factory=dict)
     mode: CharMapMode = CharMapMode.NFKC_PLUS_TABLE
+    _table: dict[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        folds = _PRESENTATION_FOLD if self.mode is CharMapMode.NFKC_PLUS_TABLE else {}
         for cp, repl in self.entries.items():
             for out in repl:
                 if ord(out) in self.entries:
                     raise ValueError(
                         f"entry U+{cp:04X} maps to U+{ord(out):04X}, which is itself mapped"
                     )
-                if self.mode is CharMapMode.NFKC_PLUS_TABLE and _maps_under_nfkc(ord(out)):
+                if ord(out) in folds:
                     raise ValueError(
                         f"entry U+{cp:04X} output contains NFKC-mapped codepoint U+{ord(out):04X}"
                     )
+        object.__setattr__(self, "_table", {**folds, **self.entries})
 
     def apply(self, text: str) -> str:
-        out: list[str] = []
-        for ch in text:
-            cp = ord(ch)
-            repl = self.entries.get(cp)
-            if repl is not None:
-                out.append(repl)
-            elif self.mode is CharMapMode.NFKC_PLUS_TABLE and _in_presentation_block(cp):
-                out.append(unicodedata.normalize("NFKC", ch))
-            else:
-                out.append(ch)
-        return "".join(out)
-
-
-def _maps_under_nfkc(cp: int) -> bool:
-    ch = chr(cp)
-    return _in_presentation_block(cp) and unicodedata.normalize("NFKC", ch) != ch
+        return text.translate(self._table)
 
 
 DEFAULT_CHAR_MAP = CharMap()

@@ -21,8 +21,10 @@ Boundary semantics, fixed by the config defaults:
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -112,21 +114,52 @@ class FilterConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FilterConfig":
-        data = dict(data)
-        gopher = data.pop("gopher", None)
-        if gopher is not None:
-            gopher = dict(gopher)
-            if "stop_words" in gopher:
-                gopher["stop_words"] = tuple(gopher["stop_words"])
-            if "symbols" in gopher:
-                gopher["symbols"] = tuple(gopher["symbols"])
-            data["gopher"] = GopherConfig(**gopher)
-        for key in ("unsafe_phrases", "ad_phrases"):
-            if key in data:
-                data[key] = tuple(data[key])
-        if "safety_sources" in data:
-            data["safety_sources"] = tuple(Source.coerce(s) for s in data["safety_sources"])
-        return cls(**data)
+        """Build from a parsed ``filters.json``.
+
+        An unknown key or a wrongly typed value, at top level or under
+        ``gopher``, raises ValueError naming the key.
+        """
+        kwargs = _checked_fields(cls, data, "")
+        if "gopher" in kwargs:
+            kwargs["gopher"] = GopherConfig(**_checked_fields(GopherConfig, kwargs["gopher"], "gopher."))
+        if "safety_sources" in kwargs:
+            kwargs["safety_sources"] = tuple(Source.coerce(s) for s in kwargs["safety_sources"])
+        return cls(**kwargs)
+
+
+# JSON types accepted for a config field, and how to name them, keyed by the
+# type of the field's default.
+_JSON_TYPES: dict[type, tuple[tuple[type, ...], str]] = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    tuple: ((list, tuple), "a list of strings"),
+    GopherConfig: ((dict,), "an object"),
+}
+
+
+def _checked_fields(cls, data, prefix: str) -> dict:
+    """``data`` as keyword arguments for ``cls``: each key must be a field and
+    each value of its default's type; lists become tuples."""
+    if not isinstance(data, dict):
+        raise ValueError(f"filter config {prefix.rstrip('.') or 'root'} must be an object, got {data!r}")
+    defaults = {f.name: f.default_factory() if f.default is MISSING else f.default for f in fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        name = prefix + key
+        if key not in defaults:
+            raise ValueError(f"unknown filter config key {name!r}")
+        kind = type(defaults[key])
+        accepted, expected = _JSON_TYPES[kind]
+        # bool is a subclass of int, but true/false is no count or fraction.
+        ok = isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
+        if ok and kind is tuple:
+            ok = all(isinstance(item, str) for item in value)
+        if not ok:
+            raise ValueError(f"filter config key {name!r} must be {expected}, got {value!r}")
+        kwargs[key] = tuple(value) if kind is tuple else value
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -167,15 +200,18 @@ def _is_permissible(ch: str, punctuation: str) -> bool:
     return False
 
 
-def _word_has_letter(word: str) -> bool:
-    """True when the word contains at least one Arabic or Latin letter."""
-    for ch in word:
-        if ch.isascii() and ch.isalpha():
-            return True
-        cp = ord(ch)
-        if (0x0600 <= cp <= 0x06FF or 0x0750 <= cp <= 0x077F) and unicodedata.category(ch).startswith("L"):
-            return True
-    return False
+_ARABIC_LETTERS = "".join(
+    chr(cp)
+    for lo, hi in ((0x0600, 0x06FF), (0x0750, 0x077F))
+    for cp in range(lo, hi + 1)
+    if unicodedata.category(chr(cp)).startswith("L")
+)
+
+# A word is alphabetic when it holds at least one Arabic or ASCII letter. Each
+# match runs from a word's first letter to the word's end (``\S`` is exactly the
+# complement of the whitespace ``str.split`` breaks on), so there is one match per
+# alphabetic word.
+_ALPHA_WORD = re.compile("[A-Za-z" + _ARABIC_LETTERS + r"]\S*")
 
 
 def _check_safety(doc: Document, cfg: FilterConfig) -> str | None:
@@ -213,7 +249,7 @@ def _check_chars(doc: Document, cfg: FilterConfig) -> str | None:
     total = len(doc.text)
     if total == 0:
         return None
-    permissible = sum(1 for ch in doc.text if _is_permissible(ch, cfg.permissible_punctuation))
+    permissible = sum(n for ch, n in Counter(doc.text).items() if _is_permissible(ch, cfg.permissible_punctuation))
     if permissible / total < cfg.permissible_char_min_frac:
         return f"{permissible}/{total} permissible chars (< {cfg.permissible_char_min_frac:.0%})"
     return None
@@ -227,7 +263,7 @@ def _check_gopher(doc: Document, cfg: FilterConfig) -> str | None:
         return f"word count {n} < {g.min_words}"
     if n > g.max_words:
         return f"word count {n} > {g.max_words}"
-    mean_len = sum(len(w) for w in words) / n
+    mean_len = sum(map(len, words)) / n
     if mean_len < g.min_mean_word_len:
         return f"mean word length {mean_len:.2f} < {g.min_mean_word_len}"
     if mean_len > g.max_mean_word_len:
@@ -235,15 +271,14 @@ def _check_gopher(doc: Document, cfg: FilterConfig) -> str | None:
     symbols = sum(doc.text.count(s) for s in g.symbols)
     if symbols / n > g.max_symbol_to_word_ratio:
         return f"symbol-to-word ratio {symbols}/{n} > {g.max_symbol_to_word_ratio}"
-    alpha = sum(1 for w in words if _word_has_letter(w))
+    alpha = len(_ALPHA_WORD.findall(doc.text))
     if alpha / n < g.min_alpha_word_frac:
         return f"alphabetic word fraction {alpha}/{n} < {g.min_alpha_word_frac}"
-    stop_set = set(g.stop_words)
-    distinct_stops = len({w for w in words if w in stop_set})
+    distinct_stops = len(set(g.stop_words).intersection(words))
     if distinct_stops < g.min_stop_words:
         return f"{distinct_stops} distinct stop words < {g.min_stop_words}"
     if doc.text:
-        punct = sum(1 for ch in doc.text if unicodedata.category(ch).startswith("P"))
+        punct = sum(n for ch, n in Counter(doc.text).items() if unicodedata.category(ch).startswith("P"))
         if punct / len(doc.text) > g.max_punct_char_frac:
             return f"punctuation fraction {punct}/{len(doc.text)} > {g.max_punct_char_frac}"
     return None

@@ -16,7 +16,6 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator, Protocol
 
 from .corpus import Document
@@ -659,8 +658,3 @@ def load_instruction_records(
             yield exc.as_rejection()
             continue
         yield Dialogue(turns=turns, origin=origin)
-
-
-def load_instruction_file(path: str | Path, origin: str) -> Iterator[Dialogue | Rejection]:
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from load_instruction_records(fh, origin)

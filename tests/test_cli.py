@@ -120,6 +120,22 @@ def test_clean_rejects_channel(tmp_path):
     assert rejects == [{"line": 2, "reason": "invalid json"}]
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"min_linez": 3}, "'min_linez'"),
+    ({"gopher": {"min_words": "x"}}, "'gopher.min_words'"),
+])
+def test_clean_bad_config_key_is_validation_error(corpus_files, capsys, config, key):
+    tmp_path, in_path, config_path, *_ = corpus_files
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code = dispatch([
+        "clean", "--in", str(in_path), "--out", str(tmp_path / "kept.jsonl"),
+        "--report", str(tmp_path / "report.json"), "--config", str(config_path),
+    ])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "clean" and key in err["error"]
+
+
 # --- lr-curve ----------------------------------------------------------------------
 
 

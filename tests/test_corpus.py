@@ -59,6 +59,21 @@ def test_ingest_invalid_utf8_rejected():
     assert rejects[0].reason == "invalid utf-8"
 
 
+def test_ingest_strips_one_bom_on_first_line_only():
+    stream = io.BytesIO(
+        b'\xef\xbb\xbf{"id":"a","text":"x"}\n'
+        b'\xef\xbb\xbf{"id":"b","text":"y"}\n'
+        b'{"id":"c","text":"\xef\xbb\xbfz"}\n'
+    )
+    rejects = []
+    docs = list(ingest_jsonl(stream, on_reject=rejects.append))
+    assert [(d.id, d.text) for d in docs] == [("a", "x"), ("c", "\ufeffz")]
+    assert [(r.line, r.reason) for r in rejects] == [(2, "invalid json")]
+    # Only one mark is dropped: a doubled one is still invalid JSON.
+    docs, rejects = ingest(['\ufeff\ufeff{"id":"a","text":"x"}'])
+    assert docs == [] and rejects[0].reason == "invalid json"
+
+
 def test_ingest_source_parsing():
     docs, _ = ingest(
         ['{"text":"a","source":"culturax"}', '{"text":"b","source":"SANAD"}', '{"text":"c","source":"weird"}']

@@ -265,6 +265,32 @@ def test_config_validation():
         GopherConfig(min_words=10, max_words=5)
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"min_linez": 3}, "'min_linez'"),
+    ({"gopher": {"min_word": 3}}, "'gopher.min_word'"),
+    ({"gopher": {"min_words": "x"}}, "'gopher.min_words'"),
+    ({"gopher": {"stop_words": "في"}}, "'gopher.stop_words'"),
+    ({"gopher": {"max_punct_char_frac": None}}, "'gopher.max_punct_char_frac'"),
+    ({"gopher": 5}, "'gopher'"),
+    ({"min_lines": True}, "'min_lines'"),
+    ({"require_url": "yes"}, "'require_url'"),
+    ({"unsafe_phrases": ["ok", 3]}, "'unsafe_phrases'"),
+    ({"safety_count_mode": 1}, "'safety_count_mode'"),
+])
+def test_config_from_dict_names_bad_key(data, key):
+    with pytest.raises(ValueError, match=key):
+        FilterConfig.from_dict(data)
+
+
+def test_config_from_dict_rejects_non_object():
+    with pytest.raises(ValueError):
+        FilterConfig.from_dict([1])
+
+
+def test_config_from_dict_accepts_int_for_fraction():
+    assert FilterConfig.from_dict({"permissible_char_min_frac": 1}).permissible_char_min_frac == 1
+
+
 def test_latin_phrase_matching_case_insensitive():
     cfg = FilterConfig(unsafe_phrases=("Bad Phrase One", "bad phrase two", "BAD PHRASE THREE"))
     doc = culturax(base_text() + "\nbad phrase one BAD PHRASE TWO Bad Phrase Three")
