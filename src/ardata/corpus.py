@@ -142,6 +142,24 @@ _PRESENTATION_FOLD: dict[int, str] = {
 }
 
 
+def char_class(codepoints: Iterable[int], negate: bool = False) -> str:
+    """A regex matching any one character of ``codepoints`` (with ``negate``,
+    any one character outside them), written as ranges so it compiles fast."""
+    cps = sorted(set(codepoints))
+    if not cps:
+        return r"[\s\S]" if negate else "(?!)"
+    parts = []
+    start = prev = cps[0]
+    for cp in cps[1:] + [None]:
+        if cp is not None and cp == prev + 1:
+            prev = cp
+            continue
+        parts.append(re.escape(chr(start)) + ("-" + re.escape(chr(prev)) if prev > start else ""))
+        if cp is not None:
+            start = prev = cp
+    return ("[^" if negate else "[") + "".join(parts) + "]"
+
+
 class CharMapMode(str, Enum):
     NFKC_PLUS_TABLE = "nfkc_plus_table"
     TABLE_ONLY = "table_only"
@@ -158,13 +176,17 @@ class CharMap:
     done by default since it changes meaning). ``table_only`` applies just
     the entries. Applying a valid map twice equals applying it once.
 
-    The combined ``str.translate`` table is built once per map, when the map
-    is constructed; ``apply`` is a single translate call.
+    The combined ``str.translate`` table, and a pattern matching any of its
+    keys, are built once per map, when the map is constructed. ``apply``
+    searches for a key first and translates only text that holds one, since
+    a dict-driven translate costs a lookup per non-ASCII character even
+    when nothing maps.
     """
 
     entries: dict[int, str] = field(default_factory=dict)
     mode: CharMapMode = CharMapMode.NFKC_PLUS_TABLE
     _table: dict[int, str] = field(init=False, repr=False, compare=False)
+    _keys: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         folds = _PRESENTATION_FOLD if self.mode is CharMapMode.NFKC_PLUS_TABLE else {}
@@ -178,10 +200,12 @@ class CharMap:
                     raise ValueError(
                         f"entry U+{cp:04X} output contains NFKC-mapped codepoint U+{ord(out):04X}"
                     )
-        object.__setattr__(self, "_table", {**folds, **self.entries})
+        table = {**folds, **self.entries}
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_keys", re.compile(char_class(table)))
 
     def apply(self, text: str) -> str:
-        return text.translate(self._table)
+        return text.translate(self._table) if self._keys.search(text) else text
 
 
 DEFAULT_CHAR_MAP = CharMap()

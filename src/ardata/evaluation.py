@@ -395,7 +395,14 @@ class OracleScorer:
 
     Built from (key, accepted continuations) pairs where the key is a
     substring unique to the item (its question); the pair whose key occurs
-    last in the context identifies the item being scored.
+    last in the context identifies the item being scored. Of keys whose last
+    occurrences start at the same position, the earliest pair wins, and an
+    empty key occurs at the end of every context.
+
+    The keys are indexed once, when the scorer is built, by their first
+    ``m`` characters (``m`` the shortest key length), so a call scans the
+    context backwards from its end instead of searching for every key.
+    ``pairs`` is read-only after construction.
     """
 
     def __init__(
@@ -409,6 +416,16 @@ class OracleScorer:
         self.hit = hit
         self.miss = miss
         self.name = name
+        # The first pair with an empty key matches every context at its end,
+        # where no other key can start, so it always wins.
+        self._always = next((accepted for key, accepted in self.pairs if not key), None)
+        self._prefix_len = min((len(key) for key, _ in self.pairs if key), default=0)
+        # Key prefix -> (key, accepted) in pair order, so the first key that
+        # matches at a position belongs to the earliest pair.
+        self._buckets: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+        for key, accepted in self.pairs:
+            if key:
+                self._buckets.setdefault(key[: self._prefix_len], []).append((key, accepted))
 
     @classmethod
     def for_cf(cls, items: Sequence[BenchmarkItem], **kwargs) -> "OracleScorer":
@@ -431,15 +448,20 @@ class OracleScorer:
     def anti(cls, pairs: Iterable[tuple[str, tuple[str, ...]]], name: str = "anti-oracle"):
         return cls(pairs, hit=_MISS, miss=0.0, name=name)
 
+    def _golds(self, context: str) -> tuple[str, ...] | None:
+        """The accepted continuations of the pair whose key occurs last."""
+        if self._always is not None:
+            return self._always
+        m, buckets = self._prefix_len, self._buckets
+        for pos in range(len(context) - m, -1, -1):
+            for key, accepted in buckets.get(context[pos : pos + m], ()):
+                if context.startswith(key, pos):
+                    return accepted
+        return None
+
     def loglikelihood(self, context: str, continuation: str) -> float:
-        best_pos = -1
-        golds: tuple[str, ...] = ()
-        for key, accepted in self.pairs:
-            pos = context.rfind(key)
-            if pos > best_pos:
-                best_pos = pos
-                golds = accepted
-        if best_pos < 0:
+        golds = self._golds(context)
+        if golds is None:
             return self.miss
         return self.hit if continuation in golds else self.miss
 
@@ -494,7 +516,9 @@ class CharNgramScorer:
     def loglikelihood(self, context: str, continuation: str) -> float:
         if not continuation:
             return 0.0
-        sequence = "\x00" * (self.n - 1) + "".join(self._canon(c) for c in context + continuation)
+        # Only the last n-1 characters of the (padded) context are ever read.
+        tail = ("\x00" * (self.n - 1) + context)[len(context):]
+        sequence = "".join(self._canon(c) for c in tail + continuation)
         start = len(sequence) - len(continuation)
         total = 0.0
         for i in range(start, len(sequence)):

@@ -6,17 +6,25 @@ arithmetic exact: docs_in == kept + sum of per-rule removals. All rules are
 pure functions of (document, config), so shards can be filtered in parallel
 and their reports merged in any order.
 
+The facts several rules read (casefolded text, non-empty lines, words, the
+characters outside the always-permissible set) are computed at most once per
+document, on first use, and shared by the rules ``first_failure`` runs; a
+document removed by an early rule never pays for a later rule's facts.
+
 Boundary semantics, fixed by the config defaults:
   * safety: >= unsafe_min_hits distinct unsafe phrases removes; a CulturaX
     document without a URL is removed (safety applies only to CulturaX).
   * ads: more than ad_max_hits total ad-phrase occurrences removes.
   * lines: fewer than min_lines non-empty lines removes; so does a document
     where more than short_line_frac_max of lines have fewer than
-    short_line_word_max words.
+    short_line_word_max words; with no lines at all (min_lines 0) there is no
+    short-line fraction, and the document passes.
   * chars: less than permissible_char_min_frac permissible characters
     removes (equality keeps).
   * gopher: word-count / word-length / symbol / alphabetic-word /
-    stop-word / punctuation heuristics.
+    stop-word / punctuation heuristics. With no words (min_words 0) the
+    per-word ratios (length, symbols, alphabetic words) pass; the stop-word
+    and punctuation checks still run.
 """
 from __future__ import annotations
 
@@ -26,9 +34,12 @@ import unicodedata
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator
 
-from .corpus import CharMap, DEFAULT_CHAR_MAP, DEFAULT_TITLE_DATE_PATTERNS, Document, Source, normalize_chars, strip_title_date
+from .corpus import (
+    CharMap, DEFAULT_CHAR_MAP, DEFAULT_TITLE_DATE_PATTERNS, Document, Source, char_class, normalize_chars, strip_title_date,
+)
 from .tokenization import TokenizerAdapter, segment_words
 
 
@@ -112,6 +123,14 @@ class FilterConfig:
         if self.ads_count_mode not in ("distinct", "total"):
             raise ValueError("ads_count_mode must be 'distinct' or 'total'")
 
+    @cached_property
+    def _folded_unsafe_phrases(self) -> tuple[str, ...]:
+        return tuple(p.casefold() for p in self.unsafe_phrases)
+
+    @cached_property
+    def _folded_ad_phrases(self) -> tuple[str, ...]:
+        return tuple(p.casefold() for p in self.ad_phrases)
+
     @classmethod
     def from_dict(cls, data: dict) -> "FilterConfig":
         """Build from a parsed ``filters.json``.
@@ -176,16 +195,11 @@ class FilterDecision:
 KEEP = FilterDecision(keep=True, rule=Rule.NONE)
 
 
-def _phrase_hits(text: str, phrases: Iterable[str], mode: str) -> int:
+def _phrase_hits(folded_text: str, folded_phrases: Iterable[str], mode: str) -> int:
     # Case-insensitive for Latin, exact for Arabic: casefold touches only cased scripts.
-    haystack = text.casefold()
     if mode == "distinct":
-        return sum(1 for p in phrases if p.casefold() in haystack)
-    return sum(haystack.count(p.casefold()) for p in phrases)
-
-
-def _non_empty_lines(text: str) -> list[str]:
-    return [line for line in (raw.strip() for raw in text.split("\n")) if line]
+        return sum(1 for p in folded_phrases if p in folded_text)
+    return sum(folded_text.count(p) for p in folded_phrases)
 
 
 def _is_permissible(ch: str, punctuation: str) -> bool:
@@ -213,72 +227,124 @@ _ARABIC_LETTERS = "".join(
 # alphabetic word.
 _ALPHA_WORD = re.compile("[A-Za-z" + _ARABIC_LETTERS + r"]\S*")
 
+# Characters that are permissible whatever the configured punctuation, and are
+# not punctuation themselves, taken from ASCII, the two Arabic blocks and the
+# non-ASCII ``str.isspace`` characters. Every character outside this set is
+# checked one by one with ``_is_permissible`` and ``unicodedata.category``, so
+# the set only needs to be a subset of those characters, never complete.
+_PLAIN_CANDIDATES = (
+    *range(0x80), *range(0x0600, 0x0700), *range(0x0750, 0x0780),
+    0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000,
+)
+_NOT_PLAIN = re.compile(char_class(
+    (cp for cp in _PLAIN_CANDIDATES
+     if _is_permissible(chr(cp), "") and not unicodedata.category(chr(cp)).startswith("P")),
+    negate=True,
+))
 
-def _check_safety(doc: Document, cfg: FilterConfig) -> str | None:
+
+class _Features:
+    """Facts about one document's text that several rules read, each computed
+    on first use and kept for the rules after it."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    @cached_property
+    def folded(self) -> str:
+        return self.text.casefold()
+
+    @cached_property
+    def lines(self) -> list[str]:
+        """The non-empty lines, stripped."""
+        return [line for line in (raw.strip() for raw in self.text.split("\n")) if line]
+
+    @cached_property
+    def words(self) -> list[str]:
+        return segment_words(self.text)
+
+    @cached_property
+    def not_plain(self) -> Counter[str]:
+        """Occurrences of each character ``_NOT_PLAIN`` matches: the only
+        candidates for a non-permissible or a punctuation character."""
+        return Counter(_NOT_PLAIN.findall(self.text))
+
+
+def _check_safety(doc: Document, cfg: FilterConfig, features: _Features | None = None) -> str | None:
     if doc.source not in cfg.safety_sources:
         return None
     if cfg.require_url and not doc.url:
         return "missing url"
     if cfg.unsafe_phrases:
-        hits = _phrase_hits(doc.text, cfg.unsafe_phrases, cfg.safety_count_mode)
+        folded = (features or _Features(doc.text)).folded
+        hits = _phrase_hits(folded, cfg._folded_unsafe_phrases, cfg.safety_count_mode)
         if hits >= cfg.unsafe_min_hits:
             return f"{hits} unsafe phrase hits (>= {cfg.unsafe_min_hits})"
     return None
 
 
-def _check_ads(doc: Document, cfg: FilterConfig) -> str | None:
+def _check_ads(doc: Document, cfg: FilterConfig, features: _Features | None = None) -> str | None:
     if not cfg.ad_phrases:
         return None
-    hits = _phrase_hits(doc.text, cfg.ad_phrases, cfg.ads_count_mode)
+    folded = (features or _Features(doc.text)).folded
+    hits = _phrase_hits(folded, cfg._folded_ad_phrases, cfg.ads_count_mode)
     if hits > cfg.ad_max_hits:
         return f"{hits} ad phrase hits (> {cfg.ad_max_hits})"
     return None
 
 
-def _check_lines(doc: Document, cfg: FilterConfig) -> str | None:
-    lines = _non_empty_lines(doc.text)
+def _check_lines(doc: Document, cfg: FilterConfig, features: _Features | None = None) -> str | None:
+    lines = (features or _Features(doc.text)).lines
     if len(lines) < cfg.min_lines:
         return f"{len(lines)} lines (< {cfg.min_lines})"
+    # With no lines (min_lines 0) there is no short-line fraction to exceed.
+    if not lines:
+        return None
     short = sum(1 for line in lines if len(segment_words(line)) < cfg.short_line_word_max)
     if short / len(lines) > cfg.short_line_frac_max:
         return f"{short}/{len(lines)} short lines (> {cfg.short_line_frac_max:.0%})"
     return None
 
 
-def _check_chars(doc: Document, cfg: FilterConfig) -> str | None:
+def _check_chars(doc: Document, cfg: FilterConfig, features: _Features | None = None) -> str | None:
     total = len(doc.text)
     if total == 0:
         return None
-    permissible = sum(n for ch, n in Counter(doc.text).items() if _is_permissible(ch, cfg.permissible_punctuation))
+    candidates = (features or _Features(doc.text)).not_plain
+    banned = sum(n for ch, n in candidates.items() if not _is_permissible(ch, cfg.permissible_punctuation))
+    permissible = total - banned
     if permissible / total < cfg.permissible_char_min_frac:
         return f"{permissible}/{total} permissible chars (< {cfg.permissible_char_min_frac:.0%})"
     return None
 
 
-def _check_gopher(doc: Document, cfg: FilterConfig) -> str | None:
+def _check_gopher(doc: Document, cfg: FilterConfig, features: _Features | None = None) -> str | None:
     g = cfg.gopher
-    words = segment_words(doc.text)
+    features = features or _Features(doc.text)
+    words = features.words
     n = len(words)
     if n < g.min_words:
         return f"word count {n} < {g.min_words}"
     if n > g.max_words:
         return f"word count {n} > {g.max_words}"
-    mean_len = sum(map(len, words)) / n
-    if mean_len < g.min_mean_word_len:
-        return f"mean word length {mean_len:.2f} < {g.min_mean_word_len}"
-    if mean_len > g.max_mean_word_len:
-        return f"mean word length {mean_len:.2f} > {g.max_mean_word_len}"
-    symbols = sum(doc.text.count(s) for s in g.symbols)
-    if symbols / n > g.max_symbol_to_word_ratio:
-        return f"symbol-to-word ratio {symbols}/{n} > {g.max_symbol_to_word_ratio}"
-    alpha = len(_ALPHA_WORD.findall(doc.text))
-    if alpha / n < g.min_alpha_word_frac:
-        return f"alphabetic word fraction {alpha}/{n} < {g.min_alpha_word_frac}"
+    # The per-word ratios measure nothing without words (min_words 0).
+    if n:
+        mean_len = sum(map(len, words)) / n
+        if mean_len < g.min_mean_word_len:
+            return f"mean word length {mean_len:.2f} < {g.min_mean_word_len}"
+        if mean_len > g.max_mean_word_len:
+            return f"mean word length {mean_len:.2f} > {g.max_mean_word_len}"
+        symbols = sum(doc.text.count(s) for s in g.symbols)
+        if symbols / n > g.max_symbol_to_word_ratio:
+            return f"symbol-to-word ratio {symbols}/{n} > {g.max_symbol_to_word_ratio}"
+        alpha = len(_ALPHA_WORD.findall(doc.text))
+        if alpha / n < g.min_alpha_word_frac:
+            return f"alphabetic word fraction {alpha}/{n} < {g.min_alpha_word_frac}"
     distinct_stops = len(set(g.stop_words).intersection(words))
     if distinct_stops < g.min_stop_words:
         return f"{distinct_stops} distinct stop words < {g.min_stop_words}"
     if doc.text:
-        punct = sum(n for ch, n in Counter(doc.text).items() if unicodedata.category(ch).startswith("P"))
+        punct = sum(n for ch, n in features.not_plain.items() if unicodedata.category(ch).startswith("P"))
         if punct / len(doc.text) > g.max_punct_char_frac:
             return f"punctuation fraction {punct}/{len(doc.text)} > {g.max_punct_char_frac}"
     return None
@@ -302,11 +368,16 @@ def apply_filter(doc: Document, rule: Rule, cfg: FilterConfig) -> FilterDecision
 
 
 def first_failure(doc: Document, cfg: FilterConfig) -> FilterDecision:
-    """Run rules in pipeline order; the first failing rule gets the attribution."""
+    """Run rules in pipeline order; the first failing rule gets the attribution.
+
+    The rules share one ``_Features`` of the document, so each fact about
+    its text is computed at most once.
+    """
+    features = _Features(doc.text)
     for rule in RULE_ORDER:
-        decision = apply_filter(doc, rule, cfg)
-        if not decision.keep:
-            return decision
+        detail = _CHECKS[rule](doc, cfg, features)
+        if detail is not None:
+            return FilterDecision(keep=False, rule=rule, detail=detail)
     return KEEP
 
 
@@ -336,6 +407,15 @@ class SourceCounters:
     def tokens_kept(self) -> int:
         return self.tokens_in - self.tokens_removed_total
 
+    def merge(self, other: "SourceCounters") -> None:
+        """Add ``other``'s counts to these, rule by rule."""
+        self.docs_in += other.docs_in
+        self.tokens_in += other.tokens_in
+        for rule, count in other.docs_removed.items():
+            self.docs_removed[rule] = self.docs_removed.get(rule, 0) + count
+        for rule, count in other.tokens_removed.items():
+            self.tokens_removed[rule] = self.tokens_removed.get(rule, 0) + count
+
 
 class ReportSchemaError(ValueError):
     pass
@@ -364,12 +444,7 @@ class CleaningReport:
     def totals(self) -> SourceCounters:
         total = SourceCounters()
         for counters in self.sources.values():
-            total.docs_in += counters.docs_in
-            total.tokens_in += counters.tokens_in
-            for rule, count in counters.docs_removed.items():
-                total.docs_removed[rule] = total.docs_removed.get(rule, 0) + count
-            for rule, count in counters.tokens_removed.items():
-                total.tokens_removed[rule] = total.tokens_removed.get(rule, 0) + count
+            total.merge(counters)
         return total
 
     def to_dict(self) -> dict:
@@ -429,13 +504,7 @@ def merge_reports(a: CleaningReport, b: CleaningReport) -> CleaningReport:
     merged = CleaningReport(rules=tuple(a.rules))
     for report in (a, b):
         for name, counters in report.sources.items():
-            target = merged.sources.setdefault(name, SourceCounters())
-            target.docs_in += counters.docs_in
-            target.tokens_in += counters.tokens_in
-            for rule, count in counters.docs_removed.items():
-                target.docs_removed[rule] = target.docs_removed.get(rule, 0) + count
-            for rule, count in counters.tokens_removed.items():
-                target.tokens_removed[rule] = target.tokens_removed.get(rule, 0) + count
+            merged.sources.setdefault(name, SourceCounters()).merge(counters)
     return merged
 
 

@@ -136,6 +136,29 @@ def test_clean_bad_config_key_is_validation_error(corpus_files, capsys, config, 
     assert err["command"] == "clean" and key in err["error"]
 
 
+def test_clean_min_lines_zero_on_empty_text(tmp_path, capsys):
+    # No non-empty line and no word: the short-line fraction and the per-word
+    # ratios have nothing to divide by, so they pass and gopher's word count removes.
+    in_path = tmp_path / "docs.jsonl"
+    in_path.write_text('{"id":"a","text":""}\n', encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"min_lines": 0}', encoding="utf-8")
+    out, report_path = tmp_path / "kept.jsonl", tmp_path / "report.json"
+    assert dispatch([
+        "clean", "--in", str(in_path), "--out", str(out),
+        "--report", str(report_path), "--config", str(config_path),
+    ]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text(encoding="utf-8") == ""
+    assert json.loads(report_path.read_text(encoding="utf-8")) == {
+        "rules": ["safety", "ads", "lines", "chars", "gopher"],
+        "sources": {"other": {
+            "docs_in": 1, "docs_kept": 0, "docs_removed": {"gopher": 1},
+            "tokens_in": 0, "tokens_kept": 0, "tokens_removed": {"gopher": 0},
+        }},
+    }
+
+
 # --- lr-curve ----------------------------------------------------------------------
 
 

@@ -123,6 +123,25 @@ def test_first_failure_attribution_order(cfg):
     assert decision.rule is Rule.SAFETY
 
 
+def test_lines_min_lines_zero_keeps_text_without_lines():
+    cfg = FilterConfig(min_lines=0)
+    for text in ("", " \n\t\n"):
+        assert apply_filter(Document(id="a", text=text), Rule.LINES, cfg).keep
+
+
+def test_gopher_min_words_zero_without_words_still_checks_stop_words():
+    doc = Document(id="a", text="   ")
+    decision = apply_filter(doc, Rule.GOPHER, FilterConfig(gopher=GopherConfig(min_words=0)))
+    assert decision.rule is Rule.GOPHER and decision.detail == "0 distinct stop words < 2"
+    no_stops = FilterConfig(gopher=GopherConfig(min_words=0, min_stop_words=0))
+    assert apply_filter(doc, Rule.GOPHER, no_stops).keep
+
+
+def test_first_failure_on_empty_text_with_zero_minimums():
+    cfg = FilterConfig(min_lines=0, gopher=GopherConfig(min_words=0, min_stop_words=0))
+    assert first_failure(Document(id="a", text=""), cfg).keep
+
+
 # --- pipeline ----------------------------------------------------------------
 
 
@@ -216,6 +235,16 @@ def test_merge_identity():
     report = _random_report([("culturax", "ads", 3, 30)])
     zero = CleaningReport()
     assert merge_reports(report, zero).to_json() == report.to_json()
+
+
+@given(st.lists(_count_entry, max_size=6), st.lists(_count_entry, max_size=6), st.lists(_count_entry, max_size=6))
+@settings(max_examples=100)
+def test_merge_laws(entries_a, entries_b, entries_c):
+    a, b, c = (_random_report(e) for e in (entries_a, entries_b, entries_c))
+    assert merge_reports(merge_reports(a, b), c).to_dict() == merge_reports(a, merge_reports(b, c)).to_dict()
+    assert merge_reports(a, b).to_dict() == merge_reports(b, a).to_dict()
+    assert merge_reports(a, CleaningReport()).to_dict() == a.to_dict()
+    assert merge_reports(CleaningReport(), a).to_dict() == a.to_dict()
 
 
 def test_merge_schema_mismatch_raises():

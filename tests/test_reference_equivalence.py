@@ -1,16 +1,21 @@
-"""Table-driven character paths against the per-character loops they replaced.
+"""Fast paths against the straightforward implementations they replaced.
 
 The reference functions below are the loop implementations of character
-unification and of the ``chars`` and ``gopher`` rules, kept as
-oracles: the fast paths must give the same text and the same detail strings
-on any input.
+unification, of the filter rules, of the oracle scorer's key search and of
+the n-gram scorer, kept as oracles: the fast paths must give the same text,
+the same detail strings and the same scores on any input.
 """
+import math
 import unicodedata
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ardata.corpus import CharMap, CharMapMode, Document, normalize_chars
-from ardata.filters import FilterConfig, GopherConfig, _check_chars, _check_gopher, _is_permissible
+from ardata.corpus import CharMap, CharMapMode, Document, Source, normalize_chars
+from ardata.evaluation import CharNgramScorer, OracleScorer
+from ardata.filters import (
+    KEEP, RULE_ORDER, FilterConfig, GopherConfig,
+    _check_ads, _check_chars, _check_gopher, _check_lines, _check_safety, _is_permissible, apply_filter, first_failure,
+)
 from ardata.tokenization import segment_words
 
 # --- reference oracles -----------------------------------------------------------
@@ -204,3 +209,196 @@ def test_alphabetic_word_count_equals_reference(words, separators):
     if n:
         alpha = sum(1 for w in segment_words(text) if reference_word_has_letter(w))
         assert expected == f"alphabetic word fraction {alpha}/{n} < 1.1"
+
+
+# --- phrase, line, scorer oracles ----------------------------------------------------
+
+
+def reference_phrase_hits(text: str, phrases, mode: str) -> int:
+    haystack = text.casefold()
+    if mode == "distinct":
+        return sum(1 for p in phrases if p.casefold() in haystack)
+    return sum(haystack.count(p.casefold()) for p in phrases)
+
+
+def reference_check_safety(doc: Document, cfg: FilterConfig) -> str | None:
+    if doc.source not in cfg.safety_sources:
+        return None
+    if cfg.require_url and not doc.url:
+        return "missing url"
+    if cfg.unsafe_phrases:
+        hits = reference_phrase_hits(doc.text, cfg.unsafe_phrases, cfg.safety_count_mode)
+        if hits >= cfg.unsafe_min_hits:
+            return f"{hits} unsafe phrase hits (>= {cfg.unsafe_min_hits})"
+    return None
+
+
+def reference_check_ads(doc: Document, cfg: FilterConfig) -> str | None:
+    if not cfg.ad_phrases:
+        return None
+    hits = reference_phrase_hits(doc.text, cfg.ad_phrases, cfg.ads_count_mode)
+    if hits > cfg.ad_max_hits:
+        return f"{hits} ad phrase hits (> {cfg.ad_max_hits})"
+    return None
+
+
+def reference_check_lines(doc: Document, cfg: FilterConfig) -> str | None:
+    """Divides by zero when min_lines is 0 and the text has no non-empty line."""
+    lines = [line for line in (raw.strip() for raw in doc.text.split("\n")) if line]
+    if len(lines) < cfg.min_lines:
+        return f"{len(lines)} lines (< {cfg.min_lines})"
+    short = sum(1 for line in lines if len(segment_words(line)) < cfg.short_line_word_max)
+    if short / len(lines) > cfg.short_line_frac_max:
+        return f"{short}/{len(lines)} short lines (> {cfg.short_line_frac_max:.0%})"
+    return None
+
+
+def reference_oracle_loglikelihood(scorer: OracleScorer, context: str, continuation: str) -> float:
+    best_pos = -1
+    golds: tuple[str, ...] = ()
+    for key, accepted in scorer.pairs:
+        pos = context.rfind(key)
+        if pos > best_pos:
+            best_pos = pos
+            golds = accepted
+    if best_pos < 0:
+        return scorer.miss
+    return scorer.hit if continuation in golds else scorer.miss
+
+
+def reference_ngram_loglikelihood(scorer: CharNgramScorer, context: str, continuation: str) -> float:
+    if not continuation:
+        return 0.0
+    sequence = "\x00" * (scorer.n - 1) + "".join(scorer._canon(c) for c in context + continuation)
+    start = len(sequence) - len(continuation)
+    total = 0.0
+    for i in range(start, len(sequence)):
+        history = sequence[i - (scorer.n - 1) : i] if scorer.n > 1 else ""
+        count = scorer._ngram_counts[(history, sequence[i])]
+        denom = scorer._history_counts[history] + scorer._vocab_size
+        total += math.log((count + 1) / denom)
+    return total
+
+
+# --- generated inputs: phrases, keys, documents -----------------------------------------
+
+# Latin case variants (with the letters casefold changes: ß, İ, ﬁ), Arabic and
+# separators, so phrases and keys overlap, repeat and share prefixes.
+_PHRASE_ALPHABET = "abAB ßSsİiıﬁ" + "بتلا" + "\n"
+_phrase_text = st.text(_PHRASE_ALPHABET, max_size=60)
+_phrases = st.lists(st.text(_PHRASE_ALPHABET, min_size=1, max_size=3), max_size=5).map(tuple)
+_count_modes = st.sampled_from(["distinct", "total"])
+_sources = st.sampled_from(list(Source))
+_urls = st.one_of(st.none(), st.just(""), st.just("https://example.org/x"))
+
+
+@st.composite
+def _docs(draw, text=_phrase_text):
+    return Document(id="d", text=draw(text), url=draw(_urls), source=draw(_sources))
+
+
+_filter_configs = st.builds(
+    FilterConfig,
+    unsafe_phrases=_phrases,
+    unsafe_min_hits=st.integers(0, 4),
+    require_url=st.booleans(),
+    ad_phrases=_phrases,
+    ad_max_hits=st.integers(0, 4),
+    min_lines=st.integers(0, 4),
+    short_line_word_max=st.integers(0, 4),
+    short_line_frac_max=st.floats(0.0, 1.0),
+    permissible_char_min_frac=st.floats(0.0, 1.0),
+    permissible_punctuation=st.text(_chars, max_size=6),
+    gopher=_gopher,
+    safety_sources=st.lists(_sources, max_size=2).map(tuple),
+    safety_count_mode=_count_modes,
+    ads_count_mode=_count_modes,
+)
+
+
+# --- properties: rules ----------------------------------------------------------------
+
+
+@given(_docs(), _filter_configs)
+@settings(max_examples=200, deadline=None)
+def test_phrase_and_line_rules_equal_reference(doc, cfg):
+    assert _check_safety(doc, cfg) == reference_check_safety(doc, cfg)
+    assert _check_ads(doc, cfg) == reference_check_ads(doc, cfg)
+    try:
+        expected = reference_check_lines(doc, cfg)
+    except ZeroDivisionError:
+        # The reference's division by zero: no lines, and min_lines 0 keeps.
+        assert cfg.min_lines == 0 and not doc.text.strip()
+        expected = None
+    assert _check_lines(doc, cfg) == expected
+
+
+@given(_phrase_text, _phrases, _count_modes)
+@settings(max_examples=200, deadline=None)
+def test_phrase_hit_counts_equal_reference(text, phrases, mode):
+    # unsafe_min_hits 0 and ad_max_hits 0 put every non-zero count in the detail.
+    doc = Document(id="d", text=text, url="https://example.org/x", source=Source.CULTURAX)
+    cfg = FilterConfig(
+        unsafe_phrases=phrases, unsafe_min_hits=0, safety_count_mode=mode,
+        ad_phrases=phrases, ad_max_hits=0, ads_count_mode=mode,
+    )
+    assert _check_safety(doc, cfg) == reference_check_safety(doc, cfg)
+    assert _check_ads(doc, cfg) == reference_check_ads(doc, cfg)
+
+
+@given(_docs(st.one_of(_phrase_text, _texts)), _filter_configs)
+@settings(max_examples=200, deadline=None)
+def test_first_failure_equals_rules_one_by_one(doc, cfg):
+    expected = KEEP
+    for rule in RULE_ORDER:
+        decision = apply_filter(doc, rule, cfg)
+        if not decision.keep:
+            expected = decision
+            break
+    assert first_failure(doc, cfg) == expected
+
+
+# Any codepoint except surrogates, so the plain-character table meets
+# characters outside the blocks it was built from.
+_any_texts = st.text(st.one_of(_chars, st.characters(blacklist_categories=("Cs",))), max_size=120)
+
+
+@given(_any_texts, st.text(st.characters(blacklist_categories=("Cs",)), max_size=8), st.floats(0.0, 1.0), _gopher)
+@settings(max_examples=200, deadline=None)
+def test_char_counts_equal_reference_on_any_character(text, punctuation, min_frac, gopher):
+    cfg = FilterConfig(permissible_punctuation=punctuation, permissible_char_min_frac=min_frac, gopher=gopher)
+    doc = Document(id="d", text=text)
+    assert _check_chars(doc, cfg) == reference_check_chars(doc, cfg)
+    assert _check_gopher(doc, cfg) == reference_check_gopher(doc, cfg)
+
+
+# --- properties: scorers ----------------------------------------------------------------
+
+# A small alphabet, so keys repeat, overlap and prefix one another.
+_keys = st.text("abAا", max_size=3)
+
+
+@given(st.lists(_keys, max_size=8), st.lists(st.one_of(_keys, st.text("abAاx\n", max_size=3)), max_size=8))
+@example(["a", "ab"], ["ab"])  # two keys start at the same position: the first pair wins
+@example(["ab", "a", "ab"], ["xab", "a"])
+@example(["b", "", ""], ["ab"])  # the first empty key wins
+@settings(max_examples=300, deadline=None)
+def test_oracle_scorer_equals_reference_loop(keys, context_parts):
+    # Pair i accepts only "c<i>", so the score of every "c<i>" names the winning pair.
+    scorer = OracleScorer([(key, (f"c{i}",)) for i, key in enumerate(keys)])
+    anti = OracleScorer.anti(scorer.pairs)
+    context = "".join(context_parts)
+    for continuation in [f"c{i}" for i in range(len(keys))] + ["x"]:
+        for s in (scorer, anti):
+            assert s.loglikelihood(context, continuation) == reference_oracle_loglikelihood(s, context, continuation)
+
+
+_ngram_scorers = {n: CharNgramScorer(n=n) for n in range(1, 5)}
+_ngram_text = st.text(st.one_of(st.sampled_from("العربية من the fox."), _chars), max_size=12)
+
+
+@given(st.integers(1, 4), _ngram_text, _ngram_text)
+@settings(max_examples=200, deadline=None)
+def test_ngram_scorer_equals_reference(n, context, continuation):
+    scorer = _ngram_scorers[n]
+    assert scorer.loglikelihood(context, continuation) == reference_ngram_loglikelihood(scorer, context, continuation)
