@@ -15,12 +15,16 @@ import argparse
 import csv
 import json
 import os
+import stat
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import corpus, evaluation, filters, instruct, mixture, schedule, tokenization
+# Each command imports the library modules it runs, so a command does not
+# pay at start-up for the modules of the others.
+if TYPE_CHECKING:
+    from . import filters, tokenization
 
 DEFAULT_SEED = 0
 
@@ -44,31 +48,79 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+@contextmanager
+def _staged_outputs():
+    """Yield ``open_output(path)``, which opens a temporary file for ``path``.
+
+    A target that is absent or a regular file is staged: the temporary sits
+    next to the file ``path`` resolves to (through any symlinks), takes the
+    mode of the file it will replace, and is moved onto it with ``os.replace``
+    once the block succeeds. When the block raises, the temporaries are
+    removed, so a failed command leaves no partial output and its existing
+    targets as they were. Each target is replaced on its own, so a replace
+    that fails (it rarely can: the temporary is in the same directory) leaves
+    the targets moved before it in place. Any other existing target (a
+    device such as /dev/null, a FIFO, /dev/stdout on a pipe) is opened and
+    written directly, and a directory is refused when it is opened.
+    """
+    staged: list[tuple[Path, Path]] = []
+
+    def open_output(path: str, newline: str | None = None):
+        try:
+            mode = os.stat(path).st_mode
+        except OSError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            return open(path, "w", encoding="utf-8", newline=newline)
+        target = Path(os.path.realpath(path))
+        attempt = 0
+        while True:
+            temporary = target.with_name(f".{target.name}.{os.getpid()}.{attempt}.tmp")
+            try:
+                handle = open(temporary, "x", encoding="utf-8", newline=newline)
+                break
+            except FileExistsError:  # left by a killed run, or a second output for this target
+                attempt += 1
+        staged.append((temporary, target))
+        if mode is not None:
+            os.chmod(temporary, stat.S_IMODE(mode))
+        return handle
+
+    try:
+        yield open_output
+        for temporary, target in staged:
+            os.replace(temporary, target)
+    finally:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
 
 
-def _write_json(path: str | None, payload) -> None:
+def _write_json(open_output, path: str | None, payload) -> None:
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open_output(path) as out:
+            out.write(text)
 
 
-def _write_csv(path: str | None, rows) -> None:
-    out, close = _open_out(path)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerows(rows)
-    finally:
-        if close:
-            out.close()
+def _write_csv(open_output, path: str | None, rows) -> None:
+    if path is None or path == "-":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        with open_output(path, newline="") as out:
+            csv.writer(out, lineterminator="\n").writerows(rows)
+
+
+def _write_jsonl(open_output, path: str, records) -> None:
+    with open_output(path) as out:
+        for record in records:
+            out.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def make_tokenizer(spec: str) -> tokenization.TokenizerAdapter:
+    from . import tokenization
+
     if spec == "whitespace":
         return tokenization.WhitespaceTokenizer()
     if spec == "character":
@@ -82,6 +134,8 @@ def make_tokenizer(spec: str) -> tokenization.TokenizerAdapter:
 
 
 def _load_filter_config(path: str | None) -> filters.FilterConfig:
+    from . import filters
+
     if path is None:
         path = os.environ.get(CONFIG_ENV)
     if path is None:
@@ -91,6 +145,10 @@ def _load_filter_config(path: str | None) -> filters.FilterConfig:
 
 def _shard_clean(docs, cfg, tok, parallelism: int):
     """Filter shards on a thread pool and stitch results back in input order."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import filters
+
     shards = [[] for _ in range(parallelism)]
     for idx, doc in enumerate(docs):
         shards[idx % parallelism].append((idx, doc))
@@ -113,12 +171,14 @@ def _shard_clean(docs, cfg, tok, parallelism: int):
     return [doc for _, doc in pairs], report
 
 
-def cmd_clean(args) -> None:
+def cmd_clean(args, open_output) -> None:
+    from . import corpus, filters
+
     cfg = _load_filter_config(args.config)
     tok = make_tokenizer(args.tokenizer)
     parallelism = args.parallelism or _default_parallelism()
 
-    rejects_out = open(args.rejects, "w", encoding="utf-8") if args.rejects else None
+    rejects_out = open_output(args.rejects) if args.rejects else None
 
     def on_reject(reject: corpus.Reject) -> None:
         if rejects_out:
@@ -127,27 +187,27 @@ def cmd_clean(args) -> None:
     try:
         with open(args.input, "rb") as stream:
             doc_iter = corpus.ingest_jsonl(stream, on_reject=on_reject)
-            with open(args.output, "w", encoding="utf-8") as out:
-                if parallelism > 1:
-                    kept, report = _shard_clean(list(doc_iter), cfg, tok, parallelism)
-                else:
-                    report = filters.CleaningReport()
-                    kept = filters.iter_pipeline(doc_iter, cfg, tok, report)
-                for doc in kept:
-                    out.write(json.dumps(corpus.document_to_record(doc), sort_keys=True, ensure_ascii=False) + "\n")
+            if parallelism > 1:
+                kept, report = _shard_clean(list(doc_iter), cfg, tok, parallelism)
+            else:
+                report = filters.CleaningReport()
+                kept = filters.iter_pipeline(doc_iter, cfg, tok, report)
+            _write_jsonl(open_output, args.output, map(corpus.document_to_record, kept))
     finally:
         if rejects_out:
             rejects_out.close()
 
-    _write_json(args.report, report.to_dict())
+    _write_json(open_output, args.report, report.to_dict())
     if args.report_csv:
-        _write_csv(args.report_csv, report.csv_rows())
+        _write_csv(open_output, args.report_csv, report.csv_rows())
 
 
 # --- fertility -------------------------------------------------------------------
 
 
-def cmd_fertility(args) -> None:
+def cmd_fertility(args, open_output) -> None:
+    from . import corpus, tokenization
+
     rows = [["tokenizer", "dataset", "fertility"]]
     for tok_spec in args.tokenizer:
         tok = make_tokenizer(tok_spec)
@@ -156,7 +216,7 @@ def cmd_fertility(args) -> None:
                 docs = corpus.ingest_jsonl(stream)
                 report = tokenization.fertility(docs, tok, average=args.average)
             rows.append([tok.name, Path(path).stem, repr(report.fertility)])
-    _write_csv(args.out, rows)
+    _write_csv(open_output, args.out, rows)
 
 
 # --- mix-plan --------------------------------------------------------------------
@@ -172,26 +232,13 @@ def _parse_upweights(pairs: list[str]) -> dict[str, float]:
     return upweights
 
 
-def cmd_mix_plan(args) -> None:
-    raw = json.loads(Path(args.sources).read_text(encoding="utf-8"))
-    sources = [
-        mixture.SourceStats(name=s["name"], tokens=int(s["tokens"]), language=s.get("language", "other"))
-        for s in raw
-    ]
-    shares = mixture.token_shares(sources)
-    upweights = _parse_upweights(args.upweight)
-    weights = {lang: upweights.get(lang, 1.0) for lang in shares}
-    lang_fractions = mixture.sampling_percentages(weights)
+def cmd_mix_plan(args, open_output) -> None:
+    from . import mixture
 
-    lang_tokens: dict[str, int] = {}
-    for s in sources:
-        lang_tokens[s.language] = lang_tokens.get(s.language, 0) + s.tokens
-    total_tokens_in = sum(lang_tokens.values())
-    per_source = {
-        s.name: lang_fractions[s.language] * s.tokens / lang_tokens[s.language]
-        for s in sources
-    }
+    sources = mixture.load_sources(args.sources)
+    per_source = mixture.source_fractions(sources, _parse_upweights(args.upweight))
     plan = mixture.plan_mixture(sources, per_source, args.total_tokens, seed=args.seed)
+    total_tokens_in = sum(s.tokens for s in sources)
 
     rows = [["source", "language", "tokens", "token_pct", "sampling_pct", "token_quota", "epochs"]]
     for s, entry in zip(sources, plan.entries):
@@ -204,13 +251,27 @@ def cmd_mix_plan(args) -> None:
             entry.token_quota,
             f"{entry.epochs:.3f}",
         ])
-    _write_csv(args.out, rows)
+    _write_csv(open_output, args.out, rows)
 
 
 # --- lr-curve --------------------------------------------------------------------
 
 
-def cmd_lr_curve(args) -> None:
+def _composition(value: str) -> str:
+    """argparse type for --composition, so an unknown mode is a usage error."""
+    from .schedule import MAIN_PHASE_MODES
+
+    if value not in MAIN_PHASE_MODES:
+        choices = ", ".join(map(repr, MAIN_PHASE_MODES))
+        raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def cmd_lr_curve(args, open_output) -> None:
+    from dataclasses import replace
+
+    from . import schedule
+
     spec = schedule.early_cooldown() if args.variant == "early" else schedule.late_cooldown()
     overrides = {}
     for name in ("total_steps", "warmup_steps", "cooldown_start", "max_lr", "min_lr"):
@@ -222,19 +283,23 @@ def cmd_lr_curve(args) -> None:
     if overrides:
         spec = replace(spec, **overrides)
     rows = [[step, repr(lr)] for step, lr in schedule.emit_curve(spec, args.stride)]
-    _write_csv(args.out, rows)
+    _write_csv(open_output, args.out, rows)
 
 
 # --- instruct --------------------------------------------------------------------
 
 
-def _load_docs(path: str) -> list[corpus.Document]:
-    with open(path, "rb") as stream:
-        return list(corpus.ingest_jsonl(stream))
+def _write_dialogues(open_output, path: str, dialogues) -> None:
+    from . import instruct
+
+    _write_jsonl(open_output, path, ({"origin": d.origin, "text": instruct.render_chatml(d)} for d in dialogues))
 
 
-def cmd_instruct_build(args) -> None:
-    docs = _load_docs(args.input)
+def cmd_instruct_build(args, open_output) -> None:
+    from . import corpus, instruct
+
+    with open(args.input, "rb") as stream:
+        docs = list(corpus.ingest_jsonl(stream))
     generator = instruct.MockGenerator(malformed_rate=args.malformed_rate)
     exemplar = None
     if args.exemplar:
@@ -262,13 +327,9 @@ def cmd_instruct_build(args) -> None:
         for reason, count in template_rejects.items():
             rejects[reason] = rejects.get(reason, 0) + count
 
-    with open(args.output, "w", encoding="utf-8") as out:
-        for d in dialogues:
-            record = {"origin": d.origin, "text": instruct.render_chatml(d)}
-            out.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-
+    _write_dialogues(open_output, args.output, dialogues)
     stats = instruct.dataset_stats(dialogues)
-    _write_json(args.stats, {
+    _write_json(open_output, args.stats, {
         "kept": len(dialogues),
         "rejected": sum(rejects.values()),
         "rejects_by_reason": dict(sorted(rejects.items())),
@@ -278,6 +339,8 @@ def cmd_instruct_build(args) -> None:
 
 def _read_dialogue_jsonl(path: str, default_origin: str = "unknown"):
     """Yield dialogues (or Rejections) from ChatML records or turn-list records."""
+    from . import instruct
+
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
@@ -300,25 +363,26 @@ def _read_dialogue_jsonl(path: str, default_origin: str = "unknown"):
                 yield from instruct.load_instruction_records([line], origin=origin)
 
 
-def cmd_instruct_stats(args) -> None:
+def cmd_instruct_stats(args, open_output) -> None:
+    from . import instruct
+
     dialogues = (d for d in _read_dialogue_jsonl(args.input) if isinstance(d, instruct.Dialogue))
     stats = instruct.dataset_stats(dialogues)
-    _write_json(args.out, stats.to_dict())
+    _write_json(open_output, args.out, stats.to_dict())
 
 
-def cmd_instruct_mix(args) -> None:
+def cmd_instruct_mix(args, open_output) -> None:
     """Merge dialogue datasets into one validated ChatML JSONL with stats."""
+    from . import instruct
+
     outcomes = []
     for path in args.inputs:
         default_origin = Path(path).stem
         outcomes.extend(_read_dialogue_jsonl(path, default_origin=default_origin))
     kept, rejects = instruct.filter_dialogues(outcomes)
-    with open(args.output, "w", encoding="utf-8") as out:
-        for d in kept:
-            record = {"origin": d.origin, "text": instruct.render_chatml(d)}
-            out.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    _write_dialogues(open_output, args.output, kept)
     stats = instruct.dataset_stats(kept)
-    _write_json(args.stats, {
+    _write_json(open_output, args.stats, {
         "kept": len(kept),
         "rejected": sum(rejects.values()),
         "rejects_by_reason": dict(sorted(rejects.items())),
@@ -329,14 +393,16 @@ def cmd_instruct_mix(args) -> None:
 # --- eval ------------------------------------------------------------------------
 
 
-def _build_scorer(name: str, items, fmt: str, letters=evaluation.DEFAULT_LETTERS):
+def _build_scorer(name: str, items, fmt: str):
+    from . import evaluation
+
     if name == "constant":
         return evaluation.ConstantScorer()
     if name == "ngram":
         return evaluation.CharNgramScorer()
     if name in ("oracle", "anti-oracle"):
         if fmt == "mcf":
-            base = evaluation.OracleScorer.for_mcf(items, letters=letters)
+            base = evaluation.OracleScorer.for_mcf(items)
         elif fmt == "tf":
             base = evaluation.OracleScorer.for_true_false(items)
         else:
@@ -347,31 +413,39 @@ def _build_scorer(name: str, items, fmt: str, letters=evaluation.DEFAULT_LETTERS
     raise ValueError(f"unknown scorer {name!r} (constant, oracle, anti-oracle, or ngram)")
 
 
-def cmd_eval_cf(args) -> None:
+def cmd_eval_cf(args, open_output) -> None:
+    from . import evaluation
+
     items = evaluation.load_benchmark_items(args.items)
     scorer = _build_scorer(args.scorer, items, "cf")
     result = evaluation.evaluate_cf(items, scorer, norm=args.norm)
-    _write_json(args.out, result.to_dict())
+    _write_json(open_output, args.out, result.to_dict())
 
 
-def cmd_eval_mcf(args) -> None:
+def cmd_eval_mcf(args, open_output) -> None:
+    from . import evaluation
+
     items = evaluation.load_benchmark_items(args.items)
     scorer = _build_scorer(args.scorer, items, "mcf")
     result = evaluation.evaluate_mcf(items, scorer)
-    _write_json(args.out, result.to_dict())
+    _write_json(open_output, args.out, result.to_dict())
 
 
-def cmd_eval_acva(args) -> None:
+def cmd_eval_acva(args, open_output) -> None:
+    from . import evaluation
+
     items = evaluation.load_benchmark_items(args.items)
     exemplars = evaluation.load_benchmark_items(args.exemplars)
     scorer = _build_scorer(args.scorer, items, "tf")
     result = evaluation.evaluate_true_false(
         items, scorer, exemplars, shots=args.shots, seed=args.seed
     )
-    _write_json(args.out, result.to_dict())
+    _write_json(open_output, args.out, result.to_dict())
 
 
-def cmd_eval_diff(args) -> None:
+def cmd_eval_diff(args, open_output) -> None:
+    from . import evaluation
+
     items = evaluation.load_benchmark_items(args.items)
     scorers = {}
     for name in args.scorers.split(","):
@@ -380,20 +454,22 @@ def cmd_eval_diff(args) -> None:
     rows = [["model", "cf", "mcf", "diff"]]
     for row in evaluation.cf_mcf_diff(items, scorers, norm=args.norm):
         rows.append([row.model, repr(row.cf), repr(row.mcf), repr(row.diff)])
-    _write_csv(args.out, rows)
+    _write_csv(open_output, args.out, rows)
 
 
 # --- report merge -----------------------------------------------------------------
 
 
-def cmd_report_merge(args) -> None:
+def cmd_report_merge(args, open_output) -> None:
+    from . import filters
+
     merged = None
     for path in args.reports:
         report = filters.CleaningReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
         merged = report if merged is None else filters.merge_reports(merged, report)
     if merged is None:
         raise ValueError("no report files given")
-    _write_json(args.out, merged.to_dict())
+    _write_json(open_output, args.out, merged.to_dict())
 
 
 # --- parser -----------------------------------------------------------------------
@@ -438,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cooldown-start", type=int, default=None)
     p.add_argument("--max-lr", type=float, default=None)
     p.add_argument("--min-lr", type=float, default=None)
-    p.add_argument("--composition", choices=schedule.MAIN_PHASE_MODES, default=None)
+    p.add_argument("--composition", type=_composition, default=None, help="main-phase composition mode")
     p.add_argument("--out", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_lr_curve)
@@ -523,7 +599,8 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        args.func(args)
+        with _staged_outputs() as open_output:
+            args.func(args, open_output)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}) + "\n")
         return 1

@@ -55,12 +55,25 @@ def load_benchmark_items(path: str | Path) -> list[BenchmarkItem]:
         raise ValueError("benchmark file must hold a JSON array of items")
     items = []
     for i, raw in enumerate(data):
+        if not isinstance(raw, dict):
+            raise ValueError(f"item {i}: expected an object, got {type(raw).__name__}")
+        question, choices = raw["question"], raw["choices"]
+        if not isinstance(question, str):
+            raise ValueError(f"item {i}: question must be a string")
+        if not isinstance(choices, list) or not all(isinstance(c, str) for c in choices):
+            raise ValueError(f"item {i}: choices must be a list of strings")
+        if any(raw.get(key) is not None and not isinstance(raw[key], str) for key in ("category", "context")):
+            raise ValueError(f"item {i}: category and context must be strings")
+        try:
+            gold_index = int(raw["gold_index"])
+        except TypeError:
+            raise ValueError(f"item {i}: gold_index must be an integer, got {raw['gold_index']!r}") from None
         items.append(
             BenchmarkItem(
                 id=str(raw.get("id", i)),
-                question=raw["question"],
-                choices=list(raw["choices"]),
-                gold_index=int(raw["gold_index"]),
+                question=question,
+                choices=list(choices),
+                gold_index=gold_index,
                 category=raw.get("category"),
                 context=raw.get("context"),
             )

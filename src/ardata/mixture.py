@@ -8,12 +8,16 @@ fertility for callers who want the bias-correction rationale made concrete.
 """
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from .corpus import Document
 from .tokenization import TokenizerAdapter, WhitespaceTokenizer
+
+if TYPE_CHECKING:
+    from .corpus import Document
 
 
 @dataclass(frozen=True)
@@ -78,16 +82,54 @@ def sampling_percentages(upweights: Mapping[str, float]) -> dict[str, float]:
     return {name: w / total for name, w in upweights.items()}
 
 
-def token_shares(sources: Iterable[SourceStats]) -> dict[str, float]:
-    """Share of raw tokens per language group."""
-    sources = list(sources)
-    if not sources:
-        raise ValueError("no sources given")
+def load_sources(path: str | Path) -> list[SourceStats]:
+    """Read a sources file: a JSON array of ``{name, tokens, language}`` objects."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, list):
+        raise ValueError("sources file must hold a JSON array of {name, tokens, language} objects")
+    sources = []
+    for i, raw in enumerate(data):
+        if not isinstance(raw, dict):
+            raise ValueError(f"source {i}: expected an object, got {type(raw).__name__}")
+        name, language = raw["name"], raw.get("language", "other")
+        if not isinstance(name, str) or not isinstance(language, str):
+            raise ValueError(f"source {i}: name and language must be strings")
+        try:
+            tokens = int(raw["tokens"])
+        except TypeError:
+            raise ValueError(f"source {i}: tokens must be an integer, got {raw['tokens']!r}") from None
+        sources.append(SourceStats(name=name, tokens=tokens, language=language))
+    return sources
+
+
+def _language_tokens(sources: Iterable[SourceStats]) -> dict[str, int]:
     per_language: dict[str, int] = {}
     for s in sources:
         per_language[s.language] = per_language.get(s.language, 0) + s.tokens
+    if not per_language:
+        raise ValueError("no sources given")
+    return per_language
+
+
+def token_shares(sources: Iterable[SourceStats]) -> dict[str, float]:
+    """Share of raw tokens per language group."""
+    per_language = _language_tokens(sources)
     total = sum(per_language.values())
     return {lang: tokens / total for lang, tokens in per_language.items()}
+
+
+def source_fractions(sources: Iterable[SourceStats], upweights: Mapping[str, float]) -> dict[str, float]:
+    """Sampling fraction per source name, from per-language upweights.
+
+    Each language present gets its ``sampling_percentages`` share (weight 1.0
+    unless ``upweights`` names it; languages with no source are ignored), split
+    among that language's sources in proportion to their raw tokens. The
+    result feeds ``plan_mixture``.
+    """
+    sources = list(sources)
+    per_language = _language_tokens(sources)
+    lang_fractions = sampling_percentages({lang: upweights.get(lang, 1.0) for lang in per_language})
+    return {s.name: lang_fractions[s.language] * s.tokens / per_language[s.language] for s in sources}
 
 
 def _largest_remainder(fractions: list[float], total: int) -> list[int]:

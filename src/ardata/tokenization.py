@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable, Protocol
 
-from .corpus import Document
+if TYPE_CHECKING:
+    from .corpus import Document
 
 
 class TokenizerAdapter(Protocol):
@@ -162,5 +163,5 @@ def fertility(
     """
     acc = FertilityAccumulator()
     for doc in corpus:
-        acc.add(doc.text if isinstance(doc, Document) else doc, tok)
+        acc.add(doc if isinstance(doc, str) else doc.text, tok)
     return acc.report(tok.name, average=average)

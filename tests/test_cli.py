@@ -1,7 +1,10 @@
 import csv
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -136,6 +139,91 @@ def test_clean_bad_config_key_is_validation_error(corpus_files, capsys, config, 
     assert err["command"] == "clean" and key in err["error"]
 
 
+def test_clean_failure_leaves_no_partial_output(corpus_files, capsys):
+    # The report's directory is missing, so the run fails after kept.jsonl and
+    # the rejects file were written in full: neither may appear, and an existing
+    # kept.jsonl from an earlier run stays as it was.
+    tmp_path, in_path, config_path, *_ = corpus_files
+    out = tmp_path / "kept.jsonl"
+    out.write_text("earlier run\n", encoding="utf-8")
+    code = dispatch([
+        "clean", "--in", str(in_path), "--out", str(out), "--rejects", str(tmp_path / "rejects.jsonl"),
+        "--report", str(tmp_path / "nodir" / "r.json"), "--config", str(config_path),
+    ])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["command"] == "clean"
+    assert out.read_text(encoding="utf-8") == "earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "docs.jsonl", "kept.jsonl"]
+
+
+def test_clean_report_directory_leaves_outputs_unchanged(corpus_files, capsys):
+    # A directory target is refused when it is opened, before any output is moved into place.
+    tmp_path, in_path, config_path, *_ = corpus_files
+    out = tmp_path / "kept.jsonl"
+    out.write_text("earlier run\n", encoding="utf-8")
+    (tmp_path / "reports").mkdir()
+    assert dispatch([
+        "clean", "--in", str(in_path), "--out", str(out),
+        "--report", str(tmp_path / "reports"), "--config", str(config_path),
+    ]) == 1
+    assert json.loads(capsys.readouterr().err)["command"] == "clean"
+    assert out.read_text(encoding="utf-8") == "earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "docs.jsonl", "kept.jsonl", "reports"]
+
+
+def test_clean_writes_through_symlink_target(corpus_files):
+    tmp_path, in_path, config_path, *_ = corpus_files
+    data = tmp_path / "data"
+    data.mkdir()
+    real = data / "kept.jsonl"
+    real.write_text("earlier run\n", encoding="utf-8")
+    real.chmod(0o640)
+    link = tmp_path / "kept-link.jsonl"
+    link.symlink_to(real)
+    assert dispatch([
+        "clean", "--in", str(in_path), "--out", str(link),
+        "--report", str(tmp_path / "r.json"), "--config", str(config_path),
+    ]) == 0
+    assert link.is_symlink() and link.resolve() == real
+    assert real.read_text(encoding="utf-8").count("\n") == 30
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in data.iterdir()) == ["kept.jsonl"]
+
+
+def test_stale_temporary_does_not_block_output(corpus_files):
+    # A run killed before its cleanup leaves its temporary behind; a later run
+    # with the same process id picks another name and leaves that file alone.
+    tmp_path, in_path, config_path, *_ = corpus_files
+    stale = tmp_path / f".kept.jsonl.{os.getpid()}.0.tmp"
+    stale.write_text("killed run\n", encoding="utf-8")
+    out = tmp_path / "kept.jsonl"
+    assert dispatch([
+        "clean", "--in", str(in_path), "--out", str(out),
+        "--report", str(tmp_path / "r.json"), "--config", str(config_path),
+    ]) == 0
+    assert out.read_text(encoding="utf-8").count("\n") == 30
+    assert stale.read_text(encoding="utf-8") == "killed run\n"
+
+
+def test_fifo_target_is_written_directly(tmp_path):
+    expected = tmp_path / "lr.csv"
+    assert dispatch(["lr-curve", "--out", str(expected)]) == 0
+    fifo = tmp_path / "lr.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert dispatch(["lr-curve", "--out", str(fifo)]) == 0
+    finally:
+        if reader.is_alive() and not received:
+            open(fifo, "wb").close()  # release a reader still waiting for a writer
+        reader.join(timeout=10)
+    assert received == [expected.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lr.csv", "lr.fifo"]
+
+
 def test_clean_min_lines_zero_on_empty_text(tmp_path, capsys):
     # No non-empty line and no word: the short-line fraction and the per-word
     # ratios have nothing to divide by, so they pass and gopher's word count removes.
@@ -178,6 +266,11 @@ def test_lr_curve_stdout(capsys):
     assert len(lines) == 3
 
 
+def test_lr_curve_unknown_composition_is_usage_error(capsys):
+    assert dispatch(["lr-curve", "--composition", "bogus"]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_lr_curve_late_variant_differs_late(tmp_path):
     early, late = tmp_path / "early.csv", tmp_path / "late.csv"
     dispatch(["lr-curve", "--variant", "early", "--stride", "10000", "--out", str(early)])
@@ -215,6 +308,14 @@ def test_mix_plan_reproduces_published_percentages(tmp_path, capsys):
     assert float(by_name["english-mix"]["sampling_pct"]) == pytest.approx(17.9, abs=0.05)
     quotas = sum(int(row["token_quota"]) for row in by_name.values())
     assert quotas == 197_000_000_000
+
+
+def test_mix_plan_sources_object_is_validation_error(tmp_path, capsys):
+    sources = tmp_path / "sources.json"
+    sources.write_text(json.dumps({"name": "arabic-mix", "tokens": 10, "language": "arabic"}), encoding="utf-8")
+    assert dispatch(["mix-plan", "--sources", str(sources), "--total-tokens", "100"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "mix-plan" and "JSON array" in err["error"]
 
 
 # --- fertility ----------------------------------------------------------------------
@@ -265,6 +366,16 @@ def test_instruct_build_and_stats(tmp_path, cleaned_docs):
     assert dispatch(["instruct", "stats", "--in", str(out), "--out", str(stats_out)]) == 0
     recomputed = json.loads(stats_out.read_text(encoding="utf-8"))
     assert recomputed["turn_histogram"] == stats["stats"]["turn_histogram"]
+
+
+def test_instruct_build_failure_leaves_no_partial_output(tmp_path, cleaned_docs, capsys):
+    out = tmp_path / "chatml.jsonl"
+    assert dispatch([
+        "instruct", "build", "--in", str(cleaned_docs), "--out", str(out),
+        "--stats", str(tmp_path / "nodir" / "stats.json"),
+    ]) == 1
+    assert json.loads(capsys.readouterr().err)["command"] == "instruct"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cleaned.jsonl"]
 
 
 def test_instruct_mix_merges_datasets(tmp_path, cleaned_docs):
@@ -352,6 +463,23 @@ def test_eval_cf_oracle(bench_files, capsys):
     assert result["overall"] == 1.0
     assert result["metric"] == "accuracy_norm"
     assert result["n"] == 12
+
+
+@pytest.mark.parametrize("items, message", [
+    ([1, 2], "item 0: expected an object, got int"),
+    ([{"question": "q", "choices": ["a", "b"], "gold_index": 0}, {"question": "q", "choices": 5, "gold_index": 0}],
+     "item 1: choices must be a list of strings"),
+    ([{"question": 7, "choices": ["a", "b"], "gold_index": 0}], "item 0: question must be a string"),
+    ([{"question": "q", "choices": ["a", "b"], "gold_index": None}], "item 0: gold_index must be an integer, got None"),
+    ([{"question": "q", "choices": ["a", "b"], "gold_index": 0, "category": ["x"]}],
+     "item 0: category and context must be strings"),
+])
+def test_eval_malformed_items_are_validation_errors(tmp_path, capsys, items, message):
+    items_path = tmp_path / "items.json"
+    items_path.write_text(json.dumps(items), encoding="utf-8")
+    assert dispatch(["eval", "cf", "--items", str(items_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"command": "eval", "error": message}
 
 
 def test_eval_mcf_constant(bench_files, capsys):

@@ -8,6 +8,7 @@ from ardata.mixture import (
     plan_mixture,
     sample_stream,
     sampling_percentages,
+    source_fractions,
     suggested_upweight,
     token_shares,
 )
@@ -80,6 +81,13 @@ def test_five_to_one_ratio():
 def test_source_stats_validation():
     with pytest.raises(ValueError):
         SourceStats("bad", 0)
+
+
+def test_source_fractions_split_each_language_by_tokens():
+    sources = [SourceStats("ar-web", 100, "arabic"), SourceStats("ar-books", 300, "arabic"), SourceStats("en", 50, "english")]
+    fractions = source_fractions(sources, {"arabic": 4.0, "ghost": 9.0})
+    assert fractions == pytest.approx({"ar-web": 0.2, "ar-books": 0.6, "en": 0.2})
+    assert plan_mixture(sources, fractions, 1000).entry("ar-books").token_quota == 600
 
 
 # --- mixture planning ---------------------------------------------------------------
