@@ -6,8 +6,8 @@ machine-readable first (JSON/CSV with sorted keys), so identical argv,
 inputs, and seed produce byte-identical outputs. Exit codes: 0 success,
 1 validation/runtime error (machine-readable JSON on stderr), 2 usage error.
 
-Environment overrides: ARDATA_CONFIG supplies --config for ``clean`` when
-the flag is omitted; ARDATA_PARALLELISM sets the default --parallelism.
+Environment override: ARDATA_CONFIG supplies --config for ``clean`` when
+the flag is omitted.
 """
 from __future__ import annotations
 
@@ -29,23 +29,6 @@ if TYPE_CHECKING:
 DEFAULT_SEED = 0
 
 CONFIG_ENV = "ARDATA_CONFIG"
-PARALLELISM_ENV = "ARDATA_PARALLELISM"
-
-
-def _default_parallelism() -> int:
-    raw = os.environ.get(PARALLELISM_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument(
-        "--parallelism", type=int, default=None,
-        help="worker count; never changes results, only wall time",
-    )
 
 
 @contextmanager
@@ -143,40 +126,11 @@ def _load_filter_config(path: str | None) -> filters.FilterConfig:
     return filters.FilterConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _shard_clean(docs, cfg, tok, parallelism: int):
-    """Filter shards on a thread pool and stitch results back in input order."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from . import filters
-
-    shards = [[] for _ in range(parallelism)]
-    for idx, doc in enumerate(docs):
-        shards[idx % parallelism].append((idx, doc))
-
-    def work(shard):
-        report = filters.CleaningReport()
-        kept = []
-        for idx, doc in shard:
-            for cleaned in filters.iter_pipeline([doc], cfg, tok, report):
-                kept.append((idx, cleaned))
-        return kept, report
-
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        results = list(pool.map(work, shards))
-    report = results[0][1]
-    for _, shard_report in results[1:]:
-        report = filters.merge_reports(report, shard_report)
-    pairs = [pair for kept, _ in results for pair in kept]
-    pairs.sort(key=lambda pair: pair[0])
-    return [doc for _, doc in pairs], report
-
-
 def cmd_clean(args, open_output) -> None:
     from . import corpus, filters
 
     cfg = _load_filter_config(args.config)
     tok = make_tokenizer(args.tokenizer)
-    parallelism = args.parallelism or _default_parallelism()
 
     rejects_out = open_output(args.rejects) if args.rejects else None
 
@@ -186,12 +140,8 @@ def cmd_clean(args, open_output) -> None:
 
     try:
         with open(args.input, "rb") as stream:
-            doc_iter = corpus.ingest_jsonl(stream, on_reject=on_reject)
-            if parallelism > 1:
-                kept, report = _shard_clean(list(doc_iter), cfg, tok, parallelism)
-            else:
-                report = filters.CleaningReport()
-                kept = filters.iter_pipeline(doc_iter, cfg, tok, report)
+            report = filters.CleaningReport()
+            kept = filters.iter_pipeline(corpus.ingest_jsonl(stream, on_reject=on_reject), cfg, tok, report)
             _write_jsonl(open_output, args.output, map(corpus.document_to_record, kept))
     finally:
         if rejects_out:
@@ -303,13 +253,7 @@ def cmd_instruct_build(args, open_output) -> None:
     generator = instruct.MockGenerator(malformed_rate=args.malformed_rate)
     exemplar = None
     if args.exemplar:
-        raw = json.loads(Path(args.exemplar).read_text(encoding="utf-8"))
-        exemplar = instruct.MCQItem(
-            question=raw["question"],
-            options=list(raw["options"]),
-            answer_index=int(raw["answer_index"]),
-            enum_style=raw.get("enum_style", "latin_letters"),
-        )
+        exemplar = instruct.MCQItem.from_dict(json.loads(Path(args.exemplar).read_text(encoding="utf-8")))
 
     templates = ["standard", "mcq"] if args.template == "both" else [args.template]
     dialogues: list[instruct.Dialogue] = []
@@ -487,7 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rejects", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--tokenizer", default="whitespace")
-    _add_common(p)
+    p.add_argument(
+        "--parallelism", type=int, default=None,
+        help="accepted and ignored: clean always runs as one streaming pass; to use more cores, "
+        "run one clean per shard of the input and combine the reports with `report merge`",
+    )
     p.set_defaults(func=cmd_clean)
 
     p = sub.add_parser("fertility", help="fertility CSV per (tokenizer, dataset)")
@@ -495,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokenizer", action="append", required=True)
     p.add_argument("--average", choices=("micro", "macro"), default="micro")
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_fertility)
 
     p = sub.add_parser("mix-plan", help="token shares, sampling percentages, quotas, epochs")
@@ -503,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upweight", action="append", default=[], help="language=weight (repeatable)")
     p.add_argument("--total-tokens", type=int, required=True)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_mix_plan)
 
     p = sub.add_parser("lr-curve", help="CSV of (step, lr) samples")
@@ -516,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-lr", type=float, default=None)
     p.add_argument("--composition", type=_composition, default=None, help="main-phase composition mode")
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_lr_curve)
 
     p_instruct = sub.add_parser("instruct", help="synthetic dialogue factory")
@@ -530,20 +476,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-chars", type=int, default=2000)
     p.add_argument("--malformed-rate", type=float, default=0.0)
     p.add_argument("--exemplar", default=None, help="JSON file with an MCQ exemplar")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_instruct_build)
 
     p = instruct_sub.add_parser("stats", help="turn/enumeration histograms for a dialogue JSONL")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_instruct_stats)
 
     p = instruct_sub.add_parser("mix", help="merge dialogue datasets into one ChatML JSONL")
     p.add_argument("--in", dest="inputs", action="append", required=True)
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--stats", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_instruct_mix)
 
     p_eval = sub.add_parser("eval", help="benchmark evaluation")
@@ -554,14 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scorer", default="ngram")
     p.add_argument("--norm", choices=("none", "by_bytes", "by_tokens"), default="by_bytes")
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_eval_cf)
 
     p = eval_sub.add_parser("mcf", help="multiple-choice-format accuracy")
     p.add_argument("--items", required=True)
     p.add_argument("--scorer", default="ngram")
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_eval_mcf)
 
     p = eval_sub.add_parser("acva", help="few-shot True/False with macro F1")
@@ -570,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=5)
     p.add_argument("--scorer", default="ngram")
     p.add_argument("--out", default=None)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_eval_acva)
 
     p = eval_sub.add_parser("diff", help="CF minus MCF accuracy per scorer (CSV)")
@@ -578,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scorers", default="constant,oracle,anti-oracle,ngram")
     p.add_argument("--norm", choices=("none", "by_bytes", "by_tokens"), default="none")
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_eval_diff)
 
     p = sub.add_parser("report", help="cleaning-report utilities")
@@ -586,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = report_sub.add_parser("merge", help="merge sharded cleaning reports")
     p.add_argument("reports", nargs="+")
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_report_merge)
 
     return parser

@@ -421,6 +421,10 @@ class ReportSchemaError(ValueError):
     pass
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class CleaningReport:
     """Per-source, per-rule removal counters in the shape of a before/after table.
@@ -464,9 +468,29 @@ class CleaningReport:
         return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False, indent=2)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CleaningReport":
-        report = cls(rules=tuple(data["rules"]))
-        for name, raw in data["sources"].items():
+    def from_dict(cls, data) -> "CleaningReport":
+        """Rebuild a report from ``to_dict()`` output; a schema violation raises
+        ReportSchemaError naming the source and key."""
+        if not isinstance(data, dict):
+            raise ReportSchemaError(f"report must be an object, got {type(data).__name__}")
+        rules, sources = data.get("rules"), data.get("sources")
+        if not isinstance(rules, list) or not all(isinstance(r, str) for r in rules):
+            raise ReportSchemaError(f"report 'rules' must be a list of strings, got {rules!r}")
+        if not isinstance(sources, dict):
+            raise ReportSchemaError(f"report 'sources' must be an object, got {sources!r}")
+        report = cls(rules=tuple(rules))
+        for name, raw in sources.items():
+            if not isinstance(raw, dict):
+                raise ReportSchemaError(f"source {name!r} must be an object, got {raw!r}")
+            for key in ("docs_in", "tokens_in"):
+                if not _is_count(raw.get(key)):
+                    raise ReportSchemaError(f"source {name!r}: {key!r} must be an integer, got {raw.get(key)!r}")
+            for key in ("docs_removed", "tokens_removed"):
+                counts = raw.get(key)
+                if not isinstance(counts, dict) or not all(_is_count(c) for c in counts.values()):
+                    raise ReportSchemaError(
+                        f"source {name!r}: {key!r} must be an object of integer counts, got {counts!r}"
+                    )
             report.sources[name] = SourceCounters(
                 docs_in=raw["docs_in"],
                 tokens_in=raw["tokens_in"],

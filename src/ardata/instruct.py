@@ -108,6 +108,23 @@ class MCQItem:
     answer_index: int
     enum_style: str = "latin_letters"
 
+    @classmethod
+    def from_dict(cls, data) -> "MCQItem":
+        """Item from parsed JSON; a missing or wrongly typed key raises ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"MCQ item must be an object, got {type(data).__name__}")
+        question, options = data.get("question"), data.get("options")
+        answer_index, enum_style = data.get("answer_index"), data.get("enum_style", "latin_letters")
+        if not isinstance(question, str):
+            raise ValueError(f"MCQ item: 'question' must be a string, got {question!r}")
+        if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
+            raise ValueError(f"MCQ item: 'options' must be a list of strings, got {options!r}")
+        if not isinstance(answer_index, int) or isinstance(answer_index, bool):
+            raise ValueError(f"MCQ item: 'answer_index' must be an integer, got {answer_index!r}")
+        if not isinstance(enum_style, str):
+            raise ValueError(f"MCQ item: 'enum_style' must be a string, got {enum_style!r}")
+        return cls(question, list(options), answer_index, enum_style)
+
 
 def validate_mcq(item: MCQItem) -> str | None:
     if not item.question.strip():

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from ardata.cli import dispatch
+from ardata.cli import build_parser, dispatch
 from ardata.corpus import document_to_record
 from ardata.instruct import parse_chatml
 
@@ -46,6 +46,38 @@ def test_no_arguments_usage_error(capsys):
 
 def test_unknown_command_usage_error():
     assert dispatch(["frobnicate"]) == 2
+
+
+# Each subcommand's required arguments, so that only the flag under test
+# decides whether parsing succeeds.
+SUBCOMMAND_ARGV = {
+    "clean": ["clean", "--in", "i", "--out", "o", "--report", "r"],
+    "fertility": ["fertility", "--in", "i", "--tokenizer", "whitespace"],
+    "mix-plan": ["mix-plan", "--sources", "s", "--total-tokens", "10"],
+    "lr-curve": ["lr-curve"],
+    "instruct build": ["instruct", "build", "--in", "i", "--out", "o", "--stats", "s"],
+    "instruct stats": ["instruct", "stats", "--in", "i"],
+    "instruct mix": ["instruct", "mix", "--in", "i", "--out", "o", "--stats", "s"],
+    "eval cf": ["eval", "cf", "--items", "i"],
+    "eval mcf": ["eval", "mcf", "--items", "i"],
+    "eval acva": ["eval", "acva", "--items", "i", "--exemplars", "e"],
+    "eval diff": ["eval", "diff", "--items", "i"],
+    "report merge": ["report", "merge", "r"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+@pytest.mark.parametrize("flag, readers", [
+    ("--seed", {"mix-plan", "instruct build", "eval acva"}),
+    ("--parallelism", {"clean"}),
+])
+def test_seed_and_parallelism_only_where_read(command, flag, readers):
+    argv = SUBCOMMAND_ARGV[command]
+    build_parser().parse_args(argv)
+    if command in readers:
+        assert getattr(build_parser().parse_args(argv + [flag, "2"]), flag[2:]) == 2
+    else:
+        assert dispatch(argv + [flag, "2"]) == 2
 
 
 def test_missing_input_is_validation_error(tmp_path, capsys):
@@ -423,6 +455,40 @@ def test_instruct_build_deterministic(tmp_path, cleaned_docs):
     assert blobs[0] == blobs[1]
 
 
+EXEMPLAR = {"question": "ما لون السماء؟", "options": ["أزرق", "أحمر"], "answer_index": 0}
+
+
+def test_instruct_build_with_exemplar(tmp_path, cleaned_docs):
+    exemplar_path = tmp_path / "exemplar.json"
+    exemplar_path.write_text(json.dumps(EXEMPLAR, ensure_ascii=False), encoding="utf-8")
+    stats_path = tmp_path / "stats.json"
+    assert dispatch([
+        "instruct", "build", "--in", str(cleaned_docs), "--out", str(tmp_path / "chatml.jsonl"),
+        "--stats", str(stats_path), "--template", "mcq", "--exemplar", str(exemplar_path),
+    ]) == 0
+    assert json.loads(stats_path.read_text(encoding="utf-8"))["kept"] > 0
+
+
+@pytest.mark.parametrize("exemplar, message", [
+    ([1], "MCQ item must be an object, got list"),
+    ({**EXEMPLAR, "question": 5}, "'question' must be a string"),
+    ({**EXEMPLAR, "options": "أب"}, "'options' must be a list of strings"),
+    ({**EXEMPLAR, "options": ["أزرق", 2]}, "'options' must be a list of strings"),
+    ({**EXEMPLAR, "answer_index": None}, "'answer_index' must be an integer"),
+    ({**EXEMPLAR, "answer_index": True}, "'answer_index' must be an integer"),
+    ({**EXEMPLAR, "enum_style": None}, "'enum_style' must be a string"),
+])
+def test_instruct_build_bad_exemplar_is_validation_error(tmp_path, cleaned_docs, capsys, exemplar, message):
+    exemplar_path = tmp_path / "exemplar.json"
+    exemplar_path.write_text(json.dumps(exemplar, ensure_ascii=False), encoding="utf-8")
+    assert dispatch([
+        "instruct", "build", "--in", str(cleaned_docs), "--out", str(tmp_path / "chatml.jsonl"),
+        "--stats", str(tmp_path / "stats.json"), "--template", "mcq", "--exemplar", str(exemplar_path),
+    ]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert message in err["error"] and err["command"] == "instruct"
+
+
 # --- eval ---------------------------------------------------------------------------
 
 
@@ -531,24 +597,6 @@ def test_config_env_var_override(corpus_files, monkeypatch):
     assert report_env.read_bytes() == report_flag.read_bytes()
 
 
-def test_parallelism_env_var(corpus_files, monkeypatch):
-    tmp_path, in_path, config_path, *_ = corpus_files
-    monkeypatch.setenv("ARDATA_PARALLELISM", "3")
-    out = tmp_path / "kept-envpar.jsonl"
-    report_path = tmp_path / "report-envpar.json"
-    assert dispatch([
-        "clean", "--in", str(in_path), "--out", str(out),
-        "--report", str(report_path), "--config", str(config_path),
-    ]) == 0
-    baseline = tmp_path / "report-base.json"
-    monkeypatch.delenv("ARDATA_PARALLELISM")
-    assert dispatch([
-        "clean", "--in", str(in_path), "--out", str(tmp_path / "kept-base.jsonl"),
-        "--report", str(baseline), "--config", str(config_path),
-    ]) == 0
-    assert report_path.read_bytes() == baseline.read_bytes()
-
-
 def test_console_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "ardata.cli", "lr-curve", "--stride", "250000"],
@@ -587,3 +635,20 @@ def test_report_merge_equals_single_run(corpus_files, tmp_path, capsys):
     merged_path = tmp_path / "merged.json"
     assert dispatch(["report", "merge", *shard_reports, "--out", str(merged_path)]) == 0
     assert merged_path.read_text(encoding="utf-8") == full_report.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("report, message", [
+    ([1], "report must be an object, got list"),
+    (
+        {"rules": ["safety"], "sources": {"culturax": {
+            "docs_in": "3", "tokens_in": 9, "docs_removed": {}, "tokens_removed": {},
+        }}},
+        "source 'culturax': 'docs_in' must be an integer",
+    ),
+])
+def test_report_merge_malformed_report_is_validation_error(tmp_path, capsys, report, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    assert dispatch(["report", "merge", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert message in err["error"] and err["command"] == "report"

@@ -1,4 +1,6 @@
+import functools
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +23,17 @@ from ardata.tokenization import WhitespaceTokenizer
 from planted import (
     AD_PHRASES,
     UNSAFE_PHRASES,
+    ads_doc,
     base_text,
+    chars_doc,
+    clean_doc,
+    gopher_doc,
+    lines_doc,
     planted_config,
     planted_corpus,
+    safety_phrases_doc,
+    safety_url_doc,
+    short_lines_doc,
 )
 
 TOK = WhitespaceTokenizer()
@@ -186,6 +196,43 @@ def test_pipeline_sharding_equivalence(cfg):
     assert sorted(d.id for d in kept_sharded) == sorted(d.id for d in kept_all)
 
 
+def _planted_doc(build, i, source, header, presentation_form):
+    """A planted document (one defect or none) under ``source``, optionally with
+    a title/date header and a presentation-form alef for the cleanup to undo."""
+    doc = build(i)
+    text = doc.text.replace("ا", "ﺍ", 1) if presentation_form else doc.text
+    return replace(doc, text=header + text, source=source)
+
+
+_planted_docs = st.builds(
+    _planted_doc,
+    st.sampled_from([
+        clean_doc, safety_phrases_doc, safety_url_doc, ads_doc, lines_doc, short_lines_doc, chars_doc, gopher_doc,
+    ]),
+    st.integers(min_value=0, max_value=30),
+    st.sampled_from(list(Source)),
+    st.sampled_from(["", "عنوان\n2023-04-01\n"]),
+    st.booleans(),
+)
+_text_docs = st.builds(
+    lambda text, source: Document(id="text", text=text, url="https://example.org/t", source=source),
+    st.text(max_size=120),
+    st.sampled_from(list(Source)),
+)
+
+
+@given(st.lists(st.one_of(_planted_docs, _text_docs), max_size=16), st.data())
+@settings(max_examples=60, deadline=None)
+def test_contiguous_shards_equal_whole_run(docs, data):
+    cfg = planted_config()
+    cuts = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=len(docs)), max_size=4)))
+    bounds = [0, *cuts, len(docs)]
+    results = [run_pipeline(docs[start:end], cfg, TOK) for start, end in zip(bounds, bounds[1:])]
+    kept_all, report_all = run_pipeline(docs, cfg, TOK)
+    assert [doc for kept, _ in results for doc in kept] == kept_all
+    assert functools.reduce(merge_reports, [report for _, report in results]).to_dict() == report_all.to_dict()
+
+
 def test_pipeline_deterministic_reports(cfg):
     docs, _ = planted_corpus(n_clean=20, n_ads=3, n_gopher=2)
     _, first = run_pipeline(docs, cfg, TOK)
@@ -259,6 +306,34 @@ def test_report_json_round_trip(cfg):
     _, report = run_pipeline(docs, cfg, TOK)
     recovered = CleaningReport.from_dict(json.loads(report.to_json()))
     assert recovered.to_json() == report.to_json()
+
+
+_REPORT = {
+    "rules": ["safety", "ads"],
+    "sources": {"culturax": {"docs_in": 3, "tokens_in": 9, "docs_removed": {"ads": 1}, "tokens_removed": {"ads": 4}}},
+}
+
+
+def _report_with(**source_keys):
+    return {**_REPORT, "sources": {"culturax": {**_REPORT["sources"]["culturax"], **source_keys}}}
+
+
+@pytest.mark.parametrize("data, message", [
+    ([1], "report must be an object, got list"),
+    ({**_REPORT, "rules": "safety"}, "report 'rules' must be a list of strings"),
+    ({**_REPORT, "rules": ["safety", 1]}, "report 'rules' must be a list of strings"),
+    ({"rules": ["safety"]}, "report 'sources' must be an object"),
+    ({**_REPORT, "sources": [1]}, "report 'sources' must be an object"),
+    ({**_REPORT, "sources": {"culturax": [1]}}, "source 'culturax' must be an object"),
+    (_report_with(docs_in="3"), "source 'culturax': 'docs_in' must be an integer"),
+    (_report_with(tokens_in=True), "source 'culturax': 'tokens_in' must be an integer"),
+    (_report_with(docs_removed={"ads": "1"}), "source 'culturax': 'docs_removed' must be an object of integer"),
+    (_report_with(tokens_removed=None), "source 'culturax': 'tokens_removed' must be an object of integer"),
+])
+def test_report_from_dict_names_bad_key(data, message):
+    with pytest.raises(ReportSchemaError) as info:
+        CleaningReport.from_dict(data)
+    assert message in str(info.value)
 
 
 def test_report_csv_shape(cfg):

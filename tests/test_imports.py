@@ -69,6 +69,7 @@ def _argv(command: str, root: Path) -> list[str]:
         "eval cf": ["eval", "cf", "--items", items, "--out", out],
         "eval mcf": ["eval", "mcf", "--items", items, "--scorer", "oracle", "--out", out],
         "clean -p 1": ["clean", "--in", docs, "--out", out, "--report", out + ".json", "--parallelism", "1"],
+        "clean -p 2": ["clean", "--in", docs, "--out", out, "--report", out + ".json", "--parallelism", "2"],
         "fertility": ["fertility", "--in", docs, "--tokenizer", "whitespace", "--out", out],
         "lr-curve": ["lr-curve", "--composition", "cosine", "--out", out],
         "instruct build": ["instruct", "build", "--in", docs, "--out", out, "--stats", out + ".json"],
@@ -82,13 +83,14 @@ def _argv(command: str, root: Path) -> list[str]:
     ("fertility", {"ardata.corpus", "ardata.tokenization"}),
     ("lr-curve", {"ardata.schedule"}),
     ("instruct build", {"ardata.corpus", "ardata.instruct", "ardata.tokenization"}),
+    ("clean -p 2", {"ardata.corpus", "ardata.filters", "ardata.tokenization"}),
 ])
 def test_command_imports_only_its_modules(inputs, command, modules):
     result = fresh_python("-c", PROBE, *_argv(command, inputs))
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["code"] == 0
-    # No command but `clean --parallelism N>1` needs a thread pool.
+    # No command loads `concurrent.*`: clean is one streaming pass at any --parallelism.
     assert set(report["modules"]) == {"ardata", "ardata.cli", *modules}
 
 
