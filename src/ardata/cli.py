@@ -158,14 +158,17 @@ def cmd_clean(args, open_output) -> None:
 def cmd_fertility(args, open_output) -> None:
     from . import corpus, tokenization
 
+    toks = [make_tokenizer(spec) for spec in args.tokenizer]
+    accs = [[tokenization.FertilityAccumulator() for _ in args.input] for _ in toks]
+    for j, path in enumerate(args.input):  # one read of each file feeds every tokenizer
+        with open(path, "rb") as stream:
+            for doc in corpus.ingest_jsonl(stream):
+                for tok, tok_accs in zip(toks, accs):
+                    tok_accs[j].add(doc.text, tok)
     rows = [["tokenizer", "dataset", "fertility"]]
-    for tok_spec in args.tokenizer:
-        tok = make_tokenizer(tok_spec)
-        for path in args.input:
-            with open(path, "rb") as stream:
-                docs = corpus.ingest_jsonl(stream)
-                report = tokenization.fertility(docs, tok, average=args.average)
-            rows.append([tok.name, Path(path).stem, repr(report.fertility)])
+    for tok, tok_accs in zip(toks, accs):
+        for path, acc in zip(args.input, tok_accs):
+            rows.append([tok.name, Path(path).stem, repr(acc.report(tok.name, average=args.average).fertility)])
     _write_csv(open_output, args.out, rows)
 
 
@@ -281,36 +284,49 @@ def cmd_instruct_build(args, open_output) -> None:
     })
 
 
-def _read_dialogue_jsonl(path: str, default_origin: str = "unknown"):
-    """Yield dialogues (or Rejections) from ChatML records or turn-list records."""
+def _read_dialogue_jsonl(path: str, default_origin: str = "unknown", strict: bool = False):
+    """Yield dialogues (or Rejections) from ChatML or turn-list records; a wrongly
+    typed field is a ``bad_record`` rejection, or with ``strict`` a ValueError."""
     from . import instruct
 
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                yield instruct.Rejection("bad_record", "invalid json")
-                continue
-            if isinstance(record, dict) and "text" in record:
-                try:
-                    d = instruct.parse_chatml(record["text"])
-                except ValueError as exc:
-                    yield instruct.Rejection("bad_record", str(exc))
-                    continue
-                d.origin = record.get("origin", default_origin)
-                yield d
-            else:
-                origin = record.get("origin", default_origin) if isinstance(record, dict) else default_origin
-                yield from instruct.load_instruction_records([line], origin=origin)
+                yield _read_dialogue_record(line, default_origin)
+            except TypeError as exc:
+                if strict:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+                yield instruct.Rejection("bad_record", str(exc))
+
+
+def _read_dialogue_record(line: str, default_origin: str):
+    """One dialogue or Rejection from a non-blank line; TypeError on a wrongly typed field."""
+    from . import instruct
+
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        return instruct.Rejection("bad_record", "invalid json")
+    origin = record.get("origin", default_origin) if isinstance(record, dict) else default_origin
+    if origin is not None and not isinstance(origin, str):
+        raise TypeError("origin must be a string")
+    if isinstance(record, dict) and "text" in record:
+        try:
+            d = instruct.parse_chatml(record["text"])
+        except ValueError as exc:
+            return instruct.Rejection("bad_record", str(exc))
+        d.origin = origin
+        return d
+    (outcome,) = instruct.load_instruction_records([line], origin=origin)
+    return outcome
 
 
 def cmd_instruct_stats(args, open_output) -> None:
     from . import instruct
 
-    dialogues = (d for d in _read_dialogue_jsonl(args.input) if isinstance(d, instruct.Dialogue))
+    dialogues = (d for d in _read_dialogue_jsonl(args.input, strict=True) if isinstance(d, instruct.Dialogue))
     stats = instruct.dataset_stats(dialogues)
     _write_json(open_output, args.out, stats.to_dict())
 

@@ -64,10 +64,9 @@ def load_benchmark_items(path: str | Path) -> list[BenchmarkItem]:
             raise ValueError(f"item {i}: choices must be a list of strings")
         if any(raw.get(key) is not None and not isinstance(raw[key], str) for key in ("category", "context")):
             raise ValueError(f"item {i}: category and context must be strings")
-        try:
-            gold_index = int(raw["gold_index"])
-        except TypeError:
-            raise ValueError(f"item {i}: gold_index must be an integer, got {raw['gold_index']!r}") from None
+        gold_index = raw["gold_index"]
+        if not isinstance(gold_index, int) or isinstance(gold_index, bool):
+            raise ValueError(f"item {i}: gold_index must be an integer, got {gold_index!r}")
         items.append(
             BenchmarkItem(
                 id=str(raw.get("id", i)),

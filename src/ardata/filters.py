@@ -224,8 +224,9 @@ _ARABIC_LETTERS = "".join(
 # A word is alphabetic when it holds at least one Arabic or ASCII letter. Each
 # match runs from a word's first letter to the word's end (``\S`` is exactly the
 # complement of the whitespace ``str.split`` breaks on), so there is one match per
-# alphabetic word.
-_ALPHA_WORD = re.compile("[A-Za-z" + _ARABIC_LETTERS + r"]\S*")
+# alphabetic word. The empty group makes ``findall`` return one empty string per
+# match, so counting builds no copy of the words.
+_ALPHA_WORD = re.compile("[A-Za-z" + _ARABIC_LETTERS + r"]\S*()")
 
 # Characters that are permissible whatever the configured punctuation, and are
 # not punctuation themselves, taken from ASCII, the two Arabic blocks and the
@@ -300,7 +301,10 @@ def _check_lines(doc: Document, cfg: FilterConfig, features: _Features | None = 
     # With no lines (min_lines 0) there is no short-line fraction to exceed.
     if not lines:
         return None
-    short = sum(1 for line in lines if len(segment_words(line)) < cfg.short_line_word_max)
+    # A line is short with fewer than k words, so k - 1 splits tell. Every line
+    # holds a word, so none is short when k <= 1.
+    k = cfg.short_line_word_max
+    short = sum(1 for line in lines if len(line.split(None, k - 1)) < k) if k > 1 else 0
     if short / len(lines) > cfg.short_line_frac_max:
         return f"{short}/{len(lines)} short lines (> {cfg.short_line_frac_max:.0%})"
     return None

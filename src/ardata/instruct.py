@@ -530,6 +530,8 @@ def render_chatml(d: Dialogue) -> str:
 
 def parse_chatml(text: str) -> Dialogue:
     """Exact inverse of render_chatml; raises ValueError on malformed input."""
+    if not isinstance(text, str):
+        raise TypeError(f"ChatML text must be a string, got {type(text).__name__}")
     turns: list[Turn] = []
     pos = 0
     for m in _CHATML_BLOCK_RE.finditer(text):
@@ -632,6 +634,8 @@ _TURN_ROLE_ALIASES = {"human": HUMAN, "user": HUMAN, "gpt": GPT, "assistant": GP
 
 
 def _turns_from_list(raw_turns) -> list[Turn]:
+    if not isinstance(raw_turns, list) or not all(isinstance(raw, dict) for raw in raw_turns):
+        raise TypeError("turns must be a list of objects")
     turns = []
     for raw in raw_turns:
         role = _TURN_ROLE_ALIASES.get(str(raw.get("from", "")).lower())
@@ -650,7 +654,8 @@ def load_instruction_records(
     Accepts three record shapes: a bare list of ``{"from", "value"}`` turns,
     an object with a ``conversations``/``turns`` key holding such a list, or
     a single ``{"instruction", "output"}`` pair, which is wrapped as a
-    two-turn dialogue.
+    two-turn dialogue. Any other line yields a ``bad_record`` rejection;
+    turns that are not a list of objects raise TypeError.
     """
     for line in lines:
         if not line.strip():

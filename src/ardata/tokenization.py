@@ -16,11 +16,15 @@ from typing import TYPE_CHECKING, Iterable, Protocol
 if TYPE_CHECKING:
     from .corpus import Document
 
+_WORD_MEMO_CAP = 1 << 16  # distinct words in a VocabTokenizer's memo (see its docstring)
+
 
 class TokenizerAdapter(Protocol):
     """Anything that can count tokens for a piece of text.
 
     Implementations must be deterministic and return 0 for the empty string.
+    ``count_tokens`` must be a pure function of the text, so a result may be
+    memoized per distinct text (``VocabTokenizer`` does so per word).
     """
 
     name: str
@@ -57,12 +61,17 @@ class VocabTokenizer:
     Each word is consumed left to right by the longest vocabulary entry that
     prefixes the remainder, falling back to a single character. Tokens never
     span whitespace, so fertility is always >= 1.
+
+    ``count_tokens`` tokenizes each distinct word once: a memo maps word to
+    token count and is cleared when it holds ``_WORD_MEMO_CAP`` (65,536)
+    words, so a long-tail corpus keeps flat memory.
     """
 
     def __init__(self, vocab: Iterable[str], name: str = "vocab"):
         self.name = name
         self._vocab = {entry for entry in vocab if entry}
         self._max_len = max((len(v) for v in self._vocab), default=1)
+        self._word_counts: dict[str, int] = {}
 
     @classmethod
     def from_file(cls, path: str | Path, name: str | None = None) -> "VocabTokenizer":
@@ -85,7 +94,16 @@ class VocabTokenizer:
         return tokens
 
     def count_tokens(self, text: str) -> int:
-        return sum(len(self.tokenize_word(w)) for w in segment_words(text))
+        memo = self._word_counts
+        total = 0
+        for word in segment_words(text):
+            count = memo.get(word)
+            if count is None:
+                if len(memo) >= _WORD_MEMO_CAP:
+                    memo.clear()
+                count = memo[word] = len(self.tokenize_word(word))
+            total += count
+        return total
 
 
 @dataclass(frozen=True)

@@ -249,7 +249,13 @@ def test_fifo_target_is_written_directly(tmp_path):
         assert dispatch(["lr-curve", "--out", str(fifo)]) == 0
     finally:
         if reader.is_alive() and not received:
-            open(fifo, "wb").close()  # release a reader still waiting for a writer
+            # Release a reader still waiting for a writer. A reader that has read
+            # everything but not yet appended it has closed its end, and a
+            # blocking open would then wait forever; this one fails with ENXIO.
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:
+                pass
         reader.join(timeout=10)
     assert received == [expected.read_bytes()]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
@@ -442,6 +448,49 @@ def test_instruct_mix_merges_datasets(tmp_path, cleaned_docs):
         parse_chatml(json.loads(line)["text"])
 
 
+_CHATML = "<|im_start|>user\nسؤال<|im_end|>\n<|im_start|>assistant\nجواب<|im_end|>\n"
+# Records with a field of the wrong JSON type, and the error each one reports.
+_MALFORMED_DIALOGUES = {
+    "text-not-a-string": ('{"text": 5}', "ChatML text must be a string, got int"),
+    "list-of-non-objects": ("[1]", "turns must be a list of objects"),
+    "turns-not-a-list": ('{"conversations": 5}', "turns must be a list of objects"),
+    "origin-not-a-string": ('{"text": %s, "origin": 5}' % json.dumps(_CHATML), "origin must be a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_DIALOGUES))
+def test_instruct_mix_counts_malformed_record_as_bad_record(tmp_path, case):
+    line, _ = _MALFORMED_DIALOGUES[case]
+    path = tmp_path / "dialogues.jsonl"
+    path.write_text(json.dumps({"text": _CHATML, "origin": "a"}) + "\n" + line + "\n", encoding="utf-8")
+    stats_path = tmp_path / "stats.json"
+    assert dispatch(["instruct", "mix", "--in", str(path), "--out", str(tmp_path / "out.jsonl"),
+                     "--stats", str(stats_path)]) == 0
+    stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    assert (stats["kept"], stats["rejects_by_reason"]) == (1, {"bad_record": 1})
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_DIALOGUES))
+def test_instruct_stats_malformed_record_is_validation_error(tmp_path, capsys, case):
+    line, detail = _MALFORMED_DIALOGUES[case]
+    path = tmp_path / "dialogues.jsonl"
+    path.write_text(json.dumps({"text": _CHATML}) + "\n\n" + line + "\n", encoding="utf-8")
+    assert dispatch(["instruct", "stats", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"command": "instruct", "error": f"line 3: {detail}"}
+
+
+def test_instruct_stats_skips_records_that_are_not_dialogues(tmp_path, capsys):
+    # Invalid JSON, an unknown shape, a bad role and malformed ChatML yield no
+    # dialogue and are left out of the histograms, as they always were.
+    skipped = ["{broken", '{"other": 1}', '[{"from": "system", "value": "x"}]', '{"text": "no blocks"}']
+    path = tmp_path / "dialogues.jsonl"
+    path.write_text("\n".join([json.dumps({"text": _CHATML}), *skipped]) + "\n", encoding="utf-8")
+    assert dispatch(["instruct", "stats", "--in", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["per_origin_counts"] == {"unknown": 1}
+
+
 def test_instruct_build_deterministic(tmp_path, cleaned_docs):
     blobs = []
     for tag in ("x", "y"):
@@ -539,6 +588,10 @@ def test_eval_cf_oracle(bench_files, capsys):
     ([{"question": "q", "choices": ["a", "b"], "gold_index": None}], "item 0: gold_index must be an integer, got None"),
     ([{"question": "q", "choices": ["a", "b"], "gold_index": 0, "category": ["x"]}],
      "item 0: category and context must be strings"),
+    # A bool, a numeric string and a float used to pass through int() and score as an index.
+    ([{"question": "q", "choices": ["a", "b"], "gold_index": True}], "item 0: gold_index must be an integer, got True"),
+    ([{"question": "q", "choices": ["a", "b"], "gold_index": "1"}], "item 0: gold_index must be an integer, got '1'"),
+    ([{"question": "q", "choices": ["a", "b"], "gold_index": 1.0}], "item 0: gold_index must be an integer, got 1.0"),
 ])
 def test_eval_malformed_items_are_validation_errors(tmp_path, capsys, items, message):
     items_path = tmp_path / "items.json"

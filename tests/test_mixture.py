@@ -198,3 +198,28 @@ def test_missing_stream_errors():
     plan = plan_mixture([SourceStats("a", 10)], {"a": 1.0}, 10)
     with pytest.raises(ValueError, match="no stream"):
         list(sample_stream(plan, {}))
+
+
+@given(
+    st.lists(st.lists(st.integers(1, 12), min_size=1, max_size=6), min_size=1, max_size=4),
+    st.lists(st.integers(1, 5), min_size=4, max_size=4),
+    st.integers(0, 400),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=200, deadline=None)
+def test_realized_tokens_within_one_document_of_quota(doc_lengths, weights, total, seed):
+    # Source s holds documents of doc_lengths[s] words; the sampler stops drawing
+    # a source on the draw that fills its quota, so it overshoots by less than
+    # one document.
+    streams = {
+        f"s{s}": [Document(id=f"s{s}-{i}", text=" ".join(["w"] * n)) for i, n in enumerate(lengths)]
+        for s, lengths in enumerate(doc_lengths)
+    }
+    sources = [SourceStats(name, sum(doc_lengths[s])) for s, name in enumerate(streams)]
+    plan = plan_mixture(sources, sampling_percentages(dict(zip(streams, weights))), total, seed=seed)
+    realized = dict.fromkeys(streams, 0)
+    for doc in sample_stream(plan, streams):
+        realized[doc.id.split("-")[0]] += len(doc.text.split())
+    for s, entry in enumerate(plan.entries):
+        assert entry.token_quota <= realized[entry.name] < entry.token_quota + max(doc_lengths[s])
+

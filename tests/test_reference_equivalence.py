@@ -1,22 +1,33 @@
 """Fast paths against the straightforward implementations they replaced.
 
 The reference functions below are the loop implementations of character
-unification, of the filter rules, of the oracle scorer's key search and of
-the n-gram scorer, kept as oracles: the fast paths must give the same text,
-the same detail strings and the same scores on any input.
+unification, of the filter rules, of the oracle scorer's key search, of the
+n-gram scorer and of the tokenizer-outer ``fertility`` command, kept as
+oracles: the fast paths must give the same text, the same detail strings,
+the same scores and the same CSV bytes on any input.
 """
+import csv
+import io
+import json
 import math
+import re
+import tempfile
 import unicodedata
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from ardata.corpus import CharMap, CharMapMode, Document, Source, normalize_chars
+from ardata import tokenization
+from ardata.cli import dispatch, make_tokenizer
+from ardata.corpus import CharMap, CharMapMode, Document, Source, ingest_jsonl, normalize_chars
 from ardata.evaluation import CharNgramScorer, OracleScorer
 from ardata.filters import (
-    KEEP, RULE_ORDER, FilterConfig, GopherConfig,
+    _ARABIC_LETTERS, KEEP, RULE_ORDER, FilterConfig, GopherConfig, _Features,
     _check_ads, _check_chars, _check_gopher, _check_lines, _check_safety, _is_permissible, apply_filter, first_failure,
 )
-from ardata.tokenization import segment_words
+from ardata.tokenization import VocabTokenizer, fertility, segment_words
 
 # --- reference oracles -----------------------------------------------------------
 
@@ -402,3 +413,157 @@ _ngram_text = st.text(st.one_of(st.sampled_from("العربية من the fox."),
 def test_ngram_scorer_equals_reference(n, context, continuation):
     scorer = _ngram_scorers[n]
     assert scorer.loglikelihood(context, continuation) == reference_ngram_loglikelihood(scorer, context, continuation)
+
+
+# --- count-once oracles: line and gopher rules ------------------------------------------
+
+_PREVIOUS_ALPHA_WORD = re.compile("[A-Za-z" + _ARABIC_LETTERS + r"]\S*")
+
+
+def previous_check_lines(doc: Document, cfg: FilterConfig) -> str | None:
+    """``_check_lines`` before it stopped splitting each line into a word list."""
+    lines = _Features(doc.text).lines
+    if len(lines) < cfg.min_lines:
+        return f"{len(lines)} lines (< {cfg.min_lines})"
+    if not lines:
+        return None
+    short = sum(1 for line in lines if len(segment_words(line)) < cfg.short_line_word_max)
+    if short / len(lines) > cfg.short_line_frac_max:
+        return f"{short}/{len(lines)} short lines (> {cfg.short_line_frac_max:.0%})"
+    return None
+
+
+def previous_check_gopher(doc: Document, cfg: FilterConfig) -> str | None:
+    """``_check_gopher`` before it stopped building the list of alphabetic words."""
+    g = cfg.gopher
+    features = _Features(doc.text)
+    words = features.words
+    n = len(words)
+    if n < g.min_words:
+        return f"word count {n} < {g.min_words}"
+    if n > g.max_words:
+        return f"word count {n} > {g.max_words}"
+    if n:
+        mean_len = sum(map(len, words)) / n
+        if mean_len < g.min_mean_word_len:
+            return f"mean word length {mean_len:.2f} < {g.min_mean_word_len}"
+        if mean_len > g.max_mean_word_len:
+            return f"mean word length {mean_len:.2f} > {g.max_mean_word_len}"
+        symbols = sum(doc.text.count(s) for s in g.symbols)
+        if symbols / n > g.max_symbol_to_word_ratio:
+            return f"symbol-to-word ratio {symbols}/{n} > {g.max_symbol_to_word_ratio}"
+        alpha = len(_PREVIOUS_ALPHA_WORD.findall(doc.text))
+        if alpha / n < g.min_alpha_word_frac:
+            return f"alphabetic word fraction {alpha}/{n} < {g.min_alpha_word_frac}"
+    distinct_stops = len(set(g.stop_words).intersection(words))
+    if distinct_stops < g.min_stop_words:
+        return f"{distinct_stops} distinct stop words < {g.min_stop_words}"
+    if doc.text:
+        punct = sum(n for ch, n in features.not_plain.items() if unicodedata.category(ch).startswith("P"))
+        if punct / len(doc.text) > g.max_punct_char_frac:
+            return f"punctuation fraction {punct}/{len(doc.text)} > {g.max_punct_char_frac}"
+    return None
+
+
+# Lines of 0-7 words over any separators, so word counts straddle every bound.
+_line_texts = st.lists(
+    st.lists(st.text(_chars.filter(lambda ch: not ch.isspace()), min_size=1, max_size=4), max_size=7).flatmap(
+        lambda words: st.lists(st.sampled_from(_WHITESPACE), min_size=len(words), max_size=len(words)).map(
+            lambda seps: "".join(w + sep for w, sep in zip(words, seps))
+        )
+    ),
+    max_size=8,
+).map("\n".join)
+
+
+@given(_docs(st.one_of(_line_texts, _phrase_text, _texts)), _filter_configs, st.integers(0, 9))
+@settings(max_examples=300, deadline=None)
+def test_line_and_gopher_rules_equal_previous_bodies(doc, cfg, short_line_word_max):
+    cfg = replace(cfg, short_line_word_max=short_line_word_max)
+    assert _check_lines(doc, cfg) == previous_check_lines(doc, cfg)
+    assert _check_gopher(doc, cfg) == previous_check_gopher(doc, cfg)
+
+
+# --- count-once oracles: fertility command ------------------------------------------------
+
+
+class _UnmemoizedVocab:
+    """A VocabTokenizer's count as a sum over its words, with no memo."""
+
+    def __init__(self, tok: VocabTokenizer):
+        self.name, self._tok = tok.name, tok
+
+    def count_tokens(self, text: str) -> int:
+        return sum(len(self._tok.tokenize_word(w)) for w in segment_words(text))
+
+
+def reference_fertility_csv(inputs: list[str], specs: list[str], average: str) -> bytes:
+    """The tokenizer-outer loop ``ardata fertility`` ran before: one ingest per (tokenizer, file)."""
+    rows = [["tokenizer", "dataset", "fertility"]]
+    for spec in specs:
+        tok = make_tokenizer(spec)
+        if isinstance(tok, VocabTokenizer):
+            tok = _UnmemoizedVocab(tok)
+        for path in inputs:
+            with open(path, "rb") as stream:
+                report = fertility(ingest_jsonl(stream), tok, average=average)
+            rows.append([tok.name, Path(path).stem, repr(report.fertility)])
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+_WORD_POOL = ["كتاب", "الكتاب", "مكتبة", "كتب", "the", "books", "reader", "1,2", "«اقرأ»"]
+_VOCAB_ENTRIES = ["ال", "كت", "كتاب", "مك", "تب", "the", "book", "read", "er", "«"]
+_doc_texts = st.lists(st.sampled_from(_WORD_POOL), min_size=1, max_size=30).map(" ".join)
+# Each file holds at least one document with words, plus lines ingest rejects.
+_files = st.lists(st.one_of(_doc_texts, _doc_texts, st.just(None)), min_size=1, max_size=8).filter(
+    lambda texts: any(t is not None for t in texts)
+)
+
+
+@given(st.lists(_files, min_size=2, max_size=2), st.sampled_from(["micro", "macro"]))
+@settings(max_examples=40, deadline=None)
+def test_fertility_command_equals_tokenizer_outer_loop(files, average):
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = []
+        for i, texts in enumerate(files):
+            path = Path(tmp) / f"set{i}.jsonl"
+            lines = ["{not json" if t is None else json.dumps({"text": t}, ensure_ascii=False) for t in texts]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            inputs.append(str(path))
+        vocab = Path(tmp) / "vocab.txt"
+        vocab.write_text("\n".join(_VOCAB_ENTRIES) + "\n", encoding="utf-8")
+        specs = ["whitespace", "character", f"vocab:{vocab}"]
+        out = Path(tmp) / "fertility.csv"
+        argv = ["fertility", "--average", average, "--out", str(out)]
+        for path in inputs:
+            argv += ["--in", path]
+        for spec in specs:
+            argv += ["--tokenizer", spec]
+        assert dispatch(argv) == 0
+        assert out.read_bytes() == reference_fertility_csv(inputs, specs, average)
+
+
+# --- count-once oracles: vocab word memo ---------------------------------------------------
+
+_small_words = st.text("abcاب", min_size=1, max_size=4)
+_memo_caps = st.sampled_from([1, 2, 3, None])  # None keeps the module's cap
+
+
+@given(st.lists(_small_words, max_size=10), st.lists(st.text("abcاب \n", max_size=40), max_size=6), _memo_caps)
+@settings(max_examples=200, deadline=None)
+def test_vocab_count_tokens_equals_sum_over_words(vocab, texts, cap):
+    tok = VocabTokenizer(vocab)
+    with mock.patch.object(tokenization, "_WORD_MEMO_CAP", cap or tokenization._WORD_MEMO_CAP):
+        for text in texts:
+            assert tok.count_tokens(text) == sum(len(tok.tokenize_word(w)) for w in segment_words(text))
+            assert len(tok._word_counts) <= tokenization._WORD_MEMO_CAP
+
+
+def test_vocab_count_tokens_tokenizes_each_distinct_word_once():
+    tok = VocabTokenizer(["ab", "ca"])
+    with mock.patch.object(tok, "tokenize_word", wraps=tok.tokenize_word) as spy:
+        assert tok.count_tokens("abc abc ab\ncab abc") == 2 + 2 + 1 + 2 + 2
+        assert tok.count_tokens("ab cab") == 1 + 2
+    assert sorted(call.args[0] for call in spy.call_args_list) == ["ab", "abc", "cab"]
