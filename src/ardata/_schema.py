@@ -1,0 +1,71 @@
+"""Parsing and type checks for the JSON that ardata reads from files.
+
+Every file input (corpora, filter configs, cleaning reports, MCQ exemplars,
+benchmark items, mixture sources, dialogue and instruction records) is
+parsed with ``parse_json`` or ``read_json``, and its fields are checked
+with ``check`` and ``get_field``. So this module alone decides what a valid
+value of each kind is, and every bad input is one ``ValueError`` worded the
+same way, naming where the value sits: ``item 3: 'gold_index' must be an
+integer, got true``. A kind is a pair: its name in messages, and a test.
+"""
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+
+# JSON numbers parse to exactly int or float, and true/false (a bool, so an
+# int subclass) is no count or index.
+OBJECT = ("an object", lambda v: isinstance(v, dict))
+LIST = ("a list", lambda v: isinstance(v, list))
+STRING = ("a string", lambda v: isinstance(v, str))
+STRING_OR_NULL = ("a string or null", lambda v: v is None or isinstance(v, str))
+STRINGS = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
+BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
+INTEGER = ("an integer", lambda v: type(v) is int)
+NUMBER = ("a number", lambda v: type(v) in (int, float))
+COUNT = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
+COUNTS = ("an object of integer counts >= 0", lambda v: isinstance(v, dict) and all(map(COUNT[1], v.values())))
+
+_MISSING = object()
+
+
+def parse_json(text: str | bytes):
+    """The JSON value in ``text``. Every way the parse fails, nesting past the
+    recursion limit and an integer past the digit limit included, is a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("invalid json: nested too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"invalid json: {exc}") from None
+
+
+def read_json(path: str | Path):
+    """The JSON value in the UTF-8 file ``path``; a ValueError names the file."""
+    try:
+        return parse_json(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def check(value, kind: tuple, name: str):
+    """``value`` if it is of ``kind``, else ValueError ``<name> must be <kind>, got <value>``."""
+    if not kind[1](value):
+        raise ValueError(f"{name} must be {kind[0]}, got {_show(value)}")
+    return value
+
+
+def get_field(data: dict, key: str, kind: tuple, where: str = "", default=_MISSING):
+    """``data[key]`` checked as ``kind`` and named ``<where>'<key>'``; ``default``
+    when the key is absent and a default is given."""
+    if key not in data and default is not _MISSING:
+        return default
+    return check(data.get(key, _MISSING), kind, f"{where}{key!r}")
+
+
+def _show(value) -> str:
+    if value is _MISSING:
+        return "nothing"
+    text = {dict: "object", list: "list"}.get(type(value)) or json.dumps(value, ensure_ascii=False)
+    return text if len(text) <= 40 else text[:37] + "..."

@@ -21,6 +21,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ._schema import read_json
+
 # Each command imports the library modules it runs, so a command does not
 # pay at start-up for the modules of the others.
 if TYPE_CHECKING:
@@ -123,7 +125,7 @@ def _load_filter_config(path: str | None) -> filters.FilterConfig:
         path = os.environ.get(CONFIG_ENV)
     if path is None:
         return filters.FilterConfig()
-    return filters.FilterConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return filters.FilterConfig.from_dict(read_json(path))
 
 
 def cmd_clean(args, open_output) -> None:
@@ -242,10 +244,18 @@ def cmd_lr_curve(args, open_output) -> None:
 # --- instruct --------------------------------------------------------------------
 
 
-def _write_dialogues(open_output, path: str, dialogues) -> None:
+def _write_dialogues(open_output, args, dialogues, rejects: dict[str, int]) -> None:
+    """The kept dialogues as ChatML records to ``--out``, and their stats with
+    the reject counts to ``--stats``."""
     from . import instruct
 
-    _write_jsonl(open_output, path, ({"origin": d.origin, "text": instruct.render_chatml(d)} for d in dialogues))
+    _write_jsonl(open_output, args.output, ({"origin": d.origin, "text": instruct.render_chatml(d)} for d in dialogues))
+    _write_json(open_output, args.stats, {
+        "kept": len(dialogues),
+        "rejected": sum(rejects.values()),
+        "rejects_by_reason": dict(sorted(rejects.items())),
+        "stats": instruct.dataset_stats(dialogues).to_dict(),
+    })
 
 
 def cmd_instruct_build(args, open_output) -> None:
@@ -254,9 +264,7 @@ def cmd_instruct_build(args, open_output) -> None:
     with open(args.input, "rb") as stream:
         docs = list(corpus.ingest_jsonl(stream))
     generator = instruct.MockGenerator(malformed_rate=args.malformed_rate)
-    exemplar = None
-    if args.exemplar:
-        exemplar = instruct.MCQItem.from_dict(json.loads(Path(args.exemplar).read_text(encoding="utf-8")))
+    exemplar = instruct.MCQItem.from_dict(read_json(args.exemplar)) if args.exemplar else None
 
     templates = ["standard", "mcq"] if args.template == "both" else [args.template]
     dialogues: list[instruct.Dialogue] = []
@@ -274,60 +282,15 @@ def cmd_instruct_build(args, open_output) -> None:
         for reason, count in template_rejects.items():
             rejects[reason] = rejects.get(reason, 0) + count
 
-    _write_dialogues(open_output, args.output, dialogues)
-    stats = instruct.dataset_stats(dialogues)
-    _write_json(open_output, args.stats, {
-        "kept": len(dialogues),
-        "rejected": sum(rejects.values()),
-        "rejects_by_reason": dict(sorted(rejects.items())),
-        "stats": stats.to_dict(),
-    })
-
-
-def _read_dialogue_jsonl(path: str, default_origin: str = "unknown", strict: bool = False):
-    """Yield dialogues (or Rejections) from ChatML or turn-list records; a wrongly
-    typed field is a ``bad_record`` rejection, or with ``strict`` a ValueError."""
-    from . import instruct
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield _read_dialogue_record(line, default_origin)
-            except TypeError as exc:
-                if strict:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-                yield instruct.Rejection("bad_record", str(exc))
-
-
-def _read_dialogue_record(line: str, default_origin: str):
-    """One dialogue or Rejection from a non-blank line; TypeError on a wrongly typed field."""
-    from . import instruct
-
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return instruct.Rejection("bad_record", "invalid json")
-    origin = record.get("origin", default_origin) if isinstance(record, dict) else default_origin
-    if origin is not None and not isinstance(origin, str):
-        raise TypeError("origin must be a string")
-    if isinstance(record, dict) and "text" in record:
-        try:
-            d = instruct.parse_chatml(record["text"])
-        except ValueError as exc:
-            return instruct.Rejection("bad_record", str(exc))
-        d.origin = origin
-        return d
-    (outcome,) = instruct.load_instruction_records([line], origin=origin)
-    return outcome
+    _write_dialogues(open_output, args, dialogues, rejects)
 
 
 def cmd_instruct_stats(args, open_output) -> None:
     from . import instruct
 
-    dialogues = (d for d in _read_dialogue_jsonl(args.input, strict=True) if isinstance(d, instruct.Dialogue))
-    stats = instruct.dataset_stats(dialogues)
+    with open(args.input, "r", encoding="utf-8") as fh:
+        outcomes = instruct.load_instruction_records(fh, "unknown", strict=True)
+        stats = instruct.dataset_stats(d for d in outcomes if isinstance(d, instruct.Dialogue))
     _write_json(open_output, args.out, stats.to_dict())
 
 
@@ -337,17 +300,9 @@ def cmd_instruct_mix(args, open_output) -> None:
 
     outcomes = []
     for path in args.inputs:
-        default_origin = Path(path).stem
-        outcomes.extend(_read_dialogue_jsonl(path, default_origin=default_origin))
-    kept, rejects = instruct.filter_dialogues(outcomes)
-    _write_dialogues(open_output, args.output, kept)
-    stats = instruct.dataset_stats(kept)
-    _write_json(open_output, args.stats, {
-        "kept": len(kept),
-        "rejected": sum(rejects.values()),
-        "rejects_by_reason": dict(sorted(rejects.items())),
-        "stats": stats.to_dict(),
-    })
+        with open(path, "r", encoding="utf-8") as fh:
+            outcomes.extend(instruct.load_instruction_records(fh, Path(path).stem))
+    _write_dialogues(open_output, args, *instruct.filter_dialogues(outcomes))
 
 
 # --- eval ------------------------------------------------------------------------
@@ -425,7 +380,7 @@ def cmd_report_merge(args, open_output) -> None:
 
     merged = None
     for path in args.reports:
-        report = filters.CleaningReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        report = filters.CleaningReport.from_dict(read_json(path))
         merged = report if merged is None else filters.merge_reports(merged, report)
     if merged is None:
         raise ValueError("no report files given")
@@ -557,7 +512,7 @@ def dispatch(argv: list[str]) -> int:
     try:
         with _staged_outputs() as open_output:
             args.func(args, open_output)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}) + "\n")
         return 1
     return 0

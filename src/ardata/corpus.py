@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import BinaryIO, Callable, Iterable, Iterator
 
+from ._schema import parse_json
+
 
 class Source(str, Enum):
     """Where a document came from. Decides which filter profiles apply."""
@@ -68,10 +70,10 @@ def ingest_jsonl(
     Each line must be a JSON object with a ``text`` field; ``id``, ``url``
     and ``source`` are optional. A missing id is synthesized from the
     1-based line number. Bad lines (invalid UTF-8, invalid JSON, missing or
-    non-string text) are reported through ``on_reject`` and skipped;
-    ingestion continues. Yielded + rejected covers every input line, in
-    input order. One UTF-8 byte-order mark at the start of the first line is
-    dropped; a U+FEFF anywhere else is kept as text.
+    non-string text, an empty id) are reported through ``on_reject`` and
+    skipped; ingestion continues. Yielded + rejected covers every input
+    line, in input order. One UTF-8 byte-order mark at the start of the
+    first line is dropped; a U+FEFF anywhere else is kept as text.
     """
     for line_no, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
@@ -88,8 +90,8 @@ def ingest_jsonl(
             _reject(on_reject, line_no, "empty line")
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
+            record = parse_json(line)
+        except ValueError:
             _reject(on_reject, line_no, "invalid json")
             continue
         if not isinstance(record, dict):
@@ -103,11 +105,13 @@ def ingest_jsonl(
             _reject(on_reject, line_no, "text is not a string")
             continue
         doc_id = record.get("id")
-        if doc_id is None:
-            doc_id = str(line_no)
+        doc_id = str(line_no) if doc_id is None else str(doc_id)
+        if not doc_id:
+            _reject(on_reject, line_no, "empty id")
+            continue
         url = record.get("url")
         yield Document(
-            id=str(doc_id),
+            id=doc_id,
             text=text,
             url=str(url) if url is not None else None,
             source=Source.coerce(record.get("source", Source.OTHER)),

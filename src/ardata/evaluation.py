@@ -14,7 +14,6 @@ without loading a neural model.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import Counter
@@ -22,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
+from ._schema import INTEGER, LIST, OBJECT, STRING, STRING_OR_NULL, STRINGS, check, get_field, read_json
 from .tokenization import TokenizerAdapter, WhitespaceTokenizer
 
 DEFAULT_LETTERS: tuple[str, ...] = ("A", "B", "C", "D", "E")
@@ -50,31 +50,18 @@ class BenchmarkItem:
 
 def load_benchmark_items(path: str | Path) -> list[BenchmarkItem]:
     """Read a benchmark file: a JSON array of item objects."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, list):
-        raise ValueError("benchmark file must hold a JSON array of items")
     items = []
-    for i, raw in enumerate(data):
-        if not isinstance(raw, dict):
-            raise ValueError(f"item {i}: expected an object, got {type(raw).__name__}")
-        question, choices = raw["question"], raw["choices"]
-        if not isinstance(question, str):
-            raise ValueError(f"item {i}: question must be a string")
-        if not isinstance(choices, list) or not all(isinstance(c, str) for c in choices):
-            raise ValueError(f"item {i}: choices must be a list of strings")
-        if any(raw.get(key) is not None and not isinstance(raw[key], str) for key in ("category", "context")):
-            raise ValueError(f"item {i}: category and context must be strings")
-        gold_index = raw["gold_index"]
-        if not isinstance(gold_index, int) or isinstance(gold_index, bool):
-            raise ValueError(f"item {i}: gold_index must be an integer, got {gold_index!r}")
+    for i, raw in enumerate(check(read_json(path), LIST, "benchmark file")):
+        where = f"item {i}: "
+        check(raw, OBJECT, f"item {i}")
         items.append(
             BenchmarkItem(
                 id=str(raw.get("id", i)),
-                question=question,
-                choices=list(choices),
-                gold_index=gold_index,
-                category=raw.get("category"),
-                context=raw.get("context"),
+                question=get_field(raw, "question", STRING, where),
+                choices=list(get_field(raw, "choices", STRINGS, where)),
+                gold_index=get_field(raw, "gold_index", INTEGER, where),
+                category=get_field(raw, "category", STRING_OR_NULL, where, None),
+                context=get_field(raw, "context", STRING_OR_NULL, where, None),
             )
         )
     return items

@@ -37,6 +37,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator
 
+from ._schema import BOOLEAN, COUNT, COUNTS, INTEGER, NUMBER, OBJECT, STRING, STRINGS, check, get_field
 from .corpus import (
     CharMap, DEFAULT_CHAR_MAP, DEFAULT_TITLE_DATE_PATTERNS, Document, Source, char_class, normalize_chars, strip_title_date,
 )
@@ -132,37 +133,31 @@ class FilterConfig:
         return tuple(p.casefold() for p in self.ad_phrases)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FilterConfig":
+    def from_dict(cls, data) -> "FilterConfig":
         """Build from a parsed ``filters.json``.
 
         An unknown key or a wrongly typed value, at top level or under
-        ``gopher``, raises ValueError naming the key.
+        ``gopher``, raises ValueError naming the key; so does a
+        ``safety_sources`` label that names no known source.
         """
-        kwargs = _checked_fields(cls, data, "")
+        kwargs = _checked_fields(cls, check(data, OBJECT, "filter config"), "")
         if "gopher" in kwargs:
             kwargs["gopher"] = GopherConfig(**_checked_fields(GopherConfig, kwargs["gopher"], "gopher."))
         if "safety_sources" in kwargs:
-            kwargs["safety_sources"] = tuple(Source.coerce(s) for s in kwargs["safety_sources"])
+            try:
+                kwargs["safety_sources"] = tuple(Source(s.strip().lower()) for s in kwargs["safety_sources"])
+            except ValueError as exc:
+                raise ValueError(f"filter config key 'safety_sources': {exc}") from None
         return cls(**kwargs)
 
 
-# JSON types accepted for a config field, and how to name them, keyed by the
-# type of the field's default.
-_JSON_TYPES: dict[type, tuple[tuple[type, ...], str]] = {
-    bool: ((bool,), "true or false"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    tuple: ((list, tuple), "a list of strings"),
-    GopherConfig: ((dict,), "an object"),
-}
+# The kind of JSON value accepted for a config field, keyed by the type of its default.
+_KINDS = {bool: BOOLEAN, int: INTEGER, float: NUMBER, str: STRING, tuple: STRINGS, GopherConfig: OBJECT}
 
 
-def _checked_fields(cls, data, prefix: str) -> dict:
+def _checked_fields(cls, data: dict, prefix: str) -> dict:
     """``data`` as keyword arguments for ``cls``: each key must be a field and
-    each value of its default's type; lists become tuples."""
-    if not isinstance(data, dict):
-        raise ValueError(f"filter config {prefix.rstrip('.') or 'root'} must be an object, got {data!r}")
+    each value of its default's kind; lists become tuples."""
     defaults = {f.name: f.default_factory() if f.default is MISSING else f.default for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
@@ -170,13 +165,7 @@ def _checked_fields(cls, data, prefix: str) -> dict:
         if key not in defaults:
             raise ValueError(f"unknown filter config key {name!r}")
         kind = type(defaults[key])
-        accepted, expected = _JSON_TYPES[kind]
-        # bool is a subclass of int, but true/false is no count or fraction.
-        ok = isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
-        if ok and kind is tuple:
-            ok = all(isinstance(item, str) for item in value)
-        if not ok:
-            raise ValueError(f"filter config key {name!r} must be {expected}, got {value!r}")
+        check(value, _KINDS[kind], f"filter config key {name!r}")
         kwargs[key] = tuple(value) if kind is tuple else value
     return kwargs
 
@@ -302,8 +291,8 @@ def _check_lines(doc: Document, cfg: FilterConfig, features: _Features | None = 
     if not lines:
         return None
     # A line is short with fewer than k words, so k - 1 splits tell. Every line
-    # holds a word, so none is short when k <= 1.
-    k = cfg.short_line_word_max
+    # holds a word, so none is short when k <= 1, and all are when k > len(text).
+    k = min(cfg.short_line_word_max, len(doc.text) + 1)
     short = sum(1 for line in lines if len(line.split(None, k - 1)) < k) if k > 1 else 0
     if short / len(lines) > cfg.short_line_frac_max:
         return f"{short}/{len(lines)} short lines (> {cfg.short_line_frac_max:.0%})"
@@ -425,10 +414,6 @@ class ReportSchemaError(ValueError):
     pass
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass
 class CleaningReport:
     """Per-source, per-rule removal counters in the shape of a before/after table.
@@ -475,32 +460,19 @@ class CleaningReport:
     def from_dict(cls, data) -> "CleaningReport":
         """Rebuild a report from ``to_dict()`` output; a schema violation raises
         ReportSchemaError naming the source and key."""
-        if not isinstance(data, dict):
-            raise ReportSchemaError(f"report must be an object, got {type(data).__name__}")
-        rules, sources = data.get("rules"), data.get("sources")
-        if not isinstance(rules, list) or not all(isinstance(r, str) for r in rules):
-            raise ReportSchemaError(f"report 'rules' must be a list of strings, got {rules!r}")
-        if not isinstance(sources, dict):
-            raise ReportSchemaError(f"report 'sources' must be an object, got {sources!r}")
-        report = cls(rules=tuple(rules))
-        for name, raw in sources.items():
-            if not isinstance(raw, dict):
-                raise ReportSchemaError(f"source {name!r} must be an object, got {raw!r}")
-            for key in ("docs_in", "tokens_in"):
-                if not _is_count(raw.get(key)):
-                    raise ReportSchemaError(f"source {name!r}: {key!r} must be an integer, got {raw.get(key)!r}")
-            for key in ("docs_removed", "tokens_removed"):
-                counts = raw.get(key)
-                if not isinstance(counts, dict) or not all(_is_count(c) for c in counts.values()):
-                    raise ReportSchemaError(
-                        f"source {name!r}: {key!r} must be an object of integer counts, got {counts!r}"
-                    )
-            report.sources[name] = SourceCounters(
-                docs_in=raw["docs_in"],
-                tokens_in=raw["tokens_in"],
-                docs_removed=dict(raw["docs_removed"]),
-                tokens_removed=dict(raw["tokens_removed"]),
-            )
+        try:
+            report = cls(rules=tuple(get_field(check(data, OBJECT, "report"), "rules", STRINGS, "report ")))
+            for name, raw in get_field(data, "sources", OBJECT, "report ").items():
+                where = f"source {name!r}"
+                check(raw, OBJECT, where)
+                report.sources[name] = SourceCounters(
+                    docs_in=get_field(raw, "docs_in", COUNT, where + ": "),
+                    tokens_in=get_field(raw, "tokens_in", COUNT, where + ": "),
+                    docs_removed=dict(get_field(raw, "docs_removed", COUNTS, where + ": ")),
+                    tokens_removed=dict(get_field(raw, "tokens_removed", COUNTS, where + ": ")),
+                )
+        except ValueError as exc:
+            raise ReportSchemaError(str(exc)) from None
         return report
 
     def csv_rows(self) -> list[list]:

@@ -11,13 +11,13 @@ factory runs and tests offline; swap in a real model client by implementing
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Protocol
 
+from ._schema import INTEGER, LIST, OBJECT, STRING, STRING_OR_NULL, STRINGS, check, get_field, parse_json
 from .corpus import Document
 from .tokenization import segment_words
 
@@ -111,19 +111,13 @@ class MCQItem:
     @classmethod
     def from_dict(cls, data) -> "MCQItem":
         """Item from parsed JSON; a missing or wrongly typed key raises ValueError naming it."""
-        if not isinstance(data, dict):
-            raise ValueError(f"MCQ item must be an object, got {type(data).__name__}")
-        question, options = data.get("question"), data.get("options")
-        answer_index, enum_style = data.get("answer_index"), data.get("enum_style", "latin_letters")
-        if not isinstance(question, str):
-            raise ValueError(f"MCQ item: 'question' must be a string, got {question!r}")
-        if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
-            raise ValueError(f"MCQ item: 'options' must be a list of strings, got {options!r}")
-        if not isinstance(answer_index, int) or isinstance(answer_index, bool):
-            raise ValueError(f"MCQ item: 'answer_index' must be an integer, got {answer_index!r}")
-        if not isinstance(enum_style, str):
-            raise ValueError(f"MCQ item: 'enum_style' must be a string, got {enum_style!r}")
-        return cls(question, list(options), answer_index, enum_style)
+        check(data, OBJECT, "MCQ item")
+        return cls(
+            get_field(data, "question", STRING, "MCQ item: "),
+            list(get_field(data, "options", STRINGS, "MCQ item: ")),
+            get_field(data, "answer_index", INTEGER, "MCQ item: "),
+            get_field(data, "enum_style", STRING, "MCQ item: ", "latin_letters"),
+        )
 
 
 def validate_mcq(item: MCQItem) -> str | None:
@@ -530,8 +524,6 @@ def render_chatml(d: Dialogue) -> str:
 
 def parse_chatml(text: str) -> Dialogue:
     """Exact inverse of render_chatml; raises ValueError on malformed input."""
-    if not isinstance(text, str):
-        raise TypeError(f"ChatML text must be a string, got {type(text).__name__}")
     turns: list[Turn] = []
     pos = 0
     for m in _CHATML_BLOCK_RE.finditer(text):
@@ -633,50 +625,74 @@ def dataset_stats(dialogues: Iterable[Dialogue]) -> DatasetStats:
 _TURN_ROLE_ALIASES = {"human": HUMAN, "user": HUMAN, "gpt": GPT, "assistant": GPT}
 
 
-def _turns_from_list(raw_turns) -> list[Turn]:
-    if not isinstance(raw_turns, list) or not all(isinstance(raw, dict) for raw in raw_turns):
-        raise TypeError("turns must be a list of objects")
+def _turns_from_list(raw_turns: list, where: str) -> list[Turn]:
+    """Turns from ``{"from", "value"}`` objects; ValueError names a wrongly typed
+    turn, and ParseRejection an unknown role."""
     turns = []
-    for raw in raw_turns:
-        role = _TURN_ROLE_ALIASES.get(str(raw.get("from", "")).lower())
+    for i, raw in enumerate(raw_turns):
+        name = f"{where}turn {i}"
+        role_name = get_field(check(raw, OBJECT, name), "from", STRING, name + ": ", "")
+        value = get_field(raw, "value", STRING, name + ": ", "")
+        role = _TURN_ROLE_ALIASES.get(role_name.lower())
         if role is None:
-            raise ParseRejection("bad_role", str(raw.get("from")))
-        turns.append(Turn(role, str(raw.get("value", ""))))
+            raise ParseRejection("bad_role", role_name)
+        turns.append(Turn(role, value))
     return turns
+
+
+def _dialogue_from_record(record, origin: str | None, where: str) -> Dialogue:
+    """One parsed record as a dialogue; ValueError names a wrongly typed field,
+    ParseRejection any other record that is no dialogue."""
+    if isinstance(record, list):
+        return Dialogue(turns=_turns_from_list(record, where), origin=origin)
+    if isinstance(record, dict):
+        origin = get_field(record, "origin", STRING_OR_NULL, where, origin)
+        if "text" in record:
+            text = get_field(record, "text", STRING, where)
+            try:
+                return Dialogue(turns=parse_chatml(text).turns, origin=origin)
+            except ValueError as exc:
+                raise ParseRejection("bad_record", str(exc)) from None
+        if "conversations" in record or "turns" in record:
+            key = "conversations" if record.get("conversations") else "turns"
+            return Dialogue(turns=_turns_from_list(get_field(record, key, LIST, where), where), origin=origin)
+        if "instruction" in record:
+            question = get_field(record, "instruction", STRING, where)
+            answer = (get_field(record, "output", STRING, where, "") or get_field(record, "response", STRING, where, "")
+                      or get_field(record, "answer", STRING, where, ""))
+            return Dialogue(turns=[Turn(HUMAN, question), Turn(GPT, answer)], origin=origin)
+    raise ParseRejection("bad_record", "unrecognized record shape")
 
 
 def load_instruction_records(
     lines: Iterable[str],
     origin: str,
+    strict: bool = False,
 ) -> Iterator[Dialogue | Rejection]:
-    """Read instruction data as JSONL.
+    """Read dialogue and instruction data as JSONL, skipping blank lines.
 
-    Accepts three record shapes: a bare list of ``{"from", "value"}`` turns,
-    an object with a ``conversations``/``turns`` key holding such a list, or
-    a single ``{"instruction", "output"}`` pair, which is wrapped as a
-    two-turn dialogue. Any other line yields a ``bad_record`` rejection;
-    turns that are not a list of objects raise TypeError.
+    Accepts four record shapes: ChatML ``{"text"}`` as ``instruct build``
+    writes it, a bare list of ``{"from", "value"}`` turns, an object with a
+    ``conversations``/``turns`` key holding such a list, or one
+    ``{"instruction", "output"}`` pair, wrapped as a two-turn dialogue. An
+    object's ``origin`` field overrides ``origin``. Any other line yields a
+    rejection; a field of the wrong JSON type raises ValueError naming the
+    1-based line instead when ``strict``.
     """
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
+            record = parse_json(line)
+        except ValueError:
             yield Rejection("bad_record", "invalid json")
             continue
         try:
-            if isinstance(record, list):
-                turns = _turns_from_list(record)
-            elif isinstance(record, dict) and ("conversations" in record or "turns" in record):
-                turns = _turns_from_list(record.get("conversations") or record.get("turns"))
-            elif isinstance(record, dict) and "instruction" in record:
-                answer = record.get("output") or record.get("response") or record.get("answer") or ""
-                turns = [Turn(HUMAN, str(record["instruction"])), Turn(GPT, str(answer))]
-            else:
-                yield Rejection("bad_record", "unrecognized record shape")
-                continue
+            outcome = _dialogue_from_record(record, origin, f"line {lineno}: ")
         except ParseRejection as exc:
-            yield exc.as_rejection()
-            continue
-        yield Dialogue(turns=turns, origin=origin)
+            outcome = exc.as_rejection()
+        except ValueError as exc:
+            if strict:
+                raise
+            outcome = Rejection("bad_record", str(exc))
+        yield outcome

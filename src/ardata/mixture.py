@@ -8,12 +8,12 @@ fertility for callers who want the bias-correction rationale made concrete.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
+from ._schema import INTEGER, LIST, OBJECT, STRING, check, get_field, read_json
 from .tokenization import TokenizerAdapter, WhitespaceTokenizer
 
 if TYPE_CHECKING:
@@ -76,29 +76,23 @@ def sampling_percentages(upweights: Mapping[str, float]) -> dict[str, float]:
     if not upweights:
         raise ValueError("no groups given")
     for name, w in upweights.items():
-        if w <= 0:
-            raise ValueError(f"upweight for {name!r} must be > 0, got {w}")
+        if not 0 < w < float("inf"):
+            raise ValueError(f"upweight for {name!r} must be a finite number > 0, got {w}")
     total = sum(upweights.values())
     return {name: w / total for name, w in upweights.items()}
 
 
 def load_sources(path: str | Path) -> list[SourceStats]:
     """Read a sources file: a JSON array of ``{name, tokens, language}`` objects."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, list):
-        raise ValueError("sources file must hold a JSON array of {name, tokens, language} objects")
     sources = []
-    for i, raw in enumerate(data):
-        if not isinstance(raw, dict):
-            raise ValueError(f"source {i}: expected an object, got {type(raw).__name__}")
-        name, language = raw["name"], raw.get("language", "other")
-        if not isinstance(name, str) or not isinstance(language, str):
-            raise ValueError(f"source {i}: name and language must be strings")
-        try:
-            tokens = int(raw["tokens"])
-        except TypeError:
-            raise ValueError(f"source {i}: tokens must be an integer, got {raw['tokens']!r}") from None
-        sources.append(SourceStats(name=name, tokens=tokens, language=language))
+    for i, raw in enumerate(check(read_json(path), LIST, "sources file")):
+        where = f"source {i}: "
+        check(raw, OBJECT, f"source {i}")
+        sources.append(SourceStats(
+            name=get_field(raw, "name", STRING, where),
+            tokens=get_field(raw, "tokens", INTEGER, where),
+            language=get_field(raw, "language", STRING, where, "other"),
+        ))
     return sources
 
 

@@ -155,6 +155,24 @@ def test_clean_rejects_channel(tmp_path):
     assert rejects == [{"line": 2, "reason": "invalid json"}]
 
 
+def test_clean_rejects_lines_the_parser_or_document_refuses(tmp_path):
+    in_path = tmp_path / "docs.jsonl"
+    lines = ['{"id":"a","text":"hi"}', "[" * 100_000 + "]" * 100_000, '{"text":"x","n":%s}' % ("9" * 5000),
+             '{"id":"","text":"x"}', '{"id":"e","text":"bye"}']
+    in_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rejects_path = tmp_path / "rejects.jsonl"
+    assert dispatch([
+        "clean", "--in", str(in_path), "--out", str(tmp_path / "kept.jsonl"),
+        "--report", str(tmp_path / "report.json"), "--rejects", str(rejects_path),
+    ]) == 0
+    rejects = [json.loads(line) for line in rejects_path.read_text(encoding="utf-8").splitlines()]
+    assert rejects == [
+        {"line": 2, "reason": "invalid json"}, {"line": 3, "reason": "invalid json"}, {"line": 4, "reason": "empty id"},
+    ]
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["sources"]["other"]["docs_in"] == 2
+
+
 @pytest.mark.parametrize("config, key", [
     ({"min_linez": 3}, "'min_linez'"),
     ({"gopher": {"min_words": "x"}}, "'gopher.min_words'"),
@@ -353,7 +371,34 @@ def test_mix_plan_sources_object_is_validation_error(tmp_path, capsys):
     sources.write_text(json.dumps({"name": "arabic-mix", "tokens": 10, "language": "arabic"}), encoding="utf-8")
     assert dispatch(["mix-plan", "--sources", str(sources), "--total-tokens", "100"]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["command"] == "mix-plan" and "JSON array" in err["error"]
+    assert err["command"] == "mix-plan" and "sources file must be a list, got object" in err["error"]
+
+
+@pytest.mark.parametrize("tokens", [True, 1.7, "12"])
+def test_mix_plan_non_integer_tokens_is_validation_error(tmp_path, capsys, tokens):
+    # Each of these used to pass through int() as 1, 1 and 12.
+    sources = tmp_path / "sources.json"
+    sources.write_text(json.dumps([{"name": "arabic-mix", "tokens": tokens, "language": "arabic"}]), encoding="utf-8")
+    assert dispatch(["mix-plan", "--sources", str(sources), "--total-tokens", "100"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"command": "mix-plan", "error": f"source 0: 'tokens' must be an integer, got {json.dumps(tokens)}"}
+
+
+def test_mix_plan_tokens_past_float_range_is_validation_error(tmp_path, capsys):
+    sources = tmp_path / "sources.json"
+    sources.write_text('[{"name": "a", "tokens": %s}]' % ("9" * 400), encoding="utf-8")
+    assert dispatch(["mix-plan", "--sources", str(sources), "--total-tokens", "100"]) == 1
+    assert json.loads(capsys.readouterr().err)["command"] == "mix-plan"
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])
+def test_mix_plan_upweight_must_be_finite_and_positive(tmp_path, capsys, weight):
+    sources = tmp_path / "sources.json"
+    sources.write_text(json.dumps([{"name": "a", "tokens": 10, "language": "ar"}]), encoding="utf-8")
+    argv = ["mix-plan", "--sources", str(sources), "--total-tokens", "100", "--upweight", f"ar={weight}"]
+    assert dispatch(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == f"upweight for 'ar' must be a finite number > 0, got {float(weight)}"
 
 
 # --- fertility ----------------------------------------------------------------------
@@ -451,10 +496,18 @@ def test_instruct_mix_merges_datasets(tmp_path, cleaned_docs):
 _CHATML = "<|im_start|>user\nسؤال<|im_end|>\n<|im_start|>assistant\nجواب<|im_end|>\n"
 # Records with a field of the wrong JSON type, and the error each one reports.
 _MALFORMED_DIALOGUES = {
-    "text-not-a-string": ('{"text": 5}', "ChatML text must be a string, got int"),
-    "list-of-non-objects": ("[1]", "turns must be a list of objects"),
-    "turns-not-a-list": ('{"conversations": 5}', "turns must be a list of objects"),
-    "origin-not-a-string": ('{"text": %s, "origin": 5}' % json.dumps(_CHATML), "origin must be a string"),
+    "text-not-a-string": ('{"text": 5}', "'text' must be a string, got 5"),
+    "list-of-non-objects": ("[1]", "turn 0 must be an object, got 1"),
+    "turns-not-a-list": ('{"conversations": 5}', "'conversations' must be a list, got 5"),
+    "origin-not-a-string": ('{"text": %s, "origin": 5}' % json.dumps(_CHATML), "'origin' must be a string or null, got 5"),
+    # These used to be str()-ed into the ChatML text as None, 5 or {'x': 1}.
+    "value-null": ('[{"from": "human", "value": null}, {"from": "gpt", "value": "x"}]',
+                   "turn 0: 'value' must be a string, got null"),
+    "value-not-a-string": ('{"conversations": [{"from": "human", "value": "q"}, {"from": "gpt", "value": 5}]}',
+                           "turn 1: 'value' must be a string, got 5"),
+    "from-not-a-string": ('[{"from": 5, "value": "q"}]', "turn 0: 'from' must be a string, got 5"),
+    "instruction-not-a-string": ('{"instruction": {"x": 1}}', "'instruction' must be a string, got object"),
+    "output-null": ('{"instruction": "q", "output": null}', "'output' must be a string, got null"),
 }
 
 
@@ -581,17 +634,20 @@ def test_eval_cf_oracle(bench_files, capsys):
 
 
 @pytest.mark.parametrize("items, message", [
-    ([1, 2], "item 0: expected an object, got int"),
+    ([1, 2], "item 0 must be an object, got 1"),
     ([{"question": "q", "choices": ["a", "b"], "gold_index": 0}, {"question": "q", "choices": 5, "gold_index": 0}],
-     "item 1: choices must be a list of strings"),
-    ([{"question": 7, "choices": ["a", "b"], "gold_index": 0}], "item 0: question must be a string"),
-    ([{"question": "q", "choices": ["a", "b"], "gold_index": None}], "item 0: gold_index must be an integer, got None"),
+     "item 1: 'choices' must be a list of strings, got 5"),
+    ([{"question": 7, "choices": ["a", "b"], "gold_index": 0}], "item 0: 'question' must be a string, got 7"),
+    ([{"question": "q", "choices": ["a", "b"], "gold_index": None}],
+     "item 0: 'gold_index' must be an integer, got null"),
     ([{"question": "q", "choices": ["a", "b"], "gold_index": 0, "category": ["x"]}],
-     "item 0: category and context must be strings"),
+     "item 0: 'category' must be a string or null, got list"),
     # A bool, a numeric string and a float used to pass through int() and score as an index.
-    ([{"question": "q", "choices": ["a", "b"], "gold_index": True}], "item 0: gold_index must be an integer, got True"),
-    ([{"question": "q", "choices": ["a", "b"], "gold_index": "1"}], "item 0: gold_index must be an integer, got '1'"),
-    ([{"question": "q", "choices": ["a", "b"], "gold_index": 1.0}], "item 0: gold_index must be an integer, got 1.0"),
+    ([{"question": "q", "choices": ["a", "b"], "gold_index": True}], "item 0: 'gold_index' must be an integer, got true"),
+    ([{"question": "q", "choices": ["a", "b"], "gold_index": "1"}], "item 0: 'gold_index' must be an integer, got \"1\""),
+    ([{"question": "q", "choices": ["a", "b"], "gold_index": 1.0}], "item 0: 'gold_index' must be an integer, got 1.0"),
+    # A missing key used to surface as a bare KeyError: "'question'".
+    ([{"choices": ["a", "b"], "gold_index": 0}], "item 0: 'question' must be a string, got nothing"),
 ])
 def test_eval_malformed_items_are_validation_errors(tmp_path, capsys, items, message):
     items_path = tmp_path / "items.json"
@@ -697,6 +753,12 @@ def test_report_merge_equals_single_run(corpus_files, tmp_path, capsys):
             "docs_in": "3", "tokens_in": 9, "docs_removed": {}, "tokens_removed": {},
         }}},
         "source 'culturax': 'docs_in' must be an integer",
+    ),
+    (
+        {"rules": ["safety"], "sources": {"culturax": {
+            "docs_in": -3, "tokens_in": 9, "docs_removed": {}, "tokens_removed": {},
+        }}},
+        "source 'culturax': 'docs_in' must be an integer >= 0, got -3",
     ),
 ])
 def test_report_merge_malformed_report_is_validation_error(tmp_path, capsys, report, message):

@@ -1,0 +1,116 @@
+"""Every file input of every subcommand, whatever it holds, ends the command
+with exit code 0 or 1, and a 1 comes with exactly one JSON object on stderr:
+no exception escapes ``dispatch``.
+
+Each case fills one input with generated content (a JSON value as a whole
+file, JSON values as JSONL lines, or arbitrary byte lines) and gives every
+other input a valid file, so the generated input alone decides the outcome.
+"""
+import contextlib
+import dataclasses
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from ardata.cli import dispatch
+from ardata.filters import FilterConfig, GopherConfig
+
+_CHATML = "<|im_start|>user\nسؤال<|im_end|>\n<|im_start|>assistant\nجواب<|im_end|>\n"
+
+_VALID = {
+    "docs.jsonl": "".join(
+        json.dumps({"id": str(i), "text": "في البيت كتاب. من هنا إلى هناك.\nسطر ثان", "source": "culturax"}) + "\n"
+        for i in range(2)
+    ),
+    "vocab.txt": "في\nال\n",
+    "dialogues.jsonl": json.dumps({"text": _CHATML, "origin": "a"}) + "\n",
+    "tf.json": json.dumps([{"id": f"t{i}", "question": f"عبارة {i}", "choices": ["صح", "خطأ"], "gold_index": i % 2}
+                           for i in range(2)]),
+    "pool.json": json.dumps([{"id": f"p{i}", "question": f"مثال {i}", "choices": ["صح", "خطأ"], "gold_index": i % 2}
+                             for i in range(2)]),
+    "report.json": json.dumps({"rules": ["safety", "ads", "lines", "chars", "gopher"], "sources": {}}),
+}
+
+# Each case's argv. An @name is a file in the work directory: @F holds the generated
+# content, and the other inputs are the valid files of _VALID.
+_CASES = {
+    "clean --in": ["clean", "--in", "@F", "--out", "@out", "--report", "@out2", "--rejects", "@out3"],
+    "clean --config": ["clean", "--in", "@docs.jsonl", "--config", "@F", "--out", "@out", "--report", "@out2"],
+    "clean vocab:": ["clean", "--in", "@docs.jsonl", "--tokenizer", "vocab:@F", "--out", "@out", "--report", "@out2"],
+    "fertility --in": ["fertility", "--in", "@F", "--tokenizer", "whitespace", "--out", "@out"],
+    "fertility vocab:": ["fertility", "--in", "@docs.jsonl", "--tokenizer", "vocab:@F", "--out", "@out"],
+    "mix-plan --sources": ["mix-plan", "--sources", "@F", "--total-tokens", "100", "--out", "@out"],
+    "instruct build --in": ["instruct", "build", "--in", "@F", "--out", "@out", "--stats", "@out2", "--template", "both"],
+    "instruct build --exemplar": [
+        "instruct", "build", "--in", "@docs.jsonl", "--exemplar", "@F", "--template", "mcq", "--out", "@out",
+        "--stats", "@out2",
+    ],
+    "instruct stats --in": ["instruct", "stats", "--in", "@F", "--out", "@out"],
+    "instruct mix --in": ["instruct", "mix", "--in", "@F", "--in", "@dialogues.jsonl", "--out", "@out", "--stats", "@out2"],
+    "eval cf --items": ["eval", "cf", "--items", "@F", "--scorer", "oracle", "--out", "@out"],
+    "eval mcf --items": ["eval", "mcf", "--items", "@F", "--scorer", "ngram", "--out", "@out"],
+    "eval acva --items": ["eval", "acva", "--items", "@F", "--exemplars", "@pool.json", "--shots", "1", "--out", "@out"],
+    "eval acva --exemplars": ["eval", "acva", "--items", "@tf.json", "--exemplars", "@F", "--shots", "1", "--out", "@out"],
+    "eval diff --items": ["eval", "diff", "--items", "@F", "--scorers", "constant,anti-oracle", "--out", "@out"],
+    "report merge": ["report", "merge", "@report.json", "@F", "--out", "@out"],
+}
+
+# Keys the loaders read, so that generated objects reach past the first missing key.
+_KEYS = sorted({
+    "id", "text", "url", "source", "name", "tokens", "language", "question", "options", "answer_index",
+    "enum_style", "choices", "gold_index", "category", "context", "rules", "sources", "docs_in", "tokens_in",
+    "docs_removed", "tokens_removed", "conversations", "turns", "from", "value", "instruction", "output",
+    "response", "answer", "origin",
+    *(f.name for cls in (FilterConfig, GopherConfig) for f in dataclasses.fields(cls)),
+})
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["human", "gpt", "culturax", "latin_letters", _CHATML]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner,
+                                                                 max_size=5),
+    max_leaves=12,
+)
+_content = st.one_of(
+    _json.map(lambda value: json.dumps(value).encode()),
+    st.lists(_json, max_size=4).map(lambda values: "".join(json.dumps(v) + "\n" for v in values).encode()),
+    st.lists(st.binary(max_size=12), max_size=4).map(b"\n".join),
+)
+
+
+@pytest.fixture(scope="module")
+def workdir():
+    with tempfile.TemporaryDirectory(prefix="ardata-fuzz-") as name:
+        root = Path(name)
+        for file_name, text in _VALID.items():
+            (root / file_name).write_text(text, encoding="utf-8")
+        yield root
+
+
+def _argv(case: str, root: Path) -> list[str]:
+    return [arg.replace("@", f"{root}/") for arg in _CASES[case]]
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+@given(content=_content)
+@example(content=b"[" * 1_000 + b"]" * 1_000)
+# Hypothesis raises the recursion limit while a test runs, so a value 1,000 deep
+# parses here; 100,000 deep is past any limit and fails the parse.
+@example(content=b"[" * 100_000 + b"]" * 100_000)
+@example(content=b"9" * 5_000)  # past the interpreter's integer digit limit
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_file_input_exits_0_or_1_with_one_json_error(workdir, case, content):
+    (workdir / "F").write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(_argv(case, workdir))
+    assert code in (0, 1)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"command", "error"}

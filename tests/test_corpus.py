@@ -46,6 +46,17 @@ def test_ingest_malformed_middle_line_preserves_order():
     assert [r.line for r in rejects] == [2]
 
 
+@pytest.mark.parametrize("bad, reason", [
+    ("[" * 100_000 + "]" * 100_000, "invalid json"),  # past the parser's recursion limit
+    ('{"id": "b", "text": "x", "n": %s}' % ("1" * 5000), "invalid json"),  # past the integer digit limit
+    ('{"id": "", "text": "x"}', "empty id"),
+])
+def test_ingest_rejects_line_and_continues(bad, reason):
+    docs, rejects = ingest(['{"id":"a","text":"one"}', bad, '{"id":"c","text":"three"}'])
+    assert [d.id for d in docs] == ["a", "c"]
+    assert [(r.line, r.reason) for r in rejects] == [(2, reason)]
+
+
 def test_ingest_synthesizes_id_from_line_number():
     docs, _ = ingest(['{"text":"x"}', '{"text":"y"}'])
     assert [d.id for d in docs] == ["1", "2"]

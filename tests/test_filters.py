@@ -100,6 +100,14 @@ def test_lines_short_line_majority_removes(cfg):
     assert apply_filter(doc_half, Rule.LINES, cfg).keep
 
 
+def test_lines_short_line_word_max_past_any_line_makes_every_line_short():
+    # A bound past the C size of str.split's maxsplit used to raise OverflowError.
+    doc = culturax("\n".join(["سطر يحتوي على كلمات كثيرة بما يكفي"] * 4))
+    for k in (10, 10**30):
+        decision = apply_filter(doc, Rule.LINES, FilterConfig(short_line_word_max=k))
+        assert decision.detail == "4/4 short lines (> 50%)"
+
+
 def test_chars_boundary_94_removes_95_keeps(cfg):
     remove = culturax("ا" * 94 + "€" * 6)
     keep = culturax("ا" * 95 + "€" * 5)
@@ -329,6 +337,8 @@ def _report_with(**source_keys):
     (_report_with(tokens_in=True), "source 'culturax': 'tokens_in' must be an integer"),
     (_report_with(docs_removed={"ads": "1"}), "source 'culturax': 'docs_removed' must be an object of integer"),
     (_report_with(tokens_removed=None), "source 'culturax': 'tokens_removed' must be an object of integer"),
+    (_report_with(tokens_in=-1), "source 'culturax': 'tokens_in' must be an integer >= 0"),
+    (_report_with(docs_removed={"ads": -1}), "source 'culturax': 'docs_removed' must be an object of integer"),
 ])
 def test_report_from_dict_names_bad_key(data, message):
     with pytest.raises(ReportSchemaError) as info:
@@ -353,8 +363,10 @@ def test_config_from_dict_round_trip():
             "unsafe_phrases": ["a", "b"],
             "ad_max_hits": 7,
             "gopher": {"min_words": 10, "stop_words": ["في"], "min_stop_words": 1},
+            "safety_sources": ["culturax", " Sanad "],
         }
     )
+    assert cfg.safety_sources == (Source.CULTURAX, Source.SANAD)
     assert cfg.unsafe_phrases == ("a", "b")
     assert cfg.ad_max_hits == 7
     assert cfg.gopher.min_words == 10
@@ -380,6 +392,8 @@ def test_config_validation():
     ({"require_url": "yes"}, "'require_url'"),
     ({"unsafe_phrases": ["ok", 3]}, "'unsafe_phrases'"),
     ({"safety_count_mode": 1}, "'safety_count_mode'"),
+    # An unknown label used to become `other`, moving safety filtering off CulturaX.
+    ({"safety_sources": ["culturaxx"]}, "'safety_sources'"),
 ])
 def test_config_from_dict_names_bad_key(data, key):
     with pytest.raises(ValueError, match=key):

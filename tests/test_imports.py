@@ -91,7 +91,8 @@ def test_command_imports_only_its_modules(inputs, command, modules):
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["code"] == 0
     # No command loads `concurrent.*`: clean is one streaming pass at any --parallelism.
-    assert set(report["modules"]) == {"ardata", "ardata.cli", *modules}
+    # The CLI reads every file input through ardata._schema.
+    assert set(report["modules"]) == {"ardata", "ardata.cli", "ardata._schema", *modules}
 
 
 def test_import_ardata_loads_no_submodule():

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -450,3 +451,18 @@ def test_load_bad_records_rejected():
         )
     )
     assert all(isinstance(o, Rejection) for o in outcomes)
+
+
+def test_load_chatml_record_takes_its_origin():
+    d = qa_dialogue(1)
+    lines = [json.dumps({"text": render_chatml(d), "origin": "aya"}), json.dumps({"text": render_chatml(d)})]
+    outcomes = list(load_instruction_records(lines, origin="file-stem"))
+    assert outcomes == [d, d] and [o.origin for o in outcomes] == ["aya", "file-stem"]
+
+
+def test_load_wrongly_typed_field_is_bad_record_or_strict_error():
+    lines = ['{"instruction": "q", "output": "a"}', "", '{"instruction": "q", "output": 5}']
+    outcomes = list(load_instruction_records(lines, origin="x"))
+    assert outcomes[1] == Rejection("bad_record", "line 3: 'output' must be a string, got 5")
+    with pytest.raises(ValueError, match=r"^line 3: 'output' must be a string, got 5$"):
+        list(load_instruction_records(lines, origin="x", strict=True))
