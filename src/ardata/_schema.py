@@ -20,6 +20,7 @@ OBJECT = ("an object", lambda v: isinstance(v, dict))
 LIST = ("a list", lambda v: isinstance(v, list))
 STRING = ("a string", lambda v: isinstance(v, str))
 STRING_OR_NULL = ("a string or null", lambda v: v is None or isinstance(v, str))
+STRING_OR_INTEGER = ("a string or an integer", lambda v: isinstance(v, str) or type(v) is int)
 STRINGS = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
 BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
 INTEGER = ("an integer", lambda v: type(v) is int)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-from ._schema import parse_json
+from ._schema import STRING_OR_INTEGER, STRING_OR_NULL, parse_json
 
 
 class Source(str, Enum):
@@ -37,7 +37,7 @@ class Source(str, Enum):
             return cls.OTHER
 
 
-@dataclass
+@dataclass  # no slots=True: mixture.sample_stream holds documents by weak reference
 class Document:
     id: str
     text: str
@@ -68,11 +68,12 @@ def ingest_jsonl(
     """Stream Documents out of newline-delimited JSON.
 
     Each line must be a JSON object with a ``text`` field; ``id``, ``url``
-    and ``source`` are optional. A missing id is synthesized from the
-    1-based line number. Bad lines (invalid UTF-8, invalid JSON, missing or
-    non-string text, an empty id) are reported through ``on_reject`` and
-    skipped; ingestion continues. Yielded + rejected covers every input
-    line, in input order. One UTF-8 byte-order mark at the start of the
+    and ``source`` are optional. An id is a string or an integer, and a
+    missing or null id is synthesized from the 1-based line number; a url is
+    a string or null. Bad lines (invalid UTF-8, invalid JSON, missing or
+    non-string text, an id or url of another kind, an empty id) are reported
+    through ``on_reject`` and skipped; ingestion continues. Yielded +
+    rejected covers every input line, in input order. One UTF-8 byte-order mark at the start of the
     first line is dropped; a U+FEFF anywhere else is kept as text.
     """
     for line_no, raw in enumerate(stream, start=1):
@@ -105,15 +106,24 @@ def ingest_jsonl(
             _reject(on_reject, line_no, "text is not a string")
             continue
         doc_id = record.get("id")
-        doc_id = str(line_no) if doc_id is None else str(doc_id)
+        if doc_id is None:
+            doc_id = str(line_no)
+        elif STRING_OR_INTEGER[1](doc_id):
+            doc_id = str(doc_id)
+        else:
+            _reject(on_reject, line_no, f"id is not {STRING_OR_INTEGER[0]}")
+            continue
         if not doc_id:
             _reject(on_reject, line_no, "empty id")
             continue
         url = record.get("url")
+        if not STRING_OR_NULL[1](url):
+            _reject(on_reject, line_no, f"url is not {STRING_OR_NULL[0]}")
+            continue
         yield Document(
             id=doc_id,
             text=text,
-            url=str(url) if url is not None else None,
+            url=url,
             source=Source.coerce(record.get("source", Source.OTHER)),
         )
 

@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
-from ._schema import INTEGER, LIST, OBJECT, STRING, STRING_OR_NULL, STRINGS, check, get_field, read_json
+from ._schema import (
+    INTEGER, LIST, OBJECT, STRING, STRING_OR_INTEGER, STRING_OR_NULL, STRINGS, check, get_field, read_json,
+)
 from .tokenization import TokenizerAdapter, WhitespaceTokenizer
 
 DEFAULT_LETTERS: tuple[str, ...] = ("A", "B", "C", "D", "E")
@@ -56,7 +58,7 @@ def load_benchmark_items(path: str | Path) -> list[BenchmarkItem]:
         check(raw, OBJECT, f"item {i}")
         items.append(
             BenchmarkItem(
-                id=str(raw.get("id", i)),
+                id=str(get_field(raw, "id", STRING_OR_INTEGER, where, i)),
                 question=get_field(raw, "question", STRING, where),
                 choices=list(get_field(raw, "choices", STRINGS, where)),
                 gold_index=get_field(raw, "gold_index", INTEGER, where),

@@ -9,7 +9,10 @@ fertility for callers who want the bias-correction rationale made concrete.
 from __future__ import annotations
 
 import random
+import weakref
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -82,6 +85,11 @@ def sampling_percentages(upweights: Mapping[str, float]) -> dict[str, float]:
     return {name: w / total for name, w in upweights.items()}
 
 
+# Token counts meet floats in the fractions and percentages; below 2**63 even
+# their sum over any realistic number of sources stays in float range.
+_TOKEN_COUNT = ("below 2**63", lambda v: v < 2**63)
+
+
 def load_sources(path: str | Path) -> list[SourceStats]:
     """Read a sources file: a JSON array of ``{name, tokens, language}`` objects."""
     sources = []
@@ -90,7 +98,7 @@ def load_sources(path: str | Path) -> list[SourceStats]:
         check(raw, OBJECT, f"source {i}")
         sources.append(SourceStats(
             name=get_field(raw, "name", STRING, where),
-            tokens=get_field(raw, "tokens", INTEGER, where),
+            tokens=check(get_field(raw, "tokens", INTEGER, where), _TOKEN_COUNT, f"{where}'tokens'"),
             language=get_field(raw, "language", STRING, where, "other"),
         ))
     return sources
@@ -197,6 +205,12 @@ def sample_stream(
     Streams must be restartable (re-iterable) when a quota implies more than
     one epoch; a stream that yields nothing on restart raises
     StreamExhaustedError. The same plan seed reproduces the same sequence.
+
+    A drawn document's token count is kept while the document lives, so a
+    stream that yields the same objects every epoch (a list) is counted once
+    per document; a document whose ``text`` was reassigned is counted again.
+    The counts hold documents only by weak reference, so ``Document`` must
+    stay weakref-able (no ``slots=True``).
     """
     tok = tok or WhitespaceTokenizer()
     rng = random.Random(plan.seed)
@@ -205,19 +219,31 @@ def sample_stream(
         raise ValueError(f"no stream for planned sources: {missing}")
 
     remaining = {e.name: e.token_quota for e in plan.entries if e.token_quota > 0}
-    iterators = {name: iter(streams[name]) for name in remaining}
-    epoch_tokens = {name: 0 for name in remaining}  # progress since last restart
+    names = sorted(remaining)
+    quotas = [remaining[n] for n in names]  # parallel to names; a source leaves both when filled
+    iterators = {name: iter(streams[name]) for name in names}
+    epoch_tokens = dict.fromkeys(names, 0)  # progress since last restart
+    counts: dict[int, tuple] = {}  # id(doc) -> (weakref to doc, its text when counted, tokens)
 
-    while remaining:
-        names = sorted(remaining)
-        weights = [remaining[n] for n in names]
-        choice = rng.choices(names, weights=weights, k=1)[0]
-        doc = _next_doc(iterators, streams, epoch_tokens, choice)
-        tokens = tok.count_tokens(doc.text)
-        epoch_tokens[choice] += tokens
-        remaining[choice] -= tokens
-        if remaining[choice] <= 0:
-            del remaining[choice]
+    while names:
+        # What rng.choices(names, weights=quotas, k=1)[0] draws, from the same single random().
+        cum = list(accumulate(quotas))
+        i = bisect(cum, rng.random() * (cum[-1] + 0.0), 0, len(cum) - 1)
+        name = names[i]
+        doc = _next_doc(iterators, streams, epoch_tokens, name)
+        text, key = doc.text, id(doc)
+        entry = counts.get(key)
+        if entry is not None and entry[1] is text:
+            tokens = entry[2]
+        else:
+            # An id is reused only after its document died, and the weakref's callback
+            # drops the entry when it dies.
+            tokens = tok.count_tokens(text)
+            counts[key] = (weakref.ref(doc, lambda _, key=key: counts.pop(key, None)), text, tokens)
+        epoch_tokens[name] += tokens
+        quotas[i] -= tokens
+        if quotas[i] <= 0:
+            del names[i], quotas[i]
         yield doc
 
 

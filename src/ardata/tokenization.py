@@ -52,7 +52,7 @@ class CharacterTokenizer:
     name = "character"
 
     def count_tokens(self, text: str) -> int:
-        return sum(len(word) for word in segment_words(text))
+        return len("".join(segment_words(text)))
 
 
 class VocabTokenizer:

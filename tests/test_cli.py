@@ -173,6 +173,26 @@ def test_clean_rejects_lines_the_parser_or_document_refuses(tmp_path):
     assert report["sources"]["other"]["docs_in"] == 2
 
 
+def test_clean_rejects_ids_and_urls_of_another_kind(tmp_path):
+    in_path = tmp_path / "docs.jsonl"
+    lines = ['{"id":["x",1],"text":"نص"}', '{"id":1.0,"text":"نص"}', '{"id":"a","text":"نص","url":{"a":1}}',
+             '{"id":2,"text":"نص","url":"https://e.org/2"}']
+    in_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rejects_path = tmp_path / "rejects.jsonl"
+    assert dispatch([
+        "clean", "--in", str(in_path), "--out", str(tmp_path / "kept.jsonl"),
+        "--report", str(tmp_path / "report.json"), "--rejects", str(rejects_path),
+    ]) == 0
+    rejects = [json.loads(line) for line in rejects_path.read_text(encoding="utf-8").splitlines()]
+    assert rejects == [
+        {"line": 1, "reason": "id is not a string or an integer"},
+        {"line": 2, "reason": "id is not a string or an integer"},
+        {"line": 3, "reason": "url is not a string or null"},
+    ]
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["sources"]["other"]["docs_in"] == 1
+
+
 @pytest.mark.parametrize("config, key", [
     ({"min_linez": 3}, "'min_linez'"),
     ({"gopher": {"min_words": "x"}}, "'gopher.min_words'"),
@@ -385,10 +405,22 @@ def test_mix_plan_non_integer_tokens_is_validation_error(tmp_path, capsys, token
 
 
 def test_mix_plan_tokens_past_float_range_is_validation_error(tmp_path, capsys):
+    # Used to exit with "int too large to convert to float", naming no key.
     sources = tmp_path / "sources.json"
-    sources.write_text('[{"name": "a", "tokens": %s}]' % ("9" * 400), encoding="utf-8")
+    sources.write_text('[{"name": "a", "tokens": 10}, {"name": "b", "tokens": %s}]' % ("9" * 400), encoding="utf-8")
     assert dispatch(["mix-plan", "--sources", str(sources), "--total-tokens", "100"]) == 1
-    assert json.loads(capsys.readouterr().err)["command"] == "mix-plan"
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"command": "mix-plan", "error": "source 1: 'tokens' must be below 2**63, got " + "9" * 37 + "..."}
+
+
+def test_mix_plan_tokens_bound_is_2_to_the_63(tmp_path, capsys):
+    sources = tmp_path / "sources.json"
+    for tokens, code in ((2**63, 1), (2**63 - 1, 0)):
+        sources.write_text(json.dumps([{"name": "a", "tokens": tokens}, {"name": "b", "tokens": tokens}]),
+                           encoding="utf-8")
+        assert dispatch(["mix-plan", "--sources", str(sources), "--total-tokens", "100"]) == code
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [row[3] for row in rows[1:]] == ["50.0", "50.0"]
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])

@@ -58,8 +58,29 @@ def test_ingest_rejects_line_and_continues(bad, reason):
 
 
 def test_ingest_synthesizes_id_from_line_number():
-    docs, _ = ingest(['{"text":"x"}', '{"text":"y"}'])
+    docs, _ = ingest(['{"text":"x"}', '{"text":"y","id":null}'])
     assert [d.id for d in docs] == ["1", "2"]
+
+
+def test_ingest_keeps_string_and_integer_ids_and_string_urls():
+    docs, rejects = ingest(['{"id":"a","text":"x","url":"https://e.org/a"}', '{"id":7,"text":"y","url":null}'])
+    assert rejects == []
+    assert [(d.id, d.url) for d in docs] == [("a", "https://e.org/a"), ("7", None)]
+
+
+@pytest.mark.parametrize("bad, reason", [
+    ('{"id":["x",1],"text":"x"}', "id is not a string or an integer"),
+    ('{"id":1.0,"text":"x"}', "id is not a string or an integer"),
+    ('{"id":true,"text":"x"}', "id is not a string or an integer"),
+    ('{"id":{"a":1},"text":"x"}', "id is not a string or an integer"),
+    ('{"id":"b","text":"x","url":{"a":1}}', "url is not a string or null"),
+    ('{"id":"b","text":"x","url":3}', "url is not a string or null"),
+])
+def test_ingest_rejects_id_or_url_of_another_kind(bad, reason):
+    # These used to reach the document as Python reprs: "['x', 1]", "1.0", "{'a': 1}".
+    docs, rejects = ingest(['{"id":"a","text":"one"}', bad, '{"id":"c","text":"three"}'])
+    assert [d.id for d in docs] == ["a", "c"]
+    assert [(r.line, r.reason) for r in rejects] == [(2, reason)]
 
 
 def test_ingest_invalid_utf8_rejected():

@@ -85,6 +85,17 @@ def test_load_benchmark_items(tmp_path):
     assert item.gold_index == 1 and item.category == "stem"
 
 
+def test_load_benchmark_items_id_is_a_string_or_an_integer(tmp_path):
+    path = tmp_path / "bench.json"
+    item = {"question": "س؟", "choices": ["أ", "ب"], "gold_index": 1}
+    path.write_text(json.dumps([dict(item, id="q"), dict(item, id=7), item]), encoding="utf-8")
+    assert [i.id for i in load_benchmark_items(path)] == ["q", "7", "2"]
+    for bad in (["x", 1], 1.0, True, None):
+        path.write_text(json.dumps([item, dict(item, id=bad)]), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^item 1: 'id' must be a string or an integer, got "):
+            load_benchmark_items(path)
+
+
 # --- cloze format ------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from ardata.mixture import (
     suggested_upweight,
     token_shares,
 )
+from ardata.tokenization import WhitespaceTokenizer
 
 
 # --- sampling percentages -----------------------------------------------------
@@ -223,3 +226,84 @@ def test_realized_tokens_within_one_document_of_quota(doc_lengths, weights, tota
     for s, entry in enumerate(plan.entries):
         assert entry.token_quota <= realized[entry.name] < entry.token_quota + max(doc_lengths[s])
 
+
+# --- stream sampling: counts kept per live document -----------------------------------------
+
+
+class _CountingTokenizer(WhitespaceTokenizer):
+    def __init__(self):
+        self.texts = []
+
+    def count_tokens(self, text: str) -> int:
+        self.texts.append(text)
+        return super().count_tokens(text)
+
+
+class _FreshDocs:
+    """Restartable stream that builds new Document objects on every pass."""
+
+    def __init__(self, prefix, n):
+        self.prefix, self.n = prefix, n
+
+    def __iter__(self):
+        return iter(_docs(self.prefix, self.n))
+
+
+def _two_source_plan():
+    return plan_mixture([SourceStats("a", 50), SourceStats("b", 70)], {"a": 0.5, "b": 0.5}, 2_000, seed=3)
+
+
+def test_list_streams_count_each_document_once():
+    docs = {"a": _docs("a", 5), "b": _docs("b", 7)}
+    tok = _CountingTokenizer()
+    drawn = list(sample_stream(_two_source_plan(), docs, tok=tok))
+    assert len(drawn) == 200  # 100 draws of 10 tokens from each source, so each restarts
+    assert len(tok.texts) == 12
+
+
+def test_fresh_documents_each_pass_give_the_list_sequence():
+    plan = _two_source_plan()
+    from_lists = [d.id for d in sample_stream(plan, {"a": _docs("a", 5), "b": _docs("b", 7)})]
+    tok = _CountingTokenizer()
+    fresh = [d.id for d in sample_stream(plan, {"a": _FreshDocs("a", 5), "b": _FreshDocs("b", 7)}, tok=tok)]
+    assert fresh == from_lists
+    assert len(tok.texts) == len(fresh)  # no document repeats, so every draw is counted
+
+
+def test_reassigned_text_is_counted_again():
+    docs = [Document(id="d0", text="w"), Document(id="d1", text="w")]
+
+    class Growing:
+        """Each pass gives d0 one more word."""
+
+        def __init__(self):
+            self.passes = 0
+
+        def __iter__(self):
+            self.passes += 1
+            docs[0].text = " ".join(["w"] * self.passes)
+            return iter(docs)
+
+    tok = _CountingTokenizer()
+    plan = plan_mixture([SourceStats("a", 2)], {"a": 1.0}, 6)
+    # Passes give 1+1, 2+1 and 3 tokens: 8 >= 6 after five draws. Stale counts
+    # of 1 for d0 would need six.
+    assert [d.id for d in sample_stream(plan, {"a": Growing()}, tok=tok)] == ["d0", "d1"] * 2 + ["d0"]
+    assert tok.texts == ["w", "w", "w w", "w w w"]
+
+
+def test_sampler_keeps_no_document_alive():
+    stream = _FreshDocs("a", 5)
+    plan = plan_mixture([SourceStats("a", 50)], {"a": 1.0}, 500)
+    gen = sample_stream(plan, {"a": stream})
+    first = weakref.ref(next(gen))
+    drawn = 1 + sum(1 for _ in zip(range(10), gen))  # two passes later, the sampler is still live
+    assert drawn == 11 and first() is None
+    assert sum(1 for _ in gen) == 39
+    assert first() is None
+
+
+def test_document_stays_weakref_able():
+    # sample_stream keeps its counts by weak reference to each document.
+    doc = Document(id="a", text="b")
+    assert weakref.ref(doc)() is doc

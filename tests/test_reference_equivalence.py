@@ -2,18 +2,21 @@
 
 The reference functions below are the loop implementations of character
 unification, of the filter rules, of the oracle scorer's key search, of the
-n-gram scorer and of the tokenizer-outer ``fertility`` command, kept as
-oracles: the fast paths must give the same text, the same detail strings,
-the same scores and the same CSV bytes on any input.
+n-gram scorer, of the tokenizer-outer ``fertility`` command and of the
+count-every-draw mixture sampler, kept as oracles: the fast paths must give
+the same text, the same detail strings, the same scores, the same CSV bytes
+and the same draws on any input.
 """
 import csv
 import io
 import json
 import math
+import random
 import re
 import tempfile
 import unicodedata
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +30,8 @@ from ardata.filters import (
     _ARABIC_LETTERS, KEEP, RULE_ORDER, FilterConfig, GopherConfig, _Features,
     _check_ads, _check_chars, _check_gopher, _check_lines, _check_safety, _is_permissible, apply_filter, first_failure,
 )
-from ardata.tokenization import VocabTokenizer, fertility, segment_words
+from ardata.mixture import MixturePlan, PlanEntry, StreamExhaustedError, sample_stream
+from ardata.tokenization import VocabTokenizer, WhitespaceTokenizer, fertility, segment_words
 
 # --- reference oracles -----------------------------------------------------------
 
@@ -567,3 +571,115 @@ def test_vocab_count_tokens_tokenizes_each_distinct_word_once():
         assert tok.count_tokens("abc abc ab\ncab abc") == 2 + 2 + 1 + 2 + 2
         assert tok.count_tokens("ab cab") == 1 + 2
     assert sorted(call.args[0] for call in spy.call_args_list) == ["ab", "abc", "cab"]
+
+
+# --- count-once oracles: mixture sampling ---------------------------------------------------
+
+
+def reference_sample_stream(plan, streams, tok=None):
+    """``sample_stream`` as it was when it counted every draw and rebuilt its draw state."""
+    tok = tok or WhitespaceTokenizer()
+    rng = random.Random(plan.seed)
+    missing = [e.name for e in plan.entries if e.name not in streams]
+    if missing:
+        raise ValueError(f"no stream for planned sources: {missing}")
+
+    remaining = {e.name: e.token_quota for e in plan.entries if e.token_quota > 0}
+    iterators = {name: iter(streams[name]) for name in remaining}
+    epoch_tokens = {name: 0 for name in remaining}  # progress since last restart
+
+    while remaining:
+        names = sorted(remaining)
+        weights = [remaining[n] for n in names]
+        choice = rng.choices(names, weights=weights, k=1)[0]
+        doc = _reference_next_doc(iterators, streams, epoch_tokens, choice)
+        tokens = tok.count_tokens(doc.text)
+        epoch_tokens[choice] += tokens
+        remaining[choice] -= tokens
+        if remaining[choice] <= 0:
+            del remaining[choice]
+        yield doc
+
+
+def _reference_next_doc(iterators, streams, epoch_tokens, name):
+    try:
+        return next(iterators[name])
+    except StopIteration:
+        if epoch_tokens[name] == 0:
+            raise StreamExhaustedError(
+                f"stream for source {name!r} made no token progress over a full pass"
+            ) from None
+        epoch_tokens[name] = 0
+        iterators[name] = iter(streams[name])  # next epoch
+        try:
+            return next(iterators[name])
+        except StopIteration:
+            raise StreamExhaustedError(
+                f"stream for source {name!r} is empty or not restartable"
+            ) from None
+
+
+class _FreshDocs:
+    """A restartable stream that builds new Document objects on every pass."""
+
+    def __init__(self, docs):
+        self.docs = docs
+
+    def __iter__(self):
+        return (Document(id=d.id, text=d.text) for d in self.docs)
+
+
+def _streams(sources):
+    """Per-source streams; ``once`` is a generator, so it cannot restart."""
+    make = {"list": list, "fresh": _FreshDocs, "once": iter}
+    return {name: make[kind](docs) for name, kind, docs, _ in sources}
+
+
+def _draws(gen, limit=300):
+    """The first ``limit`` draws as (id, text) pairs, and the error that ended them, if any."""
+    drawn = []
+    try:
+        drawn.extend((d.id, d.text) for d in islice(gen, limit))
+    except StreamExhaustedError as exc:
+        return drawn, str(exc)
+    return drawn, None
+
+
+_source_names = st.lists(st.sampled_from(["ar", "en", "code", "b", "zz"]), min_size=1, max_size=5, unique=True)
+# Small quotas against at most 30 tokens per pass force restarts; quotas past
+# 2**53 make the float total round, so only a prefix of their draws is compared.
+_quotas = st.one_of(st.integers(0, 60), st.integers(2**53, 2**60))
+
+
+@st.composite
+def _mixtures(draw):
+    sources = []
+    for name in draw(_source_names):
+        lengths = draw(st.lists(st.integers(0, 6), max_size=5))  # 0: a zero-token document
+        docs = [Document(id=f"{name}-{i}", text=" ".join(["w"] * n) or " ") for i, n in enumerate(lengths)]
+        sources.append((name, draw(st.sampled_from(["list", "fresh", "once"])), docs, draw(_quotas)))
+    return draw(st.integers(0, 2**32)), sources
+
+
+def _plan(seed, sources):
+    entries = tuple(PlanEntry(name, 0.0, quota, 0.0) for name, _, _, quota in sources)
+    return MixturePlan(entries=entries, total_tokens=sum(e.token_quota for e in entries), seed=seed)
+
+
+def _mixture(seed, *sources):
+    return seed, [(name, kind, [Document(id=f"{name}-{i}", text=t) for i, t in enumerate(texts)], quota)
+                  for name, kind, texts, quota in sources]
+
+
+@given(_mixtures())
+@example(_mixture(3, ("ar", "list", ["w w", "w"], 2**53 + 1)))  # one source only, float total rounds
+@example(_mixture(5, ("en", "list", ["w w w"], 40), ("ar", "fresh", ["w", "w w"], 2**60)))
+@example(_mixture(1, ("ar", "list", ["w"], 5), ("b", "list", [" ", ""], 5)))  # b makes no progress
+@example(_mixture(2, ("ar", "fresh", ["w w"], 9), ("zz", "once", ["w"], 3)))  # zz cannot restart
+@example(_mixture(4, ("code", "list", [], 1)))  # an empty stream
+@settings(max_examples=300, deadline=None)
+def test_sample_stream_equals_reference_loop(mixture):
+    seed, sources = mixture
+    plan = _plan(seed, sources)
+    got = _draws(sample_stream(plan, _streams(sources)))
+    assert got == _draws(reference_sample_stream(plan, _streams(sources)))
