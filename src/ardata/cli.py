@@ -18,6 +18,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -165,8 +166,9 @@ def cmd_fertility(args, open_output) -> None:
     for j, path in enumerate(args.input):  # one read of each file feeds every tokenizer
         with open(path, "rb") as stream:
             for doc in corpus.ingest_jsonl(stream):
+                words = len(tokenization.segment_words(doc.text))  # once, for every tokenizer
                 for tok, tok_accs in zip(toks, accs):
-                    tok_accs[j].add(doc.text, tok)
+                    tok_accs[j].add_counts(words, tok.count_tokens(doc.text))
     rows = [["tokenizer", "dataset", "fertility"]]
     for tok, tok_accs in zip(toks, accs):
         for path, acc in zip(args.input, tok_accs):
@@ -244,17 +246,19 @@ def cmd_lr_curve(args, open_output) -> None:
 # --- instruct --------------------------------------------------------------------
 
 
-def _write_dialogues(open_output, args, dialogues, rejects: dict[str, int]) -> None:
-    """The kept dialogues as ChatML records to ``--out``, and their stats with
-    the reject counts to ``--stats``."""
+def _write_dialogues(open_output, args, outcomes) -> None:
+    """In one pass over ``outcomes``: each valid dialogue as a ChatML record to
+    ``--out`` as it comes, then the stats of those written and the reject counts
+    to ``--stats``. Neither the outcomes nor the dialogues are held in a list."""
     from . import instruct
 
-    _write_jsonl(open_output, args.output, ({"origin": d.origin, "text": instruct.render_chatml(d)} for d in dialogues))
+    with open_output(args.output) as out:
+        stats, rejects = instruct.write_chatml_jsonl(outcomes, out)
     _write_json(open_output, args.stats, {
-        "kept": len(dialogues),
+        "kept": sum(stats.per_origin_counts.values()),  # every written dialogue counts under one origin
         "rejected": sum(rejects.values()),
         "rejects_by_reason": dict(sorted(rejects.items())),
-        "stats": instruct.dataset_stats(dialogues).to_dict(),
+        "stats": stats.to_dict(),
     })
 
 
@@ -267,22 +271,11 @@ def cmd_instruct_build(args, open_output) -> None:
     exemplar = instruct.MCQItem.from_dict(read_json(args.exemplar)) if args.exemplar else None
 
     templates = ["standard", "mcq"] if args.template == "both" else [args.template]
-    dialogues: list[instruct.Dialogue] = []
-    rejects: dict[str, int] = {}
-    for template in templates:
-        kept, template_rejects = instruct.build_dialogues(
-            docs,
-            generator,
-            template,
-            max_chars=args.max_chars,
-            seed=args.seed,
-            exemplar=exemplar,
-        )
-        dialogues.extend(kept)
-        for reason, count in template_rejects.items():
-            rejects[reason] = rejects.get(reason, 0) + count
-
-    _write_dialogues(open_output, args, dialogues, rejects)
+    _write_dialogues(open_output, args, chain.from_iterable(
+        instruct.iter_chunk_outcomes(docs, generator, template, max_chars=args.max_chars, seed=args.seed,
+                                     exemplar=exemplar)
+        for template in templates
+    ))
 
 
 def cmd_instruct_stats(args, open_output) -> None:
@@ -298,11 +291,12 @@ def cmd_instruct_mix(args, open_output) -> None:
     """Merge dialogue datasets into one validated ChatML JSONL with stats."""
     from . import instruct
 
-    outcomes = []
-    for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            outcomes.extend(instruct.load_instruction_records(fh, Path(path).stem))
-    _write_dialogues(open_output, args, *instruct.filter_dialogues(outcomes))
+    def outcomes():
+        for path in args.inputs:
+            with open(path, "r", encoding="utf-8") as fh:
+                yield from instruct.load_instruction_records(fh, Path(path).stem)
+
+    _write_dialogues(open_output, args, outcomes())
 
 
 # --- eval ------------------------------------------------------------------------

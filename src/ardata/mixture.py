@@ -159,6 +159,7 @@ def plan_mixture(
     sources = list(sources)
     if total_tokens < 0:
         raise ValueError("total_tokens must be >= 0")
+    check(total_tokens, _TOKEN_COUNT, "total_tokens")  # it is multiplied by float fractions
     names = [s.name for s in sources]
     unknown = set(fractions) - set(names)
     if unknown:

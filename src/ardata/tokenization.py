@@ -134,12 +134,15 @@ class FertilityAccumulator:
     docs_with_words: int = 0
 
     def add(self, text: str, tok: TokenizerAdapter) -> None:
-        w = len(segment_words(text))
-        t = tok.count_tokens(text)
-        self.words += w
-        self.tokens += t
-        if w > 0:
-            self.doc_ratios_sum += t / w
+        self.add_counts(len(segment_words(text)), tok.count_tokens(text))
+
+    def add_counts(self, words: int, tokens: int) -> None:
+        """Add one document by its word and token counts, so a caller that scores
+        a document with several tokenizers splits it into words once."""
+        self.words += words
+        self.tokens += tokens
+        if words > 0:
+            self.doc_ratios_sum += tokens / words
             self.docs_with_words += 1
 
     def merge(self, other: "FertilityAccumulator") -> "FertilityAccumulator":

@@ -423,6 +423,16 @@ def test_mix_plan_tokens_bound_is_2_to_the_63(tmp_path, capsys):
     assert [row[3] for row in rows[1:]] == ["50.0", "50.0"]
 
 
+@pytest.mark.parametrize("total, shown", [(2**63, str(2**63)), (10**400, "1" + "0" * 36 + "...")])
+def test_mix_plan_total_tokens_bound_is_2_to_the_63(tmp_path, capsys, total, shown):
+    # 10**400 used to exit with "int too large to convert to float", naming no flag.
+    sources = tmp_path / "sources.json"
+    sources.write_text(json.dumps([{"name": "a", "tokens": 10}]), encoding="utf-8")
+    assert dispatch(["mix-plan", "--sources", str(sources), "--total-tokens", str(total)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"command": "mix-plan", "error": f"total_tokens must be below 2**63, got {shown}"}
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])
 def test_mix_plan_upweight_must_be_finite_and_positive(tmp_path, capsys, weight):
     sources = tmp_path / "sources.json"
@@ -490,6 +500,31 @@ def test_instruct_build_failure_leaves_no_partial_output(tmp_path, cleaned_docs,
         "--stats", str(tmp_path / "nodir" / "stats.json"),
     ]) == 1
     assert json.loads(capsys.readouterr().err)["command"] == "instruct"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cleaned.jsonl"]
+
+
+def test_instruct_build_generator_failure_mid_stream_leaves_no_output(tmp_path, cleaned_docs, capsys, monkeypatch):
+    # Dialogues are written as they come, so the failing call finds some already in
+    # the staged --out; the failure still leaves neither --out nor --stats.
+    from ardata import instruct
+
+    generate, calls, staged_sizes = instruct.MockGenerator.generate, [], []
+
+    def failing_generate(self, prompt, seed):
+        calls.append(seed)
+        if len(calls) == 200:
+            staged_sizes.extend(p.stat().st_size for p in tmp_path.iterdir() if p.name.startswith(".chatml.jsonl."))
+            raise ValueError("generator failed")
+        return generate(self, prompt, seed)
+
+    monkeypatch.setattr(instruct.MockGenerator, "generate", failing_generate)
+    out, stats = tmp_path / "chatml.jsonl", tmp_path / "stats.json"
+    assert dispatch([
+        "instruct", "build", "--in", str(cleaned_docs), "--out", str(out), "--stats", str(stats),
+        "--template", "both", "--max-chars", "40",
+    ]) == 1
+    assert json.loads(capsys.readouterr().err) == {"command": "instruct", "error": "generator failed"}
+    assert len(staged_sizes) == 1 and staged_sizes[0] > 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cleaned.jsonl"]
 
 

@@ -82,6 +82,25 @@ _content = st.one_of(
 )
 
 
+
+
+def _huge(n: int) -> list[bytes]:
+    """Files whose integer fields that reach float or C code (ids, token counts,
+    indices, config bounds, report counts) all hold ``n``, the other fields
+    valid: one object (an MCQ exemplar, or a JSONL line of docs or dialogues), a
+    list of it (sources, benchmark items), a filter config and a cleaning report."""
+    record = {"id": n, "text": "في البيت كتاب.", "name": "a", "tokens": n, "question": "سؤال", "choices": ["أ", "ب"],
+              "gold_index": n, "options": ["أ", "ب"], "answer_index": n}
+    config = {f.name: n for f in dataclasses.fields(FilterConfig) if f.type == "int"}
+    config["gopher"] = {f.name: n for f in dataclasses.fields(GopherConfig) if f.type in ("int", "float")}
+    counts = {"docs_in": n, "tokens_in": n, "docs_removed": {"safety": n}, "tokens_removed": {"safety": n}}
+    report = {"rules": ["safety", "ads", "lines", "chars", "gopher"], "sources": {"culturax": counts}}
+    return [json.dumps(value, ensure_ascii=False).encode() for value in (record, [record], config, report)]
+
+
+_PAST_SSIZE_T, _PAST_FLOAT = _huge(2**63), _huge(10**309)
+
+
 @pytest.fixture(scope="module")
 def workdir():
     with tempfile.TemporaryDirectory(prefix="ardata-fuzz-") as name:
@@ -102,6 +121,14 @@ def _argv(case: str, root: Path) -> list[str]:
 # parses here; 100,000 deep is past any limit and fails the parse.
 @example(content=b"[" * 100_000 + b"]" * 100_000)
 @example(content=b"9" * 5_000)  # past the interpreter's integer digit limit
+@example(content=_PAST_SSIZE_T[0])
+@example(content=_PAST_SSIZE_T[1])
+@example(content=_PAST_SSIZE_T[2])
+@example(content=_PAST_SSIZE_T[3])
+@example(content=_PAST_FLOAT[0])
+@example(content=_PAST_FLOAT[1])
+@example(content=_PAST_FLOAT[2])
+@example(content=_PAST_FLOAT[3])
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_file_input_exits_0_or_1_with_one_json_error(workdir, case, content):
     (workdir / "F").write_bytes(content)

@@ -95,6 +95,16 @@ def test_command_imports_only_its_modules(inputs, command, modules):
     assert set(report["modules"]) == {"ardata", "ardata.cli", "ardata._schema", *modules}
 
 
+def test_instruct_build_does_not_load_openssl(inputs):
+    # hashlib imports _hashlib, which loads OpenSSL (~3.7 MB resident); the seeding
+    # hash comes from CPython's builtin SHA-256 module instead.
+    probe = "import sys\nfrom ardata.cli import dispatch\ncode = dispatch(sys.argv[1:])\n" \
+            "print(code, sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    result = fresh_python("-c", probe, *_argv("instruct build", inputs), "--template", "both")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
+
+
 def test_import_ardata_loads_no_submodule():
     result = fresh_python("-c", "import sys, ardata; print(sorted(m for m in sys.modules if m.startswith('ardata')))")
     assert result.returncode == 0, result.stderr

@@ -1,9 +1,15 @@
 import copy
+import hashlib
+import io
 import json
+import sys
+from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ardata import instruct
 from ardata.corpus import Document
 from ardata.instruct import (
     DEFAULT_EXEMPLAR,
@@ -21,6 +27,7 @@ from ardata.instruct import (
     chunk_document,
     dataset_stats,
     filter_dialogues,
+    iter_chunk_outcomes,
     load_instruction_records,
     mcq_to_dialogue,
     parse_chatml,
@@ -29,6 +36,7 @@ from ardata.instruct import (
     render_chatml,
     render_mcq,
     validate_dialogue,
+    write_chatml_jsonl,
 )
 
 
@@ -300,6 +308,20 @@ def test_render_rejects_invalid_dialogue():
         render_chatml(Dialogue(turns=[Turn(GPT, "x"), Turn(HUMAN, "y")]))
 
 
+@given(st.lists(st.one_of(st.none(), st.text(), st.integers()), max_size=5),
+       st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(str.strip))
+def test_written_records_are_json_dumps_of_origin_and_chatml(origins, value):
+    # The writer spells the record out; any origin a library caller sets encodes as json.dumps would.
+    value = value.replace("<|", "<")  # no ChatML marker
+    dialogues = [Dialogue(turns=[Turn(HUMAN, value), Turn(GPT, "ج")], origin=origin) for origin in origins]
+    out = io.StringIO()
+    write_chatml_jsonl([Rejection("empty"), *dialogues], out)
+    assert out.getvalue() == "".join(
+        json.dumps({"origin": d.origin, "text": render_chatml(d)}, sort_keys=True, ensure_ascii=False) + "\n"
+        for d in dialogues
+    )
+
+
 def test_parse_chatml_inverse_fixture():
     d = qa_dialogue(2, origin="aya")
     assert parse_chatml(render_chatml(d)) == d
@@ -417,6 +439,64 @@ def test_factory_mcq_histogram_is_single_turn():
     stats = dataset_stats(kept)
     assert set(stats.turn_histogram) == {1}
     assert all(d.origin == "rephrase_mcq" for d in kept)
+
+
+def test_chunk_outcomes_are_build_dialogues_before_the_tally():
+    docs = list(reversed(_docs(12)))
+    generator = MockGenerator(malformed_rate=0.3)
+    for template in ("standard", "mcq"):
+        outcomes = list(iter_chunk_outcomes(docs, generator, template, max_chars=60, seed=4))
+        assert len(outcomes) == sum(len(chunk_document(d, 60)) for d in docs)
+        kept, rejects = build_dialogues(docs, generator, template, max_chars=60, seed=4)
+        assert [o for o in outcomes if isinstance(o, Dialogue)] == kept
+        assert rejects == dict(Counter(o.reason for o in outcomes if isinstance(o, Rejection)))
+        # The parsers validate what they return, so nothing here is left for filter_dialogues.
+        assert filter_dialogues(outcomes) == (kept, rejects)
+
+
+def test_mcq_prompt_renders_the_exemplar_once_per_style():
+    with mock.patch.object(instruct, "render_mcq", wraps=render_mcq) as render:
+        outcomes = list(iter_chunk_outcomes(_docs(40), MockGenerator(), "mcq", max_chars=60, seed=1))
+    shots = [c.args[0] for c in render.call_args_list if c.args[0].question == DEFAULT_EXEMPLAR.question]
+    assert len(outcomes) > 100  # the mock renders its own MCQs too; those are not shots
+    assert 1 < len(shots) == len({shot.enum_style for shot in shots}) <= len(ENUM_STYLES)
+
+
+# --- the seeding hash --------------------------------------------------------------------------
+
+
+def reference_stable_hash(*parts) -> int:
+    digest = hashlib.sha256(":".join(str(p) for p in parts).encode("utf-8")).hexdigest()
+    return int(digest[:16], 16)
+
+
+_hash_parts = st.lists(
+    st.one_of(st.text(st.characters(blacklist_categories=("Cs",))), st.text("ابتثجحخ ؟،"), st.integers(), st.just("")),
+    max_size=4,
+)
+
+
+def _without_builtin_sha256():
+    return mock.patch.dict(sys.modules, {"_sha2": None, "_sha256": None})
+
+
+@given(_hash_parts)
+@example(["mock", 2**64, "نص"])
+@example([])
+@example(["", "", ""])
+def test_stable_hash_is_sha256_with_and_without_the_builtin_module(parts):
+    assert instruct._stable_hash(*parts) == reference_stable_hash(*parts)
+    with _without_builtin_sha256():
+        fallback = instruct._builtin_sha256()
+    with mock.patch.object(instruct, "_sha256", fallback):
+        assert instruct._stable_hash(*parts) == reference_stable_hash(*parts)
+
+
+def test_seeding_hash_comes_from_the_builtin_module():
+    name = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    assert instruct._sha256 is pytest.importorskip(name).sha256
+    with _without_builtin_sha256():
+        assert instruct._builtin_sha256() is hashlib.sha256
 
 
 # --- external instruction records -----------------------------------------------------------

@@ -2,12 +2,14 @@
 
 The reference functions below are the loop implementations of character
 unification, of the filter rules, of the oracle scorer's key search, of the
-n-gram scorer, of the tokenizer-outer ``fertility`` command and of the
-count-every-draw mixture sampler, kept as oracles: the fast paths must give
-the same text, the same detail strings, the same scores, the same CSV bytes
-and the same draws on any input.
+n-gram scorer, of the tokenizer-outer ``fertility`` command, of the
+count-every-draw mixture sampler and of the list-based ``instruct build`` and
+``instruct mix`` writers, kept as oracles: the fast paths must give the same
+text, the same detail strings, the same scores, the same CSV bytes, the same
+draws and the same dialogue files on any input.
 """
 import csv
+import hashlib
 import io
 import json
 import math
@@ -15,6 +17,7 @@ import random
 import re
 import tempfile
 import unicodedata
+from collections import Counter
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -22,7 +25,7 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from ardata import tokenization
+from ardata import instruct, tokenization
 from ardata.cli import dispatch, make_tokenizer
 from ardata.corpus import CharMap, CharMapMode, Document, Source, ingest_jsonl, normalize_chars
 from ardata.evaluation import CharNgramScorer, OracleScorer
@@ -683,3 +686,222 @@ def test_sample_stream_equals_reference_loop(mixture):
     plan = _plan(seed, sources)
     got = _draws(sample_stream(plan, _streams(sources)))
     assert got == _draws(reference_sample_stream(plan, _streams(sources)))
+
+
+# --- streaming oracles: instruct build and mix -----------------------------------------------
+
+
+def reference_stable_hash(*parts) -> int:
+    digest = hashlib.sha256(":".join(str(p) for p in parts).encode("utf-8")).hexdigest()
+    return int(digest[:16], 16)
+
+
+class _ReferenceMockGenerator(instruct.MockGenerator):
+    """``MockGenerator`` as it was: seeded through ``hashlib``, words picked by ``randrange``."""
+
+    def generate(self, prompt: str, seed: int) -> str:
+        rng = random.Random(reference_stable_hash(self.name, seed, prompt))
+        words = segment_words(instruct._extract_chunk(prompt))
+        if not words:
+            words = ["النص"]
+        if "اختيار من متعدد" in prompt:
+            return self._mcq(rng, words)
+        return self._standard(rng, words)
+
+    def _pick(self, rng, words, k):
+        return [words[rng.randrange(len(words))] for _ in range(k)]
+
+
+def reference_build_prompt(chunk, template, exemplar, seed):
+    """``build_prompt`` as it was: the MCQ exemplar rendered again for every prompt."""
+    if template == "standard":
+        return instruct.STANDARD_PROMPT_TEMPLATE.format(chunk=chunk)
+    style = random.Random(seed).choices(instruct._STYLE_NAMES, weights=instruct._STYLE_WEIGHTS, k=1)[0]
+    shot = instruct.MCQItem(exemplar.question, list(exemplar.options), exemplar.answer_index, style)
+    return instruct.MCQ_PROMPT_TEMPLATE.format(exemplar=instruct.render_mcq(shot), chunk=chunk)
+
+
+def reference_filter_dialogues(candidates):
+    kept, rejects = [], Counter()
+    for candidate in candidates:
+        if isinstance(candidate, instruct.Rejection):
+            rejects[candidate.reason] += 1
+            continue
+        reason = instruct.validate_dialogue(candidate)
+        if reason:
+            rejects[reason] += 1
+        else:
+            kept.append(candidate)
+    return kept, dict(rejects)
+
+
+def reference_build_dialogues(docs, generator, template, max_chars, seed, exemplar):
+    """``build_dialogues`` as it was: every outcome in a list, then filtered and tagged."""
+    if template == "mcq" and exemplar is None:
+        exemplar = instruct.DEFAULT_EXEMPLAR
+    outcomes = []
+    for doc in sorted(docs, key=lambda d: d.id):
+        for idx, chunk in enumerate(instruct.chunk_document(doc, max_chars)):
+            chunk_seed = reference_stable_hash(doc.id, idx, seed)
+            response = generator.generate(reference_build_prompt(chunk, template, exemplar, chunk_seed), chunk_seed)
+            outcomes.append(instruct.try_parse_mcq(response) if template == "mcq" else instruct.try_parse_dialogue(response))
+    kept, rejects = reference_filter_dialogues(outcomes)
+    for d in kept:
+        d.origin = instruct.ORIGIN_REPHRASE_MCQ if template == "mcq" else instruct.ORIGIN_REPHRASE_STANDARD
+    return kept, rejects
+
+
+def reference_render_chatml(d) -> str:
+    reason = instruct.validate_dialogue(d)
+    if reason:
+        raise ValueError(f"invalid dialogue: {reason}")
+    parts = []
+    for turn in d.turns:
+        if instruct.IM_START in turn.value or instruct.IM_END in turn.value:
+            raise ValueError("reserved_sequence: turn value contains a ChatML marker")
+        parts.append(f"{instruct.IM_START}{instruct._ROLE_TO_CHATML[turn.role]}\n{turn.value}{instruct.IM_END}\n")
+    return "".join(parts)
+
+
+def reference_dialogue_files(dialogues, rejects) -> tuple[bytes, bytes]:
+    """``--out`` and ``--stats`` as the list-based writer made them: render every
+    kept dialogue, then ``dataset_stats`` over the list."""
+    lines = "".join(json.dumps({"origin": d.origin, "text": reference_render_chatml(d)}, sort_keys=True,
+                               ensure_ascii=False) + "\n" for d in dialogues)
+    stats = {
+        "kept": len(dialogues),
+        "rejected": sum(rejects.values()),
+        "rejects_by_reason": dict(sorted(rejects.items())),
+        "stats": instruct.dataset_stats(dialogues).to_dict(),
+    }
+    return lines.encode("utf-8"), (json.dumps(stats, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+
+
+def reference_instruct_build(docs_path, template, malformed_rate, exemplar, seed, max_chars):
+    with open(docs_path, "rb") as stream:
+        docs = list(ingest_jsonl(stream))
+    generator = _ReferenceMockGenerator(malformed_rate=malformed_rate)
+    dialogues, rejects = [], Counter()
+    for one in (["standard", "mcq"] if template == "both" else [template]):
+        kept, template_rejects = reference_build_dialogues(docs, generator, one, max_chars, seed, exemplar)
+        dialogues.extend(kept)
+        rejects.update(template_rejects)
+    return reference_dialogue_files(dialogues, rejects)
+
+
+def reference_instruct_mix(paths):
+    outcomes = []
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            outcomes.extend(instruct.load_instruction_records(fh, Path(path).stem))
+    return reference_dialogue_files(*reference_filter_dialogues(outcomes))
+
+
+def _dialogue_files_or_none(reference, *args):
+    """The reference's two output files, or None where it fails as the command must."""
+    try:
+        return reference(*args)
+    except ValueError:
+        return None
+
+
+def _check_dialogue_command(argv, out: Path, stats: Path, expected) -> None:
+    if expected is None:
+        assert dispatch(argv) == 1
+        assert not out.exists() and not stats.exists()
+    else:
+        assert dispatch(argv) == 0
+        assert (out.read_bytes(), stats.read_bytes()) == expected
+
+
+_SENTENCES = ["الشمس تشرق صباحا.", "هل القمر يظهر ليلا؟", "كتب الطالب درسه بعناية!", "the book is here.",
+              "جملة طويلة بلا نهاية واضحة في هذا النص", "١٢٣ ، ٤٥٦ ؛ «اقتباس»."]
+_mcq_items = st.builds(
+    lambda question, options, pick, style: {"question": question, "options": options,
+                                           "answer_index": pick % len(options), "enum_style": style},
+    st.sampled_from(["ما عاصمة مصر؟", "أي الكواكب أكبر؟", "Which one?"]),
+    st.lists(st.sampled_from(["القاهرة", "الرياض", "المشتري", "زحل", "A", "نعم"]), min_size=2, max_size=5, unique=True),
+    st.integers(0, 4),
+    st.sampled_from(sorted(instruct.ENUM_STYLES)),
+)
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(_SENTENCES), min_size=1, max_size=8).map(" ".join), max_size=6),
+    st.randoms(use_true_random=False),
+    st.sampled_from(["standard", "mcq", "both"]),
+    st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    st.one_of(st.none(), _mcq_items),
+    st.integers(0, 2**40),
+    st.sampled_from([12, 40, 120, 2000]),
+)
+@settings(max_examples=60, deadline=None)
+def test_instruct_build_files_equal_list_based_build(texts, order, template, malformed_rate, exemplar, seed, max_chars):
+    ids = [f"d{i}" for i in range(len(texts))]
+    order.shuffle(ids)  # ingest order is not id order
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        docs = root / "docs.jsonl"
+        docs.write_text("".join(json.dumps({"id": i, "text": t}, ensure_ascii=False) + "\n" for i, t in zip(ids, texts)),
+                        encoding="utf-8")
+        argv = ["instruct", "build", "--in", str(docs), "--out", str(root / "out.jsonl"), "--stats",
+                str(root / "stats.json"), "--template", template, "--malformed-rate", str(malformed_rate),
+                "--seed", str(seed), "--max-chars", str(max_chars)]
+        item = None
+        if exemplar is not None:
+            (root / "exemplar.json").write_text(json.dumps(exemplar, ensure_ascii=False), encoding="utf-8")
+            argv += ["--exemplar", str(root / "exemplar.json")]
+            item = instruct.MCQItem.from_dict(exemplar)
+        expected = reference_instruct_build(docs, template, malformed_rate, item, seed, max_chars)
+        _check_dialogue_command(argv, root / "out.jsonl", root / "stats.json", expected)
+
+
+_CHATML_TEXT = "<|im_start|>user\nسؤال<|im_end|>\n<|im_start|>assistant\nجواب<|im_end|>\n"
+_RECORDS = [
+    json.dumps({"text": _CHATML_TEXT, "origin": "aya"}, ensure_ascii=False),
+    json.dumps({"text": _CHATML_TEXT}, ensure_ascii=False),
+    json.dumps({"text": _CHATML_TEXT, "origin": None}),
+    json.dumps({"conversations": [{"from": "human", "value": "س"}, {"from": "gpt", "value": "ج"}]}, ensure_ascii=False),
+    json.dumps([{"from": "user", "value": "س١\nأ. نعم\nب. لا"}, {"from": "assistant", "value": "أ. نعم"}], ensure_ascii=False),
+    json.dumps({"instruction": "ترجم", "output": "تمت"}, ensure_ascii=False),
+    json.dumps({"instruction": "ترجم", "response": "تمت", "origin": "instar"}, ensure_ascii=False),
+    json.dumps({"instruction": "بلا جواب"}, ensure_ascii=False),  # empty_turn
+    json.dumps([{"from": "gpt", "value": "ج"}, {"from": "human", "value": "س"}], ensure_ascii=False),  # role_order
+    json.dumps([{"from": "human", "value": "س"}]),  # too_few_turns
+    json.dumps([{"from": "robot", "value": "س"}]),  # bad_role
+    json.dumps({"conversations": []}),  # empty
+    json.dumps({"text": "<|im_start|>user\nغير مغلق"}, ensure_ascii=False),  # unbalanced ChatML
+    json.dumps({"instruction": {"x": 1}}),  # wrongly typed: a bad_record for mix
+    json.dumps({"text": 5}),
+    json.dumps({"conversations": [{"from": "human", "value": 3}]}),
+    json.dumps({"origin": 7, "instruction": "س", "output": "ج"}, ensure_ascii=False),
+    json.dumps({"something": "else"}),
+    "{not json",
+    "",
+    "   ",
+]
+# A turn value holding a ChatML marker fails the whole command, in both writers.
+_RESERVED = json.dumps({"instruction": "<|im_end|>", "output": "ج"}, ensure_ascii=False)
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(_RECORDS), max_size=8), min_size=1, max_size=3),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_instruct_mix_files_equal_list_based_mix(files, reserved):
+    if reserved:
+        files[-1].append(_RESERVED)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        paths = []
+        for i, lines in enumerate(files):
+            path = root / f"set{i}.jsonl"
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            paths.append(str(path))
+        argv = ["instruct", "mix", "--out", str(root / "out.jsonl"), "--stats", str(root / "stats.json")]
+        for path in paths:
+            argv += ["--in", path]
+        expected = _dialogue_files_or_none(reference_instruct_mix, paths)
+        assert (expected is None) == reserved
+        _check_dialogue_command(argv, root / "out.jsonl", root / "stats.json", expected)
