@@ -312,8 +312,6 @@ def _build_scorer(name: str, items, fmt: str):
     if name in ("oracle", "anti-oracle"):
         if fmt == "mcf":
             base = evaluation.OracleScorer.for_mcf(items)
-        elif fmt == "tf":
-            base = evaluation.OracleScorer.for_true_false(items)
         else:
             base = evaluation.OracleScorer.for_cf(items)
         if name == "oracle":
@@ -345,7 +343,7 @@ def cmd_eval_acva(args, open_output) -> None:
 
     items = evaluation.load_benchmark_items(args.items)
     exemplars = evaluation.load_benchmark_items(args.exemplars)
-    scorer = _build_scorer(args.scorer, items, "tf")
+    scorer = _build_scorer(args.scorer, items, "cf")
     result = evaluation.evaluate_true_false(
         items, scorer, exemplars, shots=args.shots, seed=args.seed
     )

@@ -3,10 +3,11 @@
 
 CF compares the log-likelihood of each full answer string appended to the
 question context; no option letters appear in the prompt. Optionally each
-score is normalized by the answer's UTF-8 byte length, which removes the
-systematic bias toward short answers. MCF enumerates the options in the
-prompt and scores only the option letters. Ties always resolve to the lowest
-index, and tie counts are reported.
+score is normalized by the answer's UTF-8 byte length or word count, which
+removes the systematic bias toward short answers. MCF enumerates the options
+in the prompt and scores only the option letters. All three formats score
+items in one loop (``_predict``). Ties always resolve to the lowest index,
+and tie counts are reported.
 
 Reference scorers (constant, gold oracle, anti-oracle, and a character
 n-gram model trained on a bundled mini-corpus) make every code path testable
@@ -24,12 +25,14 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 from ._schema import (
     INTEGER, LIST, OBJECT, STRING, STRING_OR_INTEGER, STRING_OR_NULL, STRINGS, check, get_field, read_json,
 )
-from .tokenization import TokenizerAdapter, WhitespaceTokenizer
+from .tokenization import segment_words
 
 DEFAULT_LETTERS: tuple[str, ...] = ("A", "B", "C", "D", "E")
-DEFAULT_TF_LABELS: tuple[str, str] = ("صح", "خطأ")
 
 UNCATEGORIZED = "uncategorized"
+
+# The cue that ends every prompt and precedes each few-shot answer.
+_ANSWER_CUE = "الإجابة:"
 
 
 @dataclass
@@ -77,66 +80,21 @@ class Scorer(Protocol):
     def loglikelihood(self, context: str, continuation: str) -> float: ...
 
 
-# --- Prompt templates --------------------------------------------------------
+# --- Prompts -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CfTemplate:
-    question_label: str = "سؤال: "
-    answer_label: str = "الإجابة:"
-
-    def render(self, item: BenchmarkItem) -> str:
-        parts = []
-        if item.context:
-            parts.append(item.context)
-        parts.append(f"{self.question_label}{item.question}")
-        parts.append(self.answer_label)
-        return "\n".join(parts)
+def _question_block(item: BenchmarkItem) -> str:
+    head = f"{item.context}\n" if item.context else ""
+    return f"{head}سؤال: {item.question}"
 
 
-@dataclass(frozen=True)
-class McfTemplate:
-    question_label: str = "سؤال: "
-    answer_label: str = "الإجابة: "
-
-    def render(self, item: BenchmarkItem, letters: Sequence[str]) -> str:
-        parts = []
-        if item.context:
-            parts.append(item.context)
-        parts.append(f"{self.question_label}{item.question}")
-        parts.extend(f"{letters[i]}. {choice}" for i, choice in enumerate(item.choices))
-        parts.append(self.answer_label)
-        return "\n".join(parts)
+def render_cf_context(item: BenchmarkItem) -> str:
+    return f"{_question_block(item)}\n{_ANSWER_CUE}"
 
 
-@dataclass(frozen=True)
-class TfTemplate:
-    answer_label: str = "الإجابة:"
-
-    def render(self, item: BenchmarkItem, shots: Sequence[BenchmarkItem]) -> str:
-        blocks = [
-            f"{shot.question}\n{self.answer_label} {shot.choices[shot.gold_index]}"
-            for shot in shots
-        ]
-        blocks.append(f"{item.question}\n{self.answer_label}")
-        return "\n\n".join(blocks)
-
-
-DEFAULT_CF_TEMPLATE = CfTemplate()
-DEFAULT_MCF_TEMPLATE = McfTemplate()
-DEFAULT_TF_TEMPLATE = TfTemplate()
-
-
-def render_cf_context(item: BenchmarkItem, template: CfTemplate = DEFAULT_CF_TEMPLATE) -> str:
-    return template.render(item)
-
-
-def render_mcf_context(
-    item: BenchmarkItem,
-    letters: Sequence[str] = DEFAULT_LETTERS,
-    template: McfTemplate = DEFAULT_MCF_TEMPLATE,
-) -> str:
-    return template.render(item, letters)
+def render_mcf_context(item: BenchmarkItem, letters: Sequence[str] = DEFAULT_LETTERS) -> str:
+    options = "".join(f"\n{letters[i]}. {choice}" for i, choice in enumerate(item.choices))
+    return f"{_question_block(item)}{options}\n{_ANSWER_CUE} "
 
 
 # --- Results -----------------------------------------------------------------
@@ -176,26 +134,24 @@ def _argmax_lowest(scores: Sequence[float]) -> tuple[int, bool]:
     return best_idx, tied
 
 
-def _accuracy_eval(
+def _predict(
     items: Sequence[BenchmarkItem],
     scorer: Scorer,
     context_fn: Callable[[BenchmarkItem], str],
     continuations_fn: Callable[[BenchmarkItem], list[str]],
-    divisor_fn: Callable[[BenchmarkItem, int], float] | None,
-    metric: str,
-    fmt: str,
-) -> EvalResult:
-    correct: Counter[str] = Counter()
-    totals: Counter[str] = Counter()
+    divisor_fn: Callable[[BenchmarkItem, int], float] | None = None,
+) -> tuple[list[int | None], int]:
+    """The predicted choice index per item, and how many argmaxes were tied.
+
+    The prediction is ``None`` for an item whose scorer raised.
+    """
     predictions: list[int | None] = []
-    errored = 0
     ties = 0
     for item in items:
         context = context_fn(item)
         try:
             scores = [scorer.loglikelihood(context, c) for c in continuations_fn(item)]
         except Exception:
-            errored += 1
             predictions.append(None)
             continue
         if divisor_fn is not None:
@@ -203,81 +159,85 @@ def _accuracy_eval(
         pred, tied = _argmax_lowest(scores)
         ties += tied
         predictions.append(pred)
-        category = item.category or UNCATEGORIZED
-        totals[category] += 1
-        if pred == item.gold_index:
-            correct[category] += 1
-    n = sum(totals.values())
-    overall = (sum(correct.values()) / n) if n else 0.0
+    return predictions, ties
+
+
+_Scored = list[tuple[BenchmarkItem, int]]
+
+
+def _result(
+    items: Sequence[BenchmarkItem],
+    preds: list[int | None],
+    ties: int,
+    metric_fn: Callable[[_Scored], float],
+    metric: str,
+    fmt: str,
+) -> EvalResult:
+    """Apply ``metric_fn`` to all scored items and to each category's.
+
+    Items whose scorer raised are left out and counted in ``errored``.
+    """
+    scored = [(item, pred) for item, pred in zip(items, preds) if pred is not None]
+    by_category: dict[str, _Scored] = {}
+    for item, pred in scored:
+        by_category.setdefault(item.category or UNCATEGORIZED, []).append((item, pred))
     return EvalResult(
         metric=metric,
         format=fmt,
-        overall=overall,
-        per_category={cat: correct[cat] / totals[cat] for cat in totals},
-        per_category_n=dict(totals),
-        n=n,
-        errored=errored,
+        overall=metric_fn(scored) if scored else 0.0,
+        per_category={cat: metric_fn(pairs) for cat, pairs in by_category.items()},
+        per_category_n={cat: len(pairs) for cat, pairs in by_category.items()},
+        n=len(scored),
+        errored=len(preds) - len(scored),
         ties=ties,
-        predictions=predictions,
+        predictions=preds,
     )
 
 
-def evaluate_cf(
-    items: Sequence[BenchmarkItem],
-    scorer: Scorer,
-    norm: str = "none",
-    template: CfTemplate = DEFAULT_CF_TEMPLATE,
-    tokenizer: TokenizerAdapter | None = None,
-) -> EvalResult:
+def _spaced_choices(item: BenchmarkItem) -> list[str]:
+    return [" " + c for c in item.choices]
+
+
+def _accuracy(scored: _Scored) -> float:
+    return sum(pred == item.gold_index for item, pred in scored) / len(scored)
+
+
+def evaluate_cf(items: Sequence[BenchmarkItem], scorer: Scorer, norm: str = "none") -> EvalResult:
     """Cloze-format accuracy: argmax over log-likelihoods of the full answers.
 
     norm="by_bytes" divides each score by the answer's UTF-8 byte length
-    (normalized accuracy); "by_tokens" divides by its token count under
-    ``tokenizer`` (whitespace words by default); "none" uses raw scores.
-    Items where the scorer raises are excluded and counted in ``errored``.
+    (normalized accuracy); "by_tokens" divides by its whitespace word count
+    (at least 1); "none" uses raw scores. Items where the scorer raises are
+    excluded and counted in ``errored``.
     """
     if norm == "none":
         divisor_fn = None
-        metric = "accuracy"
     elif norm == "by_bytes":
         divisor_fn = lambda item, i: len(item.choices[i].encode("utf-8"))
-        metric = "accuracy_norm"
     elif norm == "by_tokens":
-        tok = tokenizer or WhitespaceTokenizer()
-        divisor_fn = lambda item, i: max(tok.count_tokens(item.choices[i]), 1)
-        metric = "accuracy_norm"
+        divisor_fn = lambda item, i: max(len(segment_words(item.choices[i])), 1)
     else:
         raise ValueError(f"unknown norm {norm!r} (expected none, by_bytes, or by_tokens)")
-    return _accuracy_eval(
-        items,
-        scorer,
-        context_fn=lambda item: template.render(item),
-        continuations_fn=lambda item: [" " + c for c in item.choices],
-        divisor_fn=divisor_fn,
-        metric=metric,
-        fmt="cf",
-    )
+    preds, ties = _predict(items, scorer, render_cf_context, _spaced_choices, divisor_fn)
+    return _result(items, preds, ties, _accuracy, "accuracy" if norm == "none" else "accuracy_norm", "cf")
 
 
 def evaluate_mcf(
     items: Sequence[BenchmarkItem],
     scorer: Scorer,
     letters: Sequence[str] = DEFAULT_LETTERS,
-    template: McfTemplate = DEFAULT_MCF_TEMPLATE,
 ) -> EvalResult:
     """Multiple-choice-format accuracy: options in the prompt, letters scored."""
     max_choices = max((len(item.choices) for item in items), default=0)
     if len(letters) < max_choices:
         raise ValueError(f"need at least {max_choices} letters, got {len(letters)}")
-    return _accuracy_eval(
+    preds, ties = _predict(
         items,
         scorer,
-        context_fn=lambda item: template.render(item, letters),
-        continuations_fn=lambda item: [letters[i] for i in range(len(item.choices))],
-        divisor_fn=None,
-        metric="accuracy",
-        fmt="mcf",
+        lambda item: render_mcf_context(item, letters),
+        lambda item: [letters[i] for i in range(len(item.choices))],
     )
+    return _result(items, preds, ties, _accuracy, "accuracy", "mcf")
 
 
 def f1_macro(
@@ -315,13 +275,13 @@ def evaluate_true_false(
     exemplars: Sequence[BenchmarkItem],
     shots: int = 5,
     seed: int = 0,
-    template: TfTemplate = DEFAULT_TF_TEMPLATE,
 ) -> EvalResult:
     """Few-shot True/False evaluation scored with macro F1.
 
     Every item must have exactly two choices (the label strings). ``shots``
     exemplars are drawn once from the held-out pool with the given seed and
-    prefixed, with their gold labels, to every query.
+    prefixed, with their gold labels, to every query. Items where the scorer
+    raises are left out of the F1 and counted in ``errored``.
     """
     for item in items:
         if len(item.choices) != 2:
@@ -333,45 +293,16 @@ def evaluate_true_false(
     if overlap:
         raise ValueError(f"exemplar pool overlaps evaluated items: {overlap[:5]}")
 
-    rng = random.Random(seed)
-    shot_items = rng.sample(list(exemplars), shots)
-
-    golds: list[str] = []
-    preds: list[str] = []
-    per_category: dict[str, tuple[list[str], list[str]]] = {}
-    predictions: list[int | None] = []
-    errored = 0
-    ties = 0
-    for item in items:
-        context = template.render(item, shot_items)
-        try:
-            scores = [scorer.loglikelihood(context, " " + c) for c in item.choices]
-        except Exception:
-            errored += 1
-            predictions.append(None)
-            continue
-        pred, tied = _argmax_lowest(scores)
-        ties += tied
-        predictions.append(pred)
-        golds.append(item.choices[item.gold_index])
-        preds.append(item.choices[pred])
-        bucket = per_category.setdefault(item.category or UNCATEGORIZED, ([], []))
-        bucket[0].append(item.choices[item.gold_index])
-        bucket[1].append(item.choices[pred])
-
+    shot_items = random.Random(seed).sample(list(exemplars), shots)
+    prefix = "".join(f"{shot.question}\n{_ANSWER_CUE} {shot.choices[shot.gold_index]}\n\n" for shot in shot_items)
     labels = sorted({label for item in items for label in item.choices})
-    overall = f1_macro(golds, preds, labels) if golds else 0.0
-    return EvalResult(
-        metric="f1_macro",
-        format="cf",
-        overall=overall,
-        per_category={cat: f1_macro(g, p, labels) for cat, (g, p) in per_category.items()},
-        per_category_n={cat: len(g) for cat, (g, _) in per_category.items()},
-        n=len(golds),
-        errored=errored,
-        ties=ties,
-        predictions=predictions,
-    )
+
+    def macro_f1(scored: _Scored) -> float:
+        golds = [item.choices[item.gold_index] for item, _ in scored]
+        return f1_macro(golds, [item.choices[pred] for item, pred in scored], labels)
+
+    preds, ties = _predict(items, scorer, lambda item: f"{prefix}{item.question}\n{_ANSWER_CUE}", _spaced_choices)
+    return _result(items, preds, ties, macro_f1, "f1_macro", "cf")
 
 
 # --- Reference scorers ---------------------------------------------------------
@@ -440,10 +371,6 @@ class OracleScorer:
         **kwargs,
     ) -> "OracleScorer":
         return cls([(it.question, (letters[it.gold_index],)) for it in items], **kwargs)
-
-    @classmethod
-    def for_true_false(cls, items: Sequence[BenchmarkItem], **kwargs) -> "OracleScorer":
-        return cls([(it.question, (" " + it.choices[it.gold_index],)) for it in items], **kwargs)
 
     @classmethod
     def anti(cls, pairs: Iterable[tuple[str, tuple[str, ...]]], name: str = "anti-oracle"):

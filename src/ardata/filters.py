@@ -38,9 +38,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from ._schema import BOOLEAN, COUNT, COUNTS, INTEGER, NUMBER, OBJECT, STRING, STRINGS, check, get_field
-from .corpus import (
-    CharMap, DEFAULT_CHAR_MAP, DEFAULT_TITLE_DATE_PATTERNS, Document, Source, char_class, normalize_chars, strip_title_date,
-)
+from .corpus import Document, Source, char_class, normalize_chars, strip_title_date
 from .tokenization import TokenizerAdapter, segment_words
 
 
@@ -516,18 +514,16 @@ def iter_pipeline(
     cfg: FilterConfig,
     tok: TokenizerAdapter,
     report: CleaningReport,
-    char_map: CharMap = DEFAULT_CHAR_MAP,
-    title_patterns: Iterable[str] = DEFAULT_TITLE_DATE_PATTERNS,
 ) -> Iterator[Document]:
-    """Streaming clean: normalize chars, strip title/date, filter, account.
+    """Streaming clean: normalize chars and strip title/date (the default
+    map and patterns), filter, account.
 
     Kept documents are yielded with the cleanup applied; ``report`` is
     updated in place as documents flow through. Token counts use ``tok`` on
     the cleaned text, so sharded runs merge to identical numbers.
     """
     for doc in docs:
-        cleaned = replace(doc, text=normalize_chars(doc.text, char_map))
-        cleaned = strip_title_date(cleaned, title_patterns)
+        cleaned = strip_title_date(replace(doc, text=normalize_chars(doc.text)))
         decision = first_failure(cleaned, cfg)
         report.record(cleaned.source, tok.count_tokens(cleaned.text), decision)
         if decision.keep:
@@ -538,9 +534,7 @@ def run_pipeline(
     docs: Iterable[Document],
     cfg: FilterConfig,
     tok: TokenizerAdapter,
-    char_map: CharMap = DEFAULT_CHAR_MAP,
-    title_patterns: Iterable[str] = DEFAULT_TITLE_DATE_PATTERNS,
 ) -> tuple[list[Document], CleaningReport]:
     report = CleaningReport()
-    kept = list(iter_pipeline(docs, cfg, tok, report, char_map, title_patterns))
+    kept = list(iter_pipeline(docs, cfg, tok, report))
     return kept, report

@@ -8,6 +8,7 @@ fertility for callers who want the bias-correction rationale made concrete.
 """
 from __future__ import annotations
 
+import math
 import random
 import weakref
 from bisect import bisect
@@ -135,11 +136,19 @@ def source_fractions(sources: Iterable[SourceStats], upweights: Mapping[str, flo
 
 
 def _largest_remainder(fractions: list[float], total: int) -> list[int]:
-    raw = [f * total for f in fractions]
-    quotas = [int(r) for r in raw]
-    shortfall = total - sum(quotas)
-    by_remainder = sorted(range(len(raw)), key=lambda i: (raw[i] - quotas[i], -i), reverse=True)
-    for i in by_remainder[:shortfall]:
+    """Quotas proportional to ``fractions``, normalized to sum to exactly ``total``.
+
+    Exact rational arithmetic: each fraction becomes an integer weight over
+    one common denominator, so no product is rounded at any total.
+    """
+    ratios = [f.as_integer_ratio() for f in fractions]
+    common = math.lcm(*(d for _, d in ratios))
+    weights = [n * (common // d) for n, d in ratios]
+    scale = sum(weights)
+    divided = [divmod(w * total, scale) for w in weights]
+    quotas = [q for q, _ in divided]
+    by_remainder = sorted(range(len(divided)), key=lambda i: (divided[i][1], -i), reverse=True)
+    for i in by_remainder[: total - sum(quotas)]:
         quotas[i] += 1
     return quotas
 
@@ -159,7 +168,7 @@ def plan_mixture(
     sources = list(sources)
     if total_tokens < 0:
         raise ValueError("total_tokens must be >= 0")
-    check(total_tokens, _TOKEN_COUNT, "total_tokens")  # it is multiplied by float fractions
+    check(total_tokens, _TOKEN_COUNT, "total_tokens")
     names = [s.name for s in sources]
     unknown = set(fractions) - set(names)
     if unknown:

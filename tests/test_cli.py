@@ -433,6 +433,20 @@ def test_mix_plan_total_tokens_bound_is_2_to_the_63(tmp_path, capsys, total, sho
     assert err == {"command": "mix-plan", "error": f"total_tokens must be below 2**63, got {shown}"}
 
 
+@pytest.mark.parametrize("sources, upweight", [
+    ([{"name": "a", "tokens": 10}], []),
+    ([{"name": "a", "tokens": 7, "language": "ar"}, {"name": "b", "tokens": 5, "language": "ar"},
+      {"name": "c", "tokens": 11, "language": "en"}], ["--upweight", "ar=4.6"]),
+])
+def test_mix_plan_quotas_sum_to_the_largest_total(tmp_path, capsys, sources, upweight):
+    # In float arithmetic one source got 2**63 tokens, and these three got 252 tokens too few.
+    path = tmp_path / "sources.json"
+    path.write_text(json.dumps(sources), encoding="utf-8")
+    assert dispatch(["mix-plan", "--sources", str(path), "--total-tokens", str(2**63 - 1), *upweight]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert sum(int(row["token_quota"]) for row in rows) == 2**63 - 1
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])
 def test_mix_plan_upweight_must_be_finite_and_positive(tmp_path, capsys, weight):
     sources = tmp_path / "sources.json"

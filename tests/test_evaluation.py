@@ -126,6 +126,20 @@ def test_cf_normalization_flips_prediction():
     assert norm.predictions == [1] and norm.overall == 1.0
 
 
+def test_cf_by_tokens_divides_by_word_count():
+    # Raw and per byte (8 vs 5 bytes), -4 beats -6. Per word (1 vs 3 words): -4 vs -2 flips it.
+    item = BenchmarkItem(id="0", question="which?", choices=["abcdefgh", "x y z"], gold_index=1)
+    scorer = FixedScorer({" abcdefgh": -4.0, " x y z": -6.0})
+    assert evaluate_cf([item], scorer, norm="none").predictions == [0]
+    assert evaluate_cf([item], scorer, norm="by_bytes").predictions == [0]
+    by_tokens = evaluate_cf([item], scorer, norm="by_tokens")
+    assert by_tokens.predictions == [1]
+    assert by_tokens.overall == 1.0 and by_tokens.metric == "accuracy_norm"
+    # A choice of whitespace only has no word and divides by 1.
+    blank = BenchmarkItem(id="1", question="which?", choices=["\t", "a b"], gold_index=0)
+    assert evaluate_cf([blank], FixedScorer({" \t": -3.0, " a b": -4.0}), norm="by_tokens").predictions == [1]
+
+
 def test_cf_by_bytes_equals_none_for_equal_length_choices():
     items = [
         BenchmarkItem(id=str(i), question=f"q{i}?", choices=["aaaa", "bbbb", "cccc"], gold_index=i % 3)
@@ -325,7 +339,7 @@ def tf_items(n, labels=("صح", "خطأ"), prefix="بند"):
 def test_tf_oracle_perfect():
     items = tf_items(12)
     pool = tf_items(8, prefix="مثال")
-    result = evaluate_true_false(items, OracleScorer.for_true_false(items), pool, shots=5, seed=0)
+    result = evaluate_true_false(items, OracleScorer.for_cf(items), pool, shots=5, seed=0)
     assert result.overall == 1.0
     assert result.metric == "f1_macro"
     assert result.n == 12
@@ -344,6 +358,27 @@ def test_tf_worked_confusion_matrix():
     result = evaluate_true_false(items, PickFirst(), tf_items(6, prefix="مثال"), shots=3, seed=1)
     preds = ["صح"] * 4
     assert result.overall == pytest.approx(brute_force_f1_macro(golds, preds, ["خطأ", "صح"]))
+
+
+def test_tf_errored_items_excluded_from_f1_and_counted():
+    items = tf_items(6)
+
+    class FlakyFirst:
+        name = "flaky"
+
+        def loglikelihood(self, context, continuation):
+            if context.endswith(("رقم 1: عبارة للتقييم.\nالإجابة:", "رقم 4: عبارة للتقييم.\nالإجابة:")):
+                raise RuntimeError("backend down")
+            return 0.0  # otherwise predicts choices[0] == "صح"
+
+    result = evaluate_true_false(items, FlakyFirst(), tf_items(6, prefix="مثال"), shots=3, seed=1)
+    assert result.errored == 2 and result.n == 4
+    assert result.predictions == [0, None, 0, 0, None, 0]
+    scored = [items[i] for i in (0, 2, 3, 5)]
+    golds = [item.choices[item.gold_index] for item in scored]
+    assert result.overall == brute_force_f1_macro(golds, ["صح"] * 4, ["خطأ", "صح"])
+    # Items 1 and 4 are the only task-1 items, so that category has nothing scored.
+    assert result.per_category_n == {"task-0": 2, "task-2": 2}
 
 
 def test_tf_same_seed_same_result():

@@ -1,7 +1,9 @@
+import math
 import weakref
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ardata.corpus import Document
 from ardata.mixture import (
@@ -126,15 +128,23 @@ def test_plan_fractions_must_sum_to_one():
 
 @given(
     st.lists(st.integers(1, 1000), min_size=1, max_size=6),
-    st.integers(0, 10_000),
+    st.one_of(st.integers(0, 10_000), st.integers(0, 2**63 - 1)),
 )
-@settings(max_examples=100)
+@example([1], 2**63 - 1)  # float arithmetic gave a quota of 2**63
+@example([1, 1, 1], 2**53 + 1)
+@example([7, 3], 7886786866364949)  # below 2**53, the float quotas summed to 2 more than the total
+@settings(max_examples=300)
 def test_plan_quotas_sum_exactly_to_total(weights, total):
     names = [f"s{i}" for i in range(len(weights))]
     fractions = sampling_percentages(dict(zip(names, map(float, weights))))
     sources = [SourceStats(n, 50) for n in names]
     plan = plan_mixture(sources, fractions, total)
     assert sum(e.token_quota for e in plan.entries) == total
+    # Each quota is its exact share of the total, rounded down or up.
+    scale = sum(Fraction(fractions[n]) for n in names)
+    for name, entry in zip(names, plan.entries):
+        exact = Fraction(fractions[name]) * total / scale
+        assert math.floor(exact) <= entry.token_quota <= math.ceil(exact)
 
 
 def test_suggested_upweight():

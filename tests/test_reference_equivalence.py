@@ -2,11 +2,13 @@
 
 The reference functions below are the loop implementations of character
 unification, of the filter rules, of the oracle scorer's key search, of the
-n-gram scorer, of the tokenizer-outer ``fertility`` command, of the
-count-every-draw mixture sampler and of the list-based ``instruct build`` and
-``instruct mix`` writers, kept as oracles: the fast paths must give the same
-text, the same detail strings, the same scores, the same CSV bytes, the same
-draws and the same dialogue files on any input.
+n-gram scorer, of the evaluation harness's prompt templates and its separate
+accuracy and true/false scoring loops, of the tokenizer-outer ``fertility``
+command, of the count-every-draw mixture sampler and of the list-based
+``instruct build`` and ``instruct mix`` writers, kept as oracles: the fast
+paths must give the same text, the same detail strings, the same scores and
+results, the same CSV bytes, the same draws and the same dialogue files on any
+input.
 """
 import csv
 import hashlib
@@ -17,6 +19,7 @@ import random
 import re
 import tempfile
 import unicodedata
+import zlib
 from collections import Counter
 from dataclasses import replace
 from itertools import islice
@@ -28,7 +31,10 @@ from hypothesis import example, given, settings, strategies as st
 from ardata import instruct, tokenization
 from ardata.cli import dispatch, make_tokenizer
 from ardata.corpus import CharMap, CharMapMode, Document, Source, ingest_jsonl, normalize_chars
-from ardata.evaluation import CharNgramScorer, OracleScorer
+from ardata.evaluation import (
+    BenchmarkItem, CharNgramScorer, EvalResult, OracleScorer, evaluate_cf, evaluate_mcf, evaluate_true_false, f1_macro,
+    render_cf_context, render_mcf_context,
+)
 from ardata.filters import (
     _ARABIC_LETTERS, KEEP, RULE_ORDER, FilterConfig, GopherConfig, _Features,
     _check_ads, _check_chars, _check_gopher, _check_lines, _check_safety, _is_permissible, apply_filter, first_failure,
@@ -420,6 +426,184 @@ _ngram_text = st.text(st.one_of(st.sampled_from("العربية من the fox."),
 def test_ngram_scorer_equals_reference(n, context, continuation):
     scorer = _ngram_scorers[n]
     assert scorer.loglikelihood(context, continuation) == reference_ngram_loglikelihood(scorer, context, continuation)
+
+
+# --- one scoring loop: the template classes and the two loops it replaced ---------------
+
+
+def reference_render_cf(item: BenchmarkItem) -> str:
+    parts = [item.context] if item.context else []
+    parts.append(f"سؤال: {item.question}")
+    parts.append("الإجابة:")
+    return "\n".join(parts)
+
+
+def reference_render_mcf(item: BenchmarkItem, letters) -> str:
+    parts = [item.context] if item.context else []
+    parts.append(f"سؤال: {item.question}")
+    parts.extend(f"{letters[i]}. {choice}" for i, choice in enumerate(item.choices))
+    parts.append("الإجابة: ")
+    return "\n".join(parts)
+
+
+def reference_render_tf(item: BenchmarkItem, shots) -> str:
+    blocks = [f"{shot.question}\nالإجابة: {shot.choices[shot.gold_index]}" for shot in shots]
+    blocks.append(f"{item.question}\nالإجابة:")
+    return "\n\n".join(blocks)
+
+
+def _reference_argmax(scores):
+    best = 0
+    for i in range(1, len(scores)):
+        if scores[i] > scores[best]:
+            best = i
+    return best, sum(1 for s in scores if s == scores[best]) > 1
+
+
+def reference_accuracy_eval(items, scorer, context_fn, continuations_fn, divisor_fn, metric, fmt) -> EvalResult:
+    correct: Counter[str] = Counter()
+    totals: Counter[str] = Counter()
+    predictions = []
+    errored = ties = 0
+    for item in items:
+        context = context_fn(item)
+        try:
+            scores = [scorer.loglikelihood(context, c) for c in continuations_fn(item)]
+        except Exception:
+            errored += 1
+            predictions.append(None)
+            continue
+        if divisor_fn is not None:
+            scores = [s / divisor_fn(item, i) for i, s in enumerate(scores)]
+        pred, tied = _reference_argmax(scores)
+        ties += tied
+        predictions.append(pred)
+        category = item.category or "uncategorized"
+        totals[category] += 1
+        if pred == item.gold_index:
+            correct[category] += 1
+    n = sum(totals.values())
+    return EvalResult(
+        metric=metric, format=fmt, overall=(sum(correct.values()) / n) if n else 0.0,
+        per_category={cat: correct[cat] / totals[cat] for cat in totals}, per_category_n=dict(totals),
+        n=n, errored=errored, ties=ties, predictions=predictions,
+    )
+
+
+def reference_evaluate_cf(items, scorer, norm) -> EvalResult:
+    tok = WhitespaceTokenizer()
+    divisor_fn = {
+        "none": None,
+        "by_bytes": lambda item, i: len(item.choices[i].encode("utf-8")),
+        "by_tokens": lambda item, i: max(tok.count_tokens(item.choices[i]), 1),
+    }[norm]
+    metric = "accuracy" if norm == "none" else "accuracy_norm"
+    return reference_accuracy_eval(
+        items, scorer, reference_render_cf, lambda item: [" " + c for c in item.choices], divisor_fn, metric, "cf"
+    )
+
+
+def reference_evaluate_mcf(items, scorer, letters) -> EvalResult:
+    return reference_accuracy_eval(
+        items, scorer, lambda item: reference_render_mcf(item, letters),
+        lambda item: [letters[i] for i in range(len(item.choices))], None, "accuracy", "mcf",
+    )
+
+
+def reference_evaluate_true_false(items, scorer, exemplars, shots, seed) -> EvalResult:
+    shot_items = random.Random(seed).sample(list(exemplars), shots)
+    golds, preds, predictions = [], [], []
+    per_category: dict[str, tuple[list[str], list[str]]] = {}
+    errored = ties = 0
+    for item in items:
+        context = reference_render_tf(item, shot_items)
+        try:
+            scores = [scorer.loglikelihood(context, " " + c) for c in item.choices]
+        except Exception:
+            errored += 1
+            predictions.append(None)
+            continue
+        pred, tied = _reference_argmax(scores)
+        ties += tied
+        predictions.append(pred)
+        golds.append(item.choices[item.gold_index])
+        preds.append(item.choices[pred])
+        bucket = per_category.setdefault(item.category or "uncategorized", ([], []))
+        bucket[0].append(item.choices[item.gold_index])
+        bucket[1].append(item.choices[pred])
+    labels = sorted({label for item in items for label in item.choices})
+    return EvalResult(
+        metric="f1_macro", format="cf", overall=f1_macro(golds, preds, labels) if golds else 0.0,
+        per_category={cat: f1_macro(g, p, labels) for cat, (g, p) in per_category.items()},
+        per_category_n={cat: len(g) for cat, (g, _) in per_category.items()},
+        n=len(golds), errored=errored, ties=ties, predictions=predictions,
+    )
+
+
+class _RecordingScorer:
+    """Scores by a hash of the call with few distinct values, so ties are common.
+
+    Raises on a context that holds "!", and records every call it answers.
+    """
+
+    name = "recording"
+
+    def __init__(self):
+        self.calls = []
+
+    def loglikelihood(self, context, continuation):
+        self.calls.append((context, continuation))
+        if "!" in context:
+            raise RuntimeError("backend down")
+        return -float(zlib.crc32(f"{context}\x00{continuation}".encode()) % 4)
+
+
+_EVAL_ALPHABET = "ab !" + "صخ" + "\t"
+_eval_texts = st.text(_EVAL_ALPHABET, min_size=1, max_size=6)
+
+
+@st.composite
+def _eval_items(draw, prefix, two_choices=False):
+    items = []
+    for k in range(draw(st.integers(0, 8))):
+        n_choices = 2 if two_choices else draw(st.integers(2, 5))
+        items.append(BenchmarkItem(
+            id=f"{prefix}{k}",
+            question=draw(st.text(_EVAL_ALPHABET, max_size=8)),
+            choices=draw(st.lists(_eval_texts, min_size=n_choices, max_size=n_choices)),
+            gold_index=draw(st.integers(0, n_choices - 1)),
+            category=draw(st.one_of(st.none(), st.sampled_from(["", "stem", "lang"]))),
+            context=draw(st.one_of(st.none(), st.text(_EVAL_ALPHABET, max_size=6))),
+        ))
+    return items
+
+
+def _same_run(evaluate, reference):
+    """Both evaluations give equal results from the same scorer calls."""
+    got, expected = _RecordingScorer(), _RecordingScorer()
+    assert evaluate(got) == reference(expected)
+    assert got.calls == expected.calls
+
+
+@given(_eval_items("q"), st.sampled_from([("A", "B", "C", "D", "E"), ("1", "2", "3", "4", "5", "6")]))
+@settings(max_examples=200, deadline=None)
+def test_cf_and_mcf_equal_the_accuracy_loop(items, letters):
+    for norm in ("none", "by_bytes", "by_tokens"):
+        _same_run(lambda s: evaluate_cf(items, s, norm=norm), lambda s: reference_evaluate_cf(items, s, norm))
+    _same_run(lambda s: evaluate_mcf(items, s, letters=letters), lambda s: reference_evaluate_mcf(items, s, letters))
+    for item in items:
+        assert render_cf_context(item) == reference_render_cf(item)
+        assert render_mcf_context(item, letters) == reference_render_mcf(item, letters)
+
+
+@given(_eval_items("q", two_choices=True), _eval_items("x", two_choices=True), st.integers(0, 8), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_true_false_equals_its_own_loop(items, pool, shots, seed):
+    shots = min(shots, len(pool))
+    _same_run(
+        lambda s: evaluate_true_false(items, s, pool, shots=shots, seed=seed),
+        lambda s: reference_evaluate_true_false(items, s, pool, shots, seed),
+    )
 
 
 # --- count-once oracles: line and gopher rules ------------------------------------------
