@@ -15,7 +15,7 @@ import sys as _sys
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "corpus": ("CharMap", "Document", "Reject", "Source", "ingest_jsonl", "normalize_chars", "strip_title_date"),
+    "corpus": ("Document", "Reject", "Source", "ingest_jsonl", "normalize_chars", "strip_title_date"),
     "filters": (
         "CleaningReport", "FilterConfig", "FilterDecision", "GopherConfig", "Rule", "merge_reports", "run_pipeline",
     ),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -174,60 +174,16 @@ def char_class(codepoints: Iterable[int], negate: bool = False) -> str:
     return ("[^" if negate else "[") + "".join(parts) + "]"
 
 
-class CharMapMode(str, Enum):
-    NFKC_PLUS_TABLE = "nfkc_plus_table"
-    TABLE_ONLY = "table_only"
+# Any codepoint the fold changes. ``normalize_chars`` searches for one before
+# translating, since a dict-driven translate costs a lookup per non-ASCII
+# character even when nothing maps.
+_FOLD_KEYS = re.compile(char_class(_PRESENTATION_FOLD))
 
 
-@dataclass(frozen=True)
-class CharMap:
-    """Codepoint unification table.
-
-    In ``nfkc_plus_table`` mode, codepoints in the Arabic presentation-form
-    blocks are folded to their NFKC decomposition (visually identical base
-    letters); the ``entries`` table takes precedence and lets callers add or
-    override mappings (e.g. merging alef variants, which is deliberately not
-    done by default since it changes meaning). ``table_only`` applies just
-    the entries. Applying a valid map twice equals applying it once.
-
-    The combined ``str.translate`` table, and a pattern matching any of its
-    keys, are built once per map, when the map is constructed. ``apply``
-    searches for a key first and translates only text that holds one, since
-    a dict-driven translate costs a lookup per non-ASCII character even
-    when nothing maps.
-    """
-
-    entries: dict[int, str] = field(default_factory=dict)
-    mode: CharMapMode = CharMapMode.NFKC_PLUS_TABLE
-    _table: dict[int, str] = field(init=False, repr=False, compare=False)
-    _keys: re.Pattern = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        folds = _PRESENTATION_FOLD if self.mode is CharMapMode.NFKC_PLUS_TABLE else {}
-        for cp, repl in self.entries.items():
-            for out in repl:
-                if ord(out) in self.entries:
-                    raise ValueError(
-                        f"entry U+{cp:04X} maps to U+{ord(out):04X}, which is itself mapped"
-                    )
-                if ord(out) in folds:
-                    raise ValueError(
-                        f"entry U+{cp:04X} output contains NFKC-mapped codepoint U+{ord(out):04X}"
-                    )
-        table = {**folds, **self.entries}
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_keys", re.compile(char_class(table)))
-
-    def apply(self, text: str) -> str:
-        return text.translate(self._table) if self._keys.search(text) else text
-
-
-DEFAULT_CHAR_MAP = CharMap()
-
-
-def normalize_chars(text: str, char_map: CharMap = DEFAULT_CHAR_MAP) -> str:
-    """Unify visually-identical Arabic codepoints; non-Arabic text is untouched."""
-    return char_map.apply(text)
+def normalize_chars(text: str) -> str:
+    """Fold Arabic presentation forms to their NFKC base letters; any other
+    text is untouched. Applying it twice equals applying it once."""
+    return text.translate(_PRESENTATION_FOLD) if _FOLD_KEYS.search(text) else text
 
 
 # --- Leading title/date stripping -------------------------------------------
@@ -237,33 +193,15 @@ _DATE = (
     r"|[٠-٩]{1,4}[-/.][٠-٩]{1,2}[-/.][٠-٩]{1,4})"
 )
 
-# Default: a short first line (title) directly followed by a line that is
-# just a date, both only at the very start of the document.
-DEFAULT_TITLE_DATE_PATTERNS: tuple[str, ...] = (
-    r"\A[^\n]{1,80}\n[ \t]*" + _DATE + r"[ \t]*(?:\n|\Z)",
-)
-
-_MAX_STRIPPED_LINES = 2
+# A short first line (title) directly followed by a line that is just a
+# date, both only at the very start of the document.
+_TITLE_DATE = re.compile(r"\A[^\n]{1,80}\n[ \t]*" + _DATE + r"[ \t]*(?:\n|\Z)")
 
 
-def strip_title_date(
-    doc: Document,
-    patterns: Iterable[str | re.Pattern] = DEFAULT_TITLE_DATE_PATTERNS,
-) -> Document:
-    """Drop a leading title/date header when one of ``patterns`` matches.
-
-    Patterns are anchored at the start of the text; a match spanning more
-    than two lines is ignored, so at most the first two lines are ever
-    removed and the rest of the document is byte-identical.
-    """
-    for pattern in patterns:
-        compiled = re.compile(pattern) if isinstance(pattern, str) else pattern
-        m = compiled.match(doc.text)
-        if m is None or m.start() != 0:
-            continue
-        removed = doc.text[: m.end()]
-        lines_removed = removed.count("\n") + (0 if removed.endswith("\n") or not removed else 1)
-        if lines_removed > _MAX_STRIPPED_LINES:
-            continue
-        return Document(id=doc.id, text=doc.text[m.end():], url=doc.url, source=doc.source)
-    return doc
+def strip_title_date(doc: Document) -> Document:
+    """Drop a leading title/date header: at most the first two lines are
+    removed, and the rest of the document is byte-identical."""
+    m = _TITLE_DATE.match(doc.text)
+    if m is None:
+        return doc
+    return Document(id=doc.id, text=doc.text[m.end():], url=doc.url, source=doc.source)

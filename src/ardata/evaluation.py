@@ -286,6 +286,8 @@ def evaluate_true_false(
     for item in items:
         if len(item.choices) != 2:
             raise ValueError(f"item {item.id!r}: true/false items need exactly 2 choices")
+    if shots < 0:
+        raise ValueError(f"shots must be an integer >= 0, got {shots}")
     if shots > len(exemplars):
         raise ValueError(f"exemplar pool ({len(exemplars)}) smaller than shots ({shots})")
     item_ids = {item.id for item in items}

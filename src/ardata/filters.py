@@ -258,31 +258,29 @@ class _Features:
         return Counter(_NOT_PLAIN.findall(self.text))
 
 
-def _check_safety(doc: Document, cfg: FilterConfig, features: _Features | None = None) -> str | None:
+def _check_safety(doc: Document, cfg: FilterConfig, features: _Features) -> str | None:
     if doc.source not in cfg.safety_sources:
         return None
     if cfg.require_url and not doc.url:
         return "missing url"
     if cfg.unsafe_phrases:
-        folded = (features or _Features(doc.text)).folded
-        hits = _phrase_hits(folded, cfg._folded_unsafe_phrases, cfg.safety_count_mode)
+        hits = _phrase_hits(features.folded, cfg._folded_unsafe_phrases, cfg.safety_count_mode)
         if hits >= cfg.unsafe_min_hits:
             return f"{hits} unsafe phrase hits (>= {cfg.unsafe_min_hits})"
     return None
 
 
-def _check_ads(doc: Document, cfg: FilterConfig, features: _Features | None = None) -> str | None:
+def _check_ads(doc: Document, cfg: FilterConfig, features: _Features) -> str | None:
     if not cfg.ad_phrases:
         return None
-    folded = (features or _Features(doc.text)).folded
-    hits = _phrase_hits(folded, cfg._folded_ad_phrases, cfg.ads_count_mode)
+    hits = _phrase_hits(features.folded, cfg._folded_ad_phrases, cfg.ads_count_mode)
     if hits > cfg.ad_max_hits:
         return f"{hits} ad phrase hits (> {cfg.ad_max_hits})"
     return None
 
 
-def _check_lines(doc: Document, cfg: FilterConfig, features: _Features | None = None) -> str | None:
-    lines = (features or _Features(doc.text)).lines
+def _check_lines(doc: Document, cfg: FilterConfig, features: _Features) -> str | None:
+    lines = features.lines
     if len(lines) < cfg.min_lines:
         return f"{len(lines)} lines (< {cfg.min_lines})"
     # With no lines (min_lines 0) there is no short-line fraction to exceed.
@@ -297,21 +295,19 @@ def _check_lines(doc: Document, cfg: FilterConfig, features: _Features | None = 
     return None
 
 
-def _check_chars(doc: Document, cfg: FilterConfig, features: _Features | None = None) -> str | None:
+def _check_chars(doc: Document, cfg: FilterConfig, features: _Features) -> str | None:
     total = len(doc.text)
     if total == 0:
         return None
-    candidates = (features or _Features(doc.text)).not_plain
-    banned = sum(n for ch, n in candidates.items() if not _is_permissible(ch, cfg.permissible_punctuation))
+    banned = sum(n for ch, n in features.not_plain.items() if not _is_permissible(ch, cfg.permissible_punctuation))
     permissible = total - banned
     if permissible / total < cfg.permissible_char_min_frac:
         return f"{permissible}/{total} permissible chars (< {cfg.permissible_char_min_frac:.0%})"
     return None
 
 
-def _check_gopher(doc: Document, cfg: FilterConfig, features: _Features | None = None) -> str | None:
+def _check_gopher(doc: Document, cfg: FilterConfig, features: _Features) -> str | None:
     g = cfg.gopher
-    features = features or _Features(doc.text)
     words = features.words
     n = len(words)
     if n < g.min_words:
@@ -352,7 +348,7 @@ _CHECKS = {
 
 def apply_filter(doc: Document, rule: Rule, cfg: FilterConfig) -> FilterDecision:
     """Verdict of a single rule on an already-normalized document."""
-    detail = _CHECKS[rule](doc, cfg)
+    detail = _CHECKS[rule](doc, cfg, _Features(doc.text))
     if detail is None:
         return KEEP
     return FilterDecision(keep=False, rule=rule, detail=detail)

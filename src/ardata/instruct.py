@@ -302,22 +302,21 @@ def build_prompt(
     template: str = "standard",
     exemplar: MCQItem | None = None,
     seed: int = 0,
-    style: str | None = None,
 ) -> str:
     """Render a rephrasing prompt around a document chunk.
 
     The standard template asks for a labeled question/answer dialogue and
     contains the chunk verbatim exactly once. The MCQ template embeds the
     one-shot exemplar re-rendered in an enumeration style drawn from the
-    seed (pass ``style`` to pin it). Deterministic in (chunk, seed, style).
+    seed. Deterministic in (chunk, seed).
     """
-    return _prompter(template, exemplar, style)(chunk, seed)
+    return _prompter(template, exemplar)(chunk, seed)
 
 
-def _prompter(template: str, exemplar: MCQItem | None, style: str | None) -> Callable[[str, int], str]:
-    """``build_prompt`` with its template, exemplar and style fixed, as a
-    function of (chunk, seed). It renders the MCQ exemplar once per
-    enumeration style, not once per prompt."""
+def _prompter(template: str, exemplar: MCQItem | None) -> Callable[[str, int], str]:
+    """``build_prompt`` with its template and exemplar fixed, as a function
+    of (chunk, seed). It renders the MCQ exemplar once per enumeration
+    style, not once per prompt."""
     if template == "standard":
         return lambda chunk, seed: STANDARD_PROMPT_TEMPLATE.format(chunk=chunk)
     if template != "mcq":
@@ -327,16 +326,14 @@ def _prompter(template: str, exemplar: MCQItem | None, style: str | None) -> Cal
     shots: dict[str, str] = {}
 
     def prompt(chunk: str, seed: int) -> str:
-        shot_style = style
-        if shot_style is None:
-            shot_style = random.Random(seed).choices(_STYLE_NAMES, weights=_STYLE_WEIGHTS, k=1)[0]
-        shot = shots.get(shot_style)
+        style = random.Random(seed).choices(_STYLE_NAMES, weights=_STYLE_WEIGHTS, k=1)[0]
+        shot = shots.get(style)
         if shot is None:
-            shot = shots[shot_style] = render_mcq(MCQItem(
+            shot = shots[style] = render_mcq(MCQItem(
                 question=exemplar.question,
                 options=list(exemplar.options),
                 answer_index=exemplar.answer_index,
-                enum_style=shot_style,
+                enum_style=style,
             ))
         return MCQ_PROMPT_TEMPLATE.format(exemplar=shot, chunk=chunk)
 
@@ -394,12 +391,16 @@ class MockGenerator:
 
     Deterministic in (prompt, seed). Emits labeled Q/A dialogues for
     standard prompts (mostly two pairs) and single multiple-choice questions
-    for MCQ prompts (marker style mostly alphabetic). ``malformed_rate``
-    plants structurally broken responses for exercising the filters.
+    for MCQ prompts (marker style mostly alphabetic). ``malformed_rate``, in
+    [0, 1], plants structurally broken responses for exercising the filters.
     """
 
     malformed_rate: float = 0.0
     name: str = "mock"
+
+    def __post_init__(self):
+        if not 0 <= self.malformed_rate <= 1:
+            raise ValueError(f"malformed_rate must be a number in [0, 1], got {self.malformed_rate}")
 
     def generate(self, prompt: str, seed: int) -> str:
         rng = random.Random(_stable_hash(self.name, seed, prompt))
@@ -495,20 +496,6 @@ def parse_dialogue_response(text: str) -> Dialogue:
     return dialogue
 
 
-def try_parse_dialogue(text: str) -> Dialogue | Rejection:
-    try:
-        return parse_dialogue_response(text)
-    except ParseRejection as exc:
-        return exc.as_rejection()
-
-
-def try_parse_mcq(text: str) -> Dialogue | Rejection:
-    try:
-        return mcq_to_dialogue(parse_mcq(text))
-    except ParseRejection as exc:
-        return exc.as_rejection()
-
-
 def filter_dialogues(
     candidates: Iterable[Dialogue | Rejection],
 ) -> tuple[list[Dialogue], dict[str, int]]:
@@ -590,7 +577,6 @@ def build_dialogues(
     max_chars: int = 2000,
     seed: int = 0,
     exemplar: MCQItem | None = None,
-    style: str | None = None,
 ) -> tuple[list[Dialogue], dict[str, int]]:
     """Chunk documents, prompt the generator, parse, and filter.
 
@@ -600,9 +586,7 @@ def build_dialogues(
     """
     kept: list[Dialogue] = []
     rejects: Counter[str] = Counter()
-    for outcome in iter_chunk_outcomes(
-        docs, generator, template, max_chars=max_chars, seed=seed, exemplar=exemplar, style=style,
-    ):
+    for outcome in iter_chunk_outcomes(docs, generator, template, max_chars=max_chars, seed=seed, exemplar=exemplar):
         if isinstance(outcome, Rejection):
             rejects[outcome.reason] += 1
         else:
@@ -618,7 +602,6 @@ def iter_chunk_outcomes(
     max_chars: int = 2000,
     seed: int = 0,
     exemplar: MCQItem | None = None,
-    style: str | None = None,
 ) -> Iterator[Dialogue | Rejection]:
     """Each chunk's outcome as it is generated: the parsed dialogue (origin
     tagged by the template's parser), or the parser's rejection.
@@ -629,12 +612,17 @@ def iter_chunk_outcomes(
     """
     if template == "mcq" and exemplar is None:
         exemplar = DEFAULT_EXEMPLAR
-    prompt = _prompter(template, exemplar, style)
-    parse = try_parse_mcq if template == "mcq" else try_parse_dialogue
+    prompt = _prompter(template, exemplar)
+    parse = (lambda text: mcq_to_dialogue(parse_mcq(text))) if template == "mcq" else parse_dialogue_response
     for doc in sorted(docs, key=lambda d: d.id):
         for idx, chunk in enumerate(chunk_document(doc, max_chars)):
             chunk_seed = _stable_hash(doc.id, idx, seed)
-            yield parse(generator.generate(prompt(chunk, chunk_seed), chunk_seed))
+            response = generator.generate(prompt(chunk, chunk_seed), chunk_seed)
+            try:
+                outcome = parse(response)
+            except ParseRejection as exc:
+                outcome = exc.as_rejection()
+            yield outcome
 
 
 def _detect_enum_style(value: str) -> str | None:

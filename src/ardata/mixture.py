@@ -176,6 +176,9 @@ def plan_mixture(
     missing = set(names) - set(fractions)
     if missing:
         raise ValueError(f"missing fractions for sources: {sorted(missing)}")
+    for name in names:
+        if not 0 <= fractions[name] < math.inf:
+            raise ValueError(f"fraction for {name!r} must be a finite number >= 0, got {fractions[name]}")
     total_frac = sum(fractions.values())
     if abs(total_frac - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {total_frac}")

@@ -47,8 +47,8 @@ class ScheduleSpec:
                 "need 0 < warmup_steps < cooldown_start <= total_steps, got "
                 f"{self.warmup_steps}/{self.cooldown_start}/{self.total_steps}"
             )
-        if not (0 < self.min_lr < self.max_lr):
-            raise ValueError("need 0 < min_lr < max_lr")
+        if not (0 < self.min_lr < self.max_lr < math.inf):
+            raise ValueError(f"need 0 < min_lr < max_lr, both finite, got min_lr={self.min_lr}, max_lr={self.max_lr}")
         if self.main_phase not in MAIN_PHASE_MODES:
             raise ValueError(f"main_phase must be one of {MAIN_PHASE_MODES}")
 

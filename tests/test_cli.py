@@ -347,6 +347,13 @@ def test_lr_curve_unknown_composition_is_usage_error(capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+def test_lr_curve_infinite_max_lr_is_validation_error(capsys):
+    assert dispatch(["lr-curve", "--max-lr", "inf", "--stride", "250000"]) == 1
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out
+    assert "max_lr" in json.loads(captured.err)["error"]
+
+
 def test_lr_curve_late_variant_differs_late(tmp_path):
     early, late = tmp_path / "early.csv", tmp_path / "late.csv"
     dispatch(["lr-curve", "--variant", "early", "--stride", "10000", "--out", str(early)])
@@ -514,6 +521,16 @@ def test_instruct_build_failure_leaves_no_partial_output(tmp_path, cleaned_docs,
         "--stats", str(tmp_path / "nodir" / "stats.json"),
     ]) == 1
     assert json.loads(capsys.readouterr().err)["command"] == "instruct"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cleaned.jsonl"]
+
+
+@pytest.mark.parametrize("rate", ["nan", "2", "-0.5"])
+def test_instruct_build_malformed_rate_outside_unit_interval_is_validation_error(tmp_path, cleaned_docs, capsys, rate):
+    assert dispatch([
+        "instruct", "build", "--in", str(cleaned_docs), "--out", str(tmp_path / "chatml.jsonl"),
+        "--stats", str(tmp_path / "stats.json"), "--malformed-rate", rate,
+    ]) == 1
+    assert "malformed_rate" in json.loads(capsys.readouterr().err)["error"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cleaned.jsonl"]
 
 
@@ -754,6 +771,14 @@ def test_eval_acva(bench_files, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["metric"] == "f1_macro"
     assert result["overall"] == 1.0
+
+
+def test_eval_acva_negative_shots_is_validation_error(bench_files, capsys):
+    _, tf_path, pool_path = bench_files
+    assert dispatch([
+        "eval", "acva", "--items", str(tf_path), "--exemplars", str(pool_path), "--scorer", "oracle", "--shots", "-1",
+    ]) == 1
+    assert "shots" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_eval_diff_csv(bench_files, capsys):

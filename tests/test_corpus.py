@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ardata.corpus import (
-    CharMap,
-    CharMapMode,
     Document,
     Source,
     ingest_jsonl,
@@ -169,23 +167,6 @@ def test_normalize_idempotent(text):
     assert normalize_chars(once) == once
 
 
-def test_table_only_mode_skips_nfkc():
-    table = CharMap(entries={ord("أ"): "ا"}, mode=CharMapMode.TABLE_ONLY)
-    assert normalize_chars("أﺑ", table) == "اﺑ"
-
-
-def test_override_table_applies_on_top_of_nfkc():
-    merged = CharMap(entries={ord("أ"): "ا"})
-    assert normalize_chars("أﺑ", merged) == "اب"
-
-
-def test_charmap_rejects_mapping_onto_mapped_codepoint():
-    with pytest.raises(ValueError):
-        CharMap(entries={0x41: "ﺑ"})
-    with pytest.raises(ValueError):
-        CharMap(entries={0x41: "B", 0x42: "C"})
-
-
 # --- leading title/date stripping ------------------------------------------------
 
 
@@ -221,6 +202,21 @@ def test_mid_document_date_not_stripped():
 def test_long_first_line_not_a_title():
     text = ("كلمة " * 40).strip() + "\n2023-04-01\nالنص."
     assert strip_title_date(_doc(text)).text == text
+
+
+@pytest.mark.parametrize("length, stripped", [(80, True), (81, False)])
+def test_title_of_at_most_80_characters(length, stripped):
+    text = "ع" * length + "\n2023-04-01\nالنص."
+    assert strip_title_date(_doc(text)).text == ("النص." if stripped else text)
+
+
+def test_date_on_last_line_without_newline_is_stripped():
+    assert strip_title_date(_doc("عنوان\n2023-04-01")).text == ""
+
+
+@pytest.mark.parametrize("date", ["  2023-04-01\t", "\t01/04/2023  ", " \t٢٠٢٣/٠٤/٠١ ", "\t٠١.٠٤.٢٠٢٣\t\t"])
+def test_padded_dates_are_stripped(date):
+    assert strip_title_date(_doc(f"عنوان\n{date}\nالنص.")).text == "النص."
 
 
 _segment = st.text(alphabet="اب cd12-/.", min_size=0, max_size=12)

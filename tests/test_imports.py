@@ -27,9 +27,10 @@ loaded = sorted(name for name in sys.modules if name.split(".")[0] in ("ardata",
 print(json.dumps({"code": code, "modules": loaded}))
 """
 
-# ``ardata.__all__`` at the commit before the exports became lazy.
+# ``ardata.__all__`` at the commit before the exports became lazy, less the
+# ``CharMap`` class that unification no longer takes.
 PUBLIC_NAMES = [
-    "BatchGeometry", "BenchmarkItem", "CharMap", "CharNgramScorer", "CharacterTokenizer", "CleaningReport",
+    "BatchGeometry", "BenchmarkItem", "CharNgramScorer", "CharacterTokenizer", "CleaningReport",
     "ConstantScorer", "Dialogue", "Document", "EvalResult", "FertilityReport", "FilterConfig", "FilterDecision",
     "GopherConfig", "MCQItem", "MixturePlan", "MockGenerator", "OracleScorer", "Reject", "Rule", "ScheduleSpec",
     "Source", "SourceStats", "Turn", "VocabTokenizer", "WhitespaceTokenizer", "batch_tokens", "build_dialogues",

@@ -98,7 +98,8 @@ def test_mcq_prompt_requires_exemplar():
 
 
 def test_mcq_prompt_renders_exemplar_markers():
-    prompt = build_prompt("نص", "mcq", exemplar=DEFAULT_EXEMPLAR, style="latin_letters")
+    # Seed 1 draws the latin_letters enumeration style for the exemplar.
+    prompt = build_prompt("نص", "mcq", exemplar=DEFAULT_EXEMPLAR, seed=1)
     for marker in ("A.", "B.", "C.", "D."):
         assert marker in prompt
 

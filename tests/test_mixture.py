@@ -126,6 +126,12 @@ def test_plan_fractions_must_sum_to_one():
         plan_mixture([SourceStats("a", 10), SourceStats("b", 10)], {"a": 0.6, "b": 0.6}, 100)
 
 
+@pytest.mark.parametrize("fractions, bad", [({"a": 1.5, "b": -0.5}, "b"), ({"a": math.nan, "b": 1.0}, "a")])
+def test_plan_fractions_must_be_finite_and_non_negative(fractions, bad):
+    with pytest.raises(ValueError, match=f"fraction for '{bad}' must be a finite number >= 0"):
+        plan_mixture([SourceStats("a", 10), SourceStats("b", 10)], fractions, 100)
+
+
 @given(
     st.lists(st.integers(1, 1000), min_size=1, max_size=6),
     st.one_of(st.integers(0, 10_000), st.integers(0, 2**63 - 1)),

@@ -30,7 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ardata import instruct, tokenization
 from ardata.cli import dispatch, make_tokenizer
-from ardata.corpus import CharMap, CharMapMode, Document, Source, ingest_jsonl, normalize_chars
+from ardata.corpus import Document, Source, ingest_jsonl, normalize_chars
 from ardata.evaluation import (
     BenchmarkItem, CharNgramScorer, EvalResult, OracleScorer, evaluate_cf, evaluate_mcf, evaluate_true_false, f1_macro,
     render_cf_context, render_mcf_context,
@@ -51,30 +51,10 @@ def _in_presentation_block(cp: int) -> bool:
     return any(lo <= cp <= hi for lo, hi in _PRESENTATION_RANGES)
 
 
-def _maps_under_nfkc(cp: int) -> bool:
-    ch = chr(cp)
-    return _in_presentation_block(cp) and unicodedata.normalize("NFKC", ch) != ch
-
-
-def _refused_output(out: str, entries: dict[int, str], mode: CharMapMode) -> bool:
-    return ord(out) in entries or (mode is CharMapMode.NFKC_PLUS_TABLE and _maps_under_nfkc(ord(out)))
-
-
-def reference_guard_accepts(entries: dict[int, str], mode: CharMapMode) -> bool:
-    return not any(_refused_output(out, entries, mode) for repl in entries.values() for out in repl)
-
-
-def reference_apply(entries: dict[int, str], mode: CharMapMode, text: str) -> str:
+def reference_apply(text: str) -> str:
     out: list[str] = []
     for ch in text:
-        cp = ord(ch)
-        repl = entries.get(cp)
-        if repl is not None:
-            out.append(repl)
-        elif mode is CharMapMode.NFKC_PLUS_TABLE and _in_presentation_block(cp):
-            out.append(unicodedata.normalize("NFKC", ch))
-        else:
-            out.append(ch)
+        out.append(unicodedata.normalize("NFKC", ch) if _in_presentation_block(ord(ch)) else ch)
     return "".join(out)
 
 
@@ -144,8 +124,6 @@ _chars = st.one_of(
     st.sampled_from("،؛؟«»…—–٪٫٬"),
 )
 _texts = st.text(_chars, max_size=200)
-_modes = st.sampled_from(list(CharMapMode))
-_entries = st.dictionaries(_chars.map(ord), st.text(_chars, max_size=3), max_size=8)
 
 
 def test_whitespace_alphabet_is_every_isspace_character():
@@ -156,36 +134,16 @@ def test_whitespace_alphabet_is_every_isspace_character():
 # --- properties ----------------------------------------------------------------------
 
 
-@given(_entries, _modes)
-@settings(max_examples=200, deadline=None)
-def test_charmap_guard_rejects_exactly_what_the_reference_rejects(entries, mode):
-    try:
-        CharMap(entries=entries, mode=mode)
-        accepted = True
-    except ValueError:
-        accepted = False
-    assert accepted == reference_guard_accepts(entries, mode)
-
-
-@given(_entries, _modes, _texts)
-@settings(max_examples=200, deadline=None)
-def test_normalize_chars_equals_reference_loop(entries, mode, text):
-    # Dropping the entries with a refused output leaves a map the guard accepts.
-    entries = {cp: repl for cp, repl in entries.items() if not any(_refused_output(o, entries, mode) for o in repl)}
-    char_map = CharMap(entries=entries, mode=mode)
-    assert normalize_chars(text, char_map) == reference_apply(entries, mode, text)
-
-
 @given(_texts)
 @settings(max_examples=200, deadline=None)
 def test_default_map_equals_reference_loop(text):
-    assert normalize_chars(text) == reference_apply({}, CharMapMode.NFKC_PLUS_TABLE, text)
+    assert normalize_chars(text) == reference_apply(text)
 
 
 def test_default_map_folds_every_changing_presentation_codepoint():
     for lo, hi in _PRESENTATION_RANGES:
         text = "".join(map(chr, range(lo, hi + 1)))
-        assert normalize_chars(text) == reference_apply({}, CharMapMode.NFKC_PLUS_TABLE, text)
+        assert normalize_chars(text) == reference_apply(text)
 
 
 @given(_texts, st.text(_chars, max_size=12), st.floats(min_value=0.0, max_value=1.0))
@@ -193,7 +151,7 @@ def test_default_map_folds_every_changing_presentation_codepoint():
 def test_check_chars_equals_reference(text, punctuation, min_frac):
     cfg = FilterConfig(permissible_punctuation=punctuation, permissible_char_min_frac=min_frac)
     doc = Document(id="d", text=text)
-    assert _check_chars(doc, cfg) == reference_check_chars(doc, cfg)
+    assert _check_chars(doc, cfg, _Features(doc.text)) == reference_check_chars(doc, cfg)
 
 
 _gopher = st.builds(
@@ -215,7 +173,7 @@ _gopher = st.builds(
 def test_check_gopher_equals_reference(text, gopher):
     cfg = FilterConfig(gopher=gopher)
     doc = Document(id="d", text=text)
-    assert _check_gopher(doc, cfg) == reference_check_gopher(doc, cfg)
+    assert _check_gopher(doc, cfg, _Features(doc.text)) == reference_check_gopher(doc, cfg)
 
 
 @given(st.lists(st.text(_chars, max_size=8), max_size=40), st.lists(st.sampled_from(_WHITESPACE), min_size=1))
@@ -229,7 +187,7 @@ def test_alphabetic_word_count_equals_reference(words, separators):
         min_alpha_word_frac=1.1, min_stop_words=0, max_punct_char_frac=1.0,
     ))
     expected = reference_check_gopher(Document(id="d", text=text), cfg)
-    assert _check_gopher(Document(id="d", text=text), cfg) == expected
+    assert _check_gopher(Document(id="d", text=text), cfg, _Features(text)) == expected
     if n:
         alpha = sum(1 for w in segment_words(text) if reference_word_has_letter(w))
         assert expected == f"alphabetic word fraction {alpha}/{n} < 1.1"
@@ -346,15 +304,15 @@ _filter_configs = st.builds(
 @given(_docs(), _filter_configs)
 @settings(max_examples=200, deadline=None)
 def test_phrase_and_line_rules_equal_reference(doc, cfg):
-    assert _check_safety(doc, cfg) == reference_check_safety(doc, cfg)
-    assert _check_ads(doc, cfg) == reference_check_ads(doc, cfg)
+    assert _check_safety(doc, cfg, _Features(doc.text)) == reference_check_safety(doc, cfg)
+    assert _check_ads(doc, cfg, _Features(doc.text)) == reference_check_ads(doc, cfg)
     try:
         expected = reference_check_lines(doc, cfg)
     except ZeroDivisionError:
         # The reference's division by zero: no lines, and min_lines 0 keeps.
         assert cfg.min_lines == 0 and not doc.text.strip()
         expected = None
-    assert _check_lines(doc, cfg) == expected
+    assert _check_lines(doc, cfg, _Features(doc.text)) == expected
 
 
 @given(_phrase_text, _phrases, _count_modes)
@@ -366,8 +324,8 @@ def test_phrase_hit_counts_equal_reference(text, phrases, mode):
         unsafe_phrases=phrases, unsafe_min_hits=0, safety_count_mode=mode,
         ad_phrases=phrases, ad_max_hits=0, ads_count_mode=mode,
     )
-    assert _check_safety(doc, cfg) == reference_check_safety(doc, cfg)
-    assert _check_ads(doc, cfg) == reference_check_ads(doc, cfg)
+    assert _check_safety(doc, cfg, _Features(doc.text)) == reference_check_safety(doc, cfg)
+    assert _check_ads(doc, cfg, _Features(doc.text)) == reference_check_ads(doc, cfg)
 
 
 @given(_docs(st.one_of(_phrase_text, _texts)), _filter_configs)
@@ -392,8 +350,8 @@ _any_texts = st.text(st.one_of(_chars, st.characters(blacklist_categories=("Cs",
 def test_char_counts_equal_reference_on_any_character(text, punctuation, min_frac, gopher):
     cfg = FilterConfig(permissible_punctuation=punctuation, permissible_char_min_frac=min_frac, gopher=gopher)
     doc = Document(id="d", text=text)
-    assert _check_chars(doc, cfg) == reference_check_chars(doc, cfg)
-    assert _check_gopher(doc, cfg) == reference_check_gopher(doc, cfg)
+    assert _check_chars(doc, cfg, _Features(doc.text)) == reference_check_chars(doc, cfg)
+    assert _check_gopher(doc, cfg, _Features(doc.text)) == reference_check_gopher(doc, cfg)
 
 
 # --- properties: scorers ----------------------------------------------------------------
@@ -671,8 +629,8 @@ _line_texts = st.lists(
 @settings(max_examples=300, deadline=None)
 def test_line_and_gopher_rules_equal_previous_bodies(doc, cfg, short_line_word_max):
     cfg = replace(cfg, short_line_word_max=short_line_word_max)
-    assert _check_lines(doc, cfg) == previous_check_lines(doc, cfg)
-    assert _check_gopher(doc, cfg) == previous_check_gopher(doc, cfg)
+    assert _check_lines(doc, cfg, _Features(doc.text)) == previous_check_lines(doc, cfg)
+    assert _check_gopher(doc, cfg, _Features(doc.text)) == previous_check_gopher(doc, cfg)
 
 
 # --- count-once oracles: fertility command ------------------------------------------------
@@ -928,7 +886,13 @@ def reference_build_dialogues(docs, generator, template, max_chars, seed, exempl
         for idx, chunk in enumerate(instruct.chunk_document(doc, max_chars)):
             chunk_seed = reference_stable_hash(doc.id, idx, seed)
             response = generator.generate(reference_build_prompt(chunk, template, exemplar, chunk_seed), chunk_seed)
-            outcomes.append(instruct.try_parse_mcq(response) if template == "mcq" else instruct.try_parse_dialogue(response))
+            try:
+                if template == "mcq":
+                    outcomes.append(instruct.mcq_to_dialogue(instruct.parse_mcq(response)))
+                else:
+                    outcomes.append(instruct.parse_dialogue_response(response))
+            except instruct.ParseRejection as exc:
+                outcomes.append(instruct.Rejection(exc.reason, exc.detail))
     kept, rejects = reference_filter_dialogues(outcomes)
     for d in kept:
         d.origin = instruct.ORIGIN_REPHRASE_MCQ if template == "mcq" else instruct.ORIGIN_REPHRASE_STANDARD
