@@ -92,8 +92,8 @@ def render_cf_context(item: BenchmarkItem) -> str:
     return f"{_question_block(item)}\n{_ANSWER_CUE}"
 
 
-def render_mcf_context(item: BenchmarkItem, letters: Sequence[str] = DEFAULT_LETTERS) -> str:
-    options = "".join(f"\n{letters[i]}. {choice}" for i, choice in enumerate(item.choices))
+def render_mcf_context(item: BenchmarkItem) -> str:
+    options = "".join(f"\n{DEFAULT_LETTERS[i]}. {choice}" for i, choice in enumerate(item.choices))
     return f"{_question_block(item)}{options}\n{_ANSWER_CUE} "
 
 
@@ -222,34 +222,19 @@ def evaluate_cf(items: Sequence[BenchmarkItem], scorer: Scorer, norm: str = "non
     return _result(items, preds, ties, _accuracy, "accuracy" if norm == "none" else "accuracy_norm", "cf")
 
 
-def evaluate_mcf(
-    items: Sequence[BenchmarkItem],
-    scorer: Scorer,
-    letters: Sequence[str] = DEFAULT_LETTERS,
-) -> EvalResult:
-    """Multiple-choice-format accuracy: options in the prompt, letters scored."""
-    max_choices = max((len(item.choices) for item in items), default=0)
-    if len(letters) < max_choices:
-        raise ValueError(f"need at least {max_choices} letters, got {len(letters)}")
+def evaluate_mcf(items: Sequence[BenchmarkItem], scorer: Scorer) -> EvalResult:
+    """Multiple-choice-format accuracy: options in the prompt, the letters
+    A-E (``DEFAULT_LETTERS``) scored."""
     preds, ties = _predict(
-        items,
-        scorer,
-        lambda item: render_mcf_context(item, letters),
-        lambda item: [letters[i] for i in range(len(item.choices))],
+        items, scorer, render_mcf_context, lambda item: list(DEFAULT_LETTERS[: len(item.choices)])
     )
     return _result(items, preds, ties, _accuracy, "accuracy", "mcf")
 
 
-def f1_macro(
-    golds: Sequence[str],
-    preds: Sequence[str],
-    labels: Sequence[str],
-    exclude_absent: bool = False,
-) -> float:
+def f1_macro(golds: Sequence[str], preds: Sequence[str], labels: Sequence[str]) -> float:
     """Unweighted mean of per-label F1.
 
-    A label absent from both golds and preds contributes F1 = 0 unless
-    ``exclude_absent`` drops it from the mean.
+    A label absent from both golds and preds contributes F1 = 0.
     """
     if len(golds) != len(preds):
         raise ValueError(f"length mismatch: {len(golds)} golds vs {len(preds)} preds")
@@ -258,12 +243,7 @@ def f1_macro(
         tp = sum(1 for g, p in zip(golds, preds) if g == label and p == label)
         fp = sum(1 for g, p in zip(golds, preds) if g != label and p == label)
         fn = sum(1 for g, p in zip(golds, preds) if g == label and p != label)
-        if tp == fp == fn == 0:
-            if exclude_absent:
-                continue
-            scores.append(0.0)
-            continue
-        scores.append(2 * tp / (2 * tp + fp + fn))
+        scores.append(2 * tp / (2 * tp + fp + fn) if tp or fp or fn else 0.0)
     if not scores:
         raise ValueError("no labels to score")
     return sum(scores) / len(scores)
@@ -311,14 +291,12 @@ def evaluate_true_false(
 
 
 class ConstantScorer:
-    """Same score for everything; predictions collapse to index 0 by tie-break."""
+    """Scores everything 0.0; predictions collapse to index 0 by tie-break."""
 
-    def __init__(self, value: float = 0.0, name: str = "constant"):
-        self.value = value
-        self.name = name
+    name = "constant"
 
     def loglikelihood(self, context: str, continuation: str) -> float:
-        return self.value
+        return 0.0
 
 
 _MISS = -1e9
@@ -362,21 +340,16 @@ class OracleScorer:
                 self._buckets.setdefault(key[: self._prefix_len], []).append((key, accepted))
 
     @classmethod
-    def for_cf(cls, items: Sequence[BenchmarkItem], **kwargs) -> "OracleScorer":
-        return cls([(it.question, (" " + it.choices[it.gold_index],)) for it in items], **kwargs)
+    def for_cf(cls, items: Sequence[BenchmarkItem]) -> "OracleScorer":
+        return cls([(it.question, (" " + it.choices[it.gold_index],)) for it in items])
 
     @classmethod
-    def for_mcf(
-        cls,
-        items: Sequence[BenchmarkItem],
-        letters: Sequence[str] = DEFAULT_LETTERS,
-        **kwargs,
-    ) -> "OracleScorer":
-        return cls([(it.question, (letters[it.gold_index],)) for it in items], **kwargs)
+    def for_mcf(cls, items: Sequence[BenchmarkItem]) -> "OracleScorer":
+        return cls([(it.question, (DEFAULT_LETTERS[it.gold_index],)) for it in items])
 
     @classmethod
-    def anti(cls, pairs: Iterable[tuple[str, tuple[str, ...]]], name: str = "anti-oracle"):
-        return cls(pairs, hit=_MISS, miss=0.0, name=name)
+    def anti(cls, pairs: Iterable[tuple[str, tuple[str, ...]]]) -> "OracleScorer":
+        return cls(pairs, hit=_MISS, miss=0.0, name="anti-oracle")
 
     def _golds(self, context: str) -> tuple[str, ...] | None:
         """The accepted continuations of the pair whose key occurs last."""
@@ -417,24 +390,23 @@ MINI_CORPUS = (
 
 
 class CharNgramScorer:
-    """Character n-gram language model with add-one smoothing.
+    """Character trigram language model with add-one smoothing.
 
-    Trained once on a small bundled corpus; scores the continuation
-    characters conditioned on the context tail. Deterministic and finite for
-    any non-empty continuation.
+    Trained once on ``MINI_CORPUS``; scores the continuation characters
+    conditioned on the context tail. Deterministic and finite for any
+    non-empty continuation.
     """
 
-    def __init__(self, n: int = 3, corpus: str = MINI_CORPUS, name: str = "char-ngram"):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = n
-        self.name = name
-        self._vocab = sorted(set(corpus)) + ["\x00"]
-        self._vocab_size = len(self._vocab)
-        self._known = set(corpus)
+    name = "char-ngram"
+    n = 3
+
+    def __init__(self):
+        n = self.n
+        self._known = set(MINI_CORPUS)
+        self._vocab_size = len(self._known) + 1  # "\x00" stands for padding and unknown characters
         self._ngram_counts: Counter[tuple[str, str]] = Counter()
         self._history_counts: Counter[str] = Counter()
-        padded = "\x00" * (n - 1) + corpus
+        padded = "\x00" * (n - 1) + MINI_CORPUS
         for i in range(n - 1, len(padded)):
             history = padded[i - (n - 1) : i]
             self._ngram_counts[(history, padded[i])] += 1
@@ -452,7 +424,7 @@ class CharNgramScorer:
         start = len(sequence) - len(continuation)
         total = 0.0
         for i in range(start, len(sequence)):
-            history = sequence[i - (self.n - 1) : i] if self.n > 1 else ""
+            history = sequence[i - (self.n - 1) : i]
             count = self._ngram_counts[(history, sequence[i])]
             denom = self._history_counts[history] + self._vocab_size
             total += math.log((count + 1) / denom)
@@ -473,17 +445,12 @@ class DiffRow:
         return self.cf - self.mcf
 
 
-def cf_mcf_diff(
-    items: Sequence[BenchmarkItem],
-    scorers: Mapping[str, Scorer],
-    norm: str = "none",
-    letters: Sequence[str] = DEFAULT_LETTERS,
-) -> list[DiffRow]:
+def cf_mcf_diff(items: Sequence[BenchmarkItem], scorers: Mapping[str, Scorer], norm: str = "none") -> list[DiffRow]:
     """CF minus MCF accuracy per scorer, for difference charts."""
     rows = []
     for model_name in sorted(scorers):
         scorer = scorers[model_name]
         cf = evaluate_cf(items, scorer, norm=norm)
-        mcf = evaluate_mcf(items, scorer, letters=letters)
+        mcf = evaluate_mcf(items, scorer)
         rows.append(DiffRow(model=model_name, cf=cf.overall, mcf=mcf.overall))
     return rows

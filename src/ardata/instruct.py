@@ -185,8 +185,10 @@ def parse_mcq(text: str) -> MCQItem:
         raise ParseRejection("too_few_options" if question_lines else "unparseable")
     if len(options) < 2:
         raise ParseRejection("too_few_options")
-    if len(options) > 5:
-        raise ParseRejection("too_many_options")
+    # No sixth option reaches this point: each marker's index must equal
+    # len(options), and markers go up to index 4.
+    if any(not o.strip() for o in options):
+        raise ParseRejection("empty_option")
     if len(set(options)) != len(options):
         raise ParseRejection("duplicate_options")
     if not question_lines:

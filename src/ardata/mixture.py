@@ -55,21 +55,6 @@ class MixturePlan:
                 return e
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
-        return {
-            "total_tokens": self.total_tokens,
-            "seed": self.seed,
-            "entries": [
-                {
-                    "name": e.name,
-                    "sampling_fraction": e.sampling_fraction,
-                    "token_quota": e.token_quota,
-                    "epochs": e.epochs,
-                }
-                for e in self.entries
-            ],
-        }
-
 
 def sampling_percentages(upweights: Mapping[str, float]) -> dict[str, float]:
     """Normalize per-group upweights into sampling fractions.
@@ -83,6 +68,8 @@ def sampling_percentages(upweights: Mapping[str, float]) -> dict[str, float]:
         if not 0 < w < float("inf"):
             raise ValueError(f"upweight for {name!r} must be a finite number > 0, got {w}")
     total = sum(upweights.values())
+    if total == math.inf:
+        raise ValueError(f"upweights must sum to a finite number, got {total} from {dict(upweights)}")
     return {name: w / total for name, w in upweights.items()}
 
 

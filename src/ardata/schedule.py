@@ -8,24 +8,12 @@ minimum, which is continuous at the warmup boundary (both equal max_lr
 there) and reproduces each decay in the region where it dominates; the
 composition is pluggable. Cooldown ramps linearly from the main-phase value
 at the cooldown start down to min_lr at the final step.
-
-No optimizer lives here: the optimizer constants ride along as metadata only.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator
-
-
-@dataclass(frozen=True)
-class OptimizerMeta:
-    """Recorded for config provenance; nothing in this package consumes it."""
-
-    beta1: float = 0.9
-    beta2: float = 0.95
-    epsilon: float = 1e-8
-    weight_decay: float = 0.1
 
 
 MAIN_PHASE_MODES = ("min", "product", "cosine", "invsqrt")
@@ -39,18 +27,24 @@ class ScheduleSpec:
     max_lr: float = 5e-4
     min_lr: float = 2.5e-6
     main_phase: str = "min"
-    optimizer_meta: OptimizerMeta = field(default_factory=OptimizerMeta)
 
     def __post_init__(self):
-        if not (0 < self.warmup_steps < self.cooldown_start <= self.total_steps):
+        # The cooldown ramps over cooldown_start..total_steps, so it needs one step at least.
+        if not (0 < self.warmup_steps < self.cooldown_start < self.total_steps):
             raise ValueError(
-                "need 0 < warmup_steps < cooldown_start <= total_steps, got "
+                "need 0 < warmup_steps < cooldown_start < total_steps, got "
                 f"{self.warmup_steps}/{self.cooldown_start}/{self.total_steps}"
             )
         if not (0 < self.min_lr < self.max_lr < math.inf):
             raise ValueError(f"need 0 < min_lr < max_lr, both finite, got min_lr={self.min_lr}, max_lr={self.max_lr}")
         if self.main_phase not in MAIN_PHASE_MODES:
             raise ValueError(f"main_phase must be one of {MAIN_PHASE_MODES}")
+        # Only two intermediates can overflow: max_lr * step, largest at the last
+        # warmup step, and (for "product") cosine * invsqrt, largest at the first
+        # main-phase step. Every other value is at most one of them.
+        peaks = (self.max_lr * (self.warmup_steps - 1), _main_lr(self.warmup_steps, self))
+        if not all(map(math.isfinite, peaks)):
+            raise ValueError(f"max_lr={self.max_lr} is too large: the learning-rate curve overflows")
 
 
 def early_cooldown() -> ScheduleSpec:

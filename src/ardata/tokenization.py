@@ -74,10 +74,11 @@ class VocabTokenizer:
         self._word_counts: dict[str, int] = {}
 
     @classmethod
-    def from_file(cls, path: str | Path, name: str | None = None) -> "VocabTokenizer":
+    def from_file(cls, path: str | Path) -> "VocabTokenizer":
+        """One entry per line; the tokenizer is named after the file's stem."""
         p = Path(path)
         entries = [line.rstrip("\n") for line in p.read_text(encoding="utf-8").splitlines()]
-        return cls(entries, name=name or p.stem)
+        return cls(entries, name=p.stem)
 
     def tokenize_word(self, word: str) -> list[str]:
         tokens: list[str] = []
@@ -114,15 +115,6 @@ class FertilityReport:
     fertility: float
     average: str = "micro"
 
-    def to_dict(self) -> dict:
-        return {
-            "tokenizer": self.tokenizer_name,
-            "total_words": self.total_words,
-            "total_tokens": self.total_tokens,
-            "fertility": self.fertility,
-            "average": self.average,
-        }
-
 
 @dataclass
 class FertilityAccumulator:
@@ -132,9 +124,6 @@ class FertilityAccumulator:
     tokens: int = 0
     doc_ratios_sum: float = 0.0
     docs_with_words: int = 0
-
-    def add(self, text: str, tok: TokenizerAdapter) -> None:
-        self.add_counts(len(segment_words(text)), tok.count_tokens(text))
 
     def add_counts(self, words: int, tokens: int) -> None:
         """Add one document by its word and token counts, so a caller that scores
@@ -184,5 +173,6 @@ def fertility(
     """
     acc = FertilityAccumulator()
     for doc in corpus:
-        acc.add(doc if isinstance(doc, str) else doc.text, tok)
+        text = doc if isinstance(doc, str) else doc.text
+        acc.add_counts(len(segment_words(text)), tok.count_tokens(text))
     return acc.report(tok.name, average=average)

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import threading
+import unicodedata
 
 import pytest
 
@@ -321,6 +322,23 @@ def test_clean_min_lines_zero_on_empty_text(tmp_path, capsys):
             "tokens_in": 0, "tokens_kept": 0, "tokens_removed": {"gopher": 0},
         }},
     }
+
+
+def test_clean_output_depends_on_the_python_unicode_data(tmp_path, capsys):
+    # Outputs are byte-identical for one Python version only: U+061D ARABIC END
+    # OF TEXT MARK is unassigned in Unicode 13.0 (Python 3.10) and punctuation
+    # from 14.0 (3.11) on, which tips gopher's punctuation fraction over 0.2.
+    line = " ".join(["كتاب،،"] * 3 + ["كتاب،"] * 7 + ["في", "من"])
+    text = "\n".join([line + " " + "؝" * 6] + [line] * 4)
+    in_path = tmp_path / "docs.jsonl"
+    in_path.write_text(json.dumps({"id": "a", "text": text, "source": "sanad"}) + "\n", encoding="utf-8")
+    out, report_path = tmp_path / "kept.jsonl", tmp_path / "report.json"
+    assert dispatch(["clean", "--in", str(in_path), "--out", str(out), "--report", str(report_path)]) == 0
+    assert capsys.readouterr().err == ""
+    kept = out.read_text(encoding="utf-8") != ""
+    assert kept == (not unicodedata.category("\u061d").startswith("P"))
+    removed = json.loads(report_path.read_text(encoding="utf-8"))["sources"]["sanad"]["docs_removed"]
+    assert removed == ({} if kept else {"gopher": 1})
 
 
 # --- lr-curve ----------------------------------------------------------------------

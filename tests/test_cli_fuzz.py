@@ -1,15 +1,17 @@
-"""Every file input of every subcommand, whatever it holds, ends the command
-with exit code 0 or 1, and a 1 comes with exactly one JSON object on stderr:
-no exception escapes ``dispatch``.
+"""Every file input and every numeric flag of every subcommand, whatever it
+holds, ends the command with exit code 0, 1 or 2, and a 1 comes with exactly
+one JSON object on stderr: no exception escapes ``dispatch``.
 
-Each case fills one input with generated content (a JSON value as a whole
+Each file case fills one input with generated content (a JSON value as a whole
 file, JSON values as JSONL lines, or arbitrary byte lines) and gives every
 other input a valid file, so the generated input alone decides the outcome.
+The flag cases give the numeric flags extreme values with valid files.
 """
 import contextlib
 import dataclasses
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -33,6 +35,8 @@ _VALID = {
     "pool.json": json.dumps([{"id": f"p{i}", "question": f"مثال {i}", "choices": ["صح", "خطأ"], "gold_index": i % 2}
                              for i in range(2)]),
     "report.json": json.dumps({"rules": ["safety", "ads", "lines", "chars", "gopher"], "sources": {}}),
+    "sources.json": json.dumps([{"name": "a", "tokens": 100, "language": "ar"},
+                                {"name": "b", "tokens": 50, "language": "en"}]),
 }
 
 # Each case's argv. An @name is a file in the work directory: @F holds the generated
@@ -114,6 +118,18 @@ def _argv(case: str, root: Path) -> list[str]:
     return [arg.replace("@", f"{root}/") for arg in _CASES[case]]
 
 
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_json_error(err: str) -> None:
+    lines = err.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"command", "error"}
+
+
 @pytest.mark.parametrize("case", sorted(_CASES))
 @given(content=_content)
 @example(content=b"[" * 1_000 + b"]" * 1_000)
@@ -132,12 +148,91 @@ def _argv(case: str, root: Path) -> list[str]:
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_file_input_exits_0_or_1_with_one_json_error(workdir, case, content):
     (workdir / "F").write_bytes(content)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = dispatch(_argv(case, workdir))
+    code, _, err = _run(_argv(case, workdir))
     assert code in (0, 1)
     if code == 0:
-        assert err.getvalue() == ""
+        assert err == ""
     else:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and set(json.loads(lines[0])) == {"command", "error"}
+        _assert_one_json_error(err)
+
+
+# Each subcommand that takes a numeric flag: its other arguments, and each
+# numeric flag with the prefix its value takes.
+_FLAG_CASES = {
+    "clean": (["clean", "--in", "@docs.jsonl", "--out", "@out", "--report", "@out2"], [("--parallelism", "")]),
+    "mix-plan": (
+        ["mix-plan", "--sources", "@sources.json", "--out", "@out"],
+        [("--total-tokens", ""), ("--seed", ""), ("--upweight", "ar="), ("--upweight", "en=")],
+    ),
+    "lr-curve": (
+        ["lr-curve", "--out", "@out"],
+        [("--total-steps", ""), ("--warmup-steps", ""), ("--cooldown-start", ""), ("--max-lr", ""), ("--min-lr", "")],
+    ),
+    "instruct build": (
+        ["instruct", "build", "--in", "@docs.jsonl", "--out", "@out", "--stats", "@out2", "--template", "both"],
+        [("--max-chars", ""), ("--malformed-rate", ""), ("--seed", "")],
+    ),
+    "eval acva": (
+        ["eval", "acva", "--items", "@tf.json", "--exemplars", "@pool.json", "--out", "@out"],
+        [("--shots", ""), ("--seed", "")],
+    ),
+}
+_NUMBERS = ["-3", "-1", "0", "-0.0", "1", "3", "0.5", "1e-3", str(2**63), str(2**64 + 1), "nan", "inf", "-inf", "1e308"]
+_MAX_ROWS = 10_000
+_NON_FINITE = re.compile(r"(?<![A-Za-z])(?:nan|inf|NaN|Infinity)(?![A-Za-z])")
+
+
+def _as_int(text: str | None) -> int | None:
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        return None
+
+
+@st.composite
+def _flag_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_FLAG_CASES)))
+    argv, flags = _FLAG_CASES[command]
+    argv = list(argv)
+    drawn = {}
+    for flag, prefix in flags:
+        value = draw(st.none() | st.sampled_from(_NUMBERS))
+        if value is not None:
+            argv += [flag, prefix + value]
+            drawn[flag] = value
+    if command == "lr-curve":
+        argv += draw(st.sampled_from([[], ["--variant", "late"], ["--composition", "product"],
+                                      ["--composition", "cosine"]]))
+        # A run writes total_steps // stride + 2 rows at most, and with the default
+        # stride --total-steps 2**63 asks for ~9e15 of them. So a stride that is
+        # valid (absent or >= 1) is raised until at most ~_MAX_ROWS rows are written;
+        # an invalid one is kept, to be refused.
+        stride = draw(st.none() | st.sampled_from(_NUMBERS))
+        total = _as_int(drawn.get("--total-steps"))
+        total = total if total is not None and total > 0 else 500_000
+        if stride is None or (_as_int(stride) or 0) >= 1:
+            stride = str(max(_as_int(stride) or 1000, total // _MAX_ROWS))
+        argv += ["--stride", stride]
+    return argv
+
+
+@given(argv=_flag_argv())
+# Commands that once exited 0 with inf or nan in their output (the first asks
+# for all 500,001 rows, and is refused before any is written).
+@example(argv=["lr-curve", "--max-lr", "1e308", "--stride", "1", "--out", "@out"])
+@example(argv=["lr-curve", "--composition", "product", "--max-lr", "1e200", "--stride", "100000", "--out", "@out"])
+@example(argv=["mix-plan", "--sources", "@sources.json", "--total-tokens", "100", "--upweight", "ar=1e308",
+               "--upweight", "en=1e308", "--out", "@out"])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_numeric_flag_exits_0_1_or_2_and_writes_no_nan_or_inf(workdir, argv):
+    outputs = [workdir / "out", workdir / "out2"]
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    code, out, err = _run([arg.replace("@", f"{workdir}/") for arg in argv])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        written = [out] + [path.read_text(encoding="utf-8") for path in outputs if path.exists()]
+        assert not any(_NON_FINITE.search(text) for text in written)
+    elif code == 1:
+        _assert_one_json_error(err)

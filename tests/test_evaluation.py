@@ -229,12 +229,6 @@ def test_mcf_context_marker_count():
     assert len(markers) == 3
 
 
-def test_mcf_needs_enough_letters():
-    items = make_items(3, n_choices=4)
-    with pytest.raises(ValueError):
-        evaluate_mcf(items, ConstantScorer(), letters=("A", "B"))
-
-
 def test_cf_mcf_diff_rows():
     items = make_items(8)
     cf_only_oracle = OracleScorer.for_cf(items)  # blind on MCF letters
@@ -300,7 +294,6 @@ def test_f1_degenerate_single_class_predictions():
 def test_f1_absent_label_counts_zero_unless_excluded():
     golds, preds = ["a", "a"], ["a", "a"]
     assert f1_macro(golds, preds, ["a", "ghost"]) == 0.5
-    assert f1_macro(golds, preds, ["a", "ghost"], exclude_absent=True) == 1.0
 
 
 def test_f1_length_mismatch():
@@ -449,6 +442,6 @@ def test_ngram_handles_unseen_characters():
 @given(st.text(max_size=30), st.text(min_size=1, max_size=10))
 @settings(max_examples=100)
 def test_ngram_total_function(context, continuation):
-    value = CharNgramScorer(n=2).loglikelihood(context, continuation)
+    value = CharNgramScorer().loglikelihood(context, continuation)
     assert value <= 0.0
     assert value != float("-inf")

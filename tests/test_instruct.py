@@ -196,6 +196,21 @@ def test_parse_mcq_single_option_rejected():
     assert exc.value.reason == "too_few_options"
 
 
+def test_parse_mcq_whitespace_option_rejected():
+    text = "ما العاصمة؟\nA.  \nB. الرياض\nالإجابة: A"
+    with pytest.raises(ParseRejection) as exc:
+        parse_mcq(text)
+    assert exc.value.reason == "empty_option"
+
+
+@pytest.mark.parametrize("sixth, reason", [("A. و", "bad_marker_order"), ("F. و", "unparseable")])
+def test_parse_mcq_sixth_option_rejected(sixth, reason):
+    options = "".join(f"{m}. {o}\n" for m, o in zip("ABCDE", "أبجده"))
+    with pytest.raises(ParseRejection) as exc:
+        parse_mcq(f"سؤال؟\n{options}{sixth}\nالإجابة: A")
+    assert exc.value.reason == reason
+
+
 def test_parse_mcq_duplicates_rejected():
     with pytest.raises(ParseRejection) as exc:
         parse_mcq("سؤال؟\nA. x\nB. x\nالإجابة: A")

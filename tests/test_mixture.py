@@ -47,6 +47,13 @@ def test_empty_groups_error():
         sampling_percentages({"a": 0.0})
 
 
+def test_upweights_whose_sum_overflows_are_refused():
+    # Each weight is finite, but the sum is not; dividing by it made every fraction 0.0.
+    with pytest.raises(ValueError, match="upweights"):
+        sampling_percentages({"ar": 1e308, "en": 1e308})
+    assert sampling_percentages({"ar": 1e308, "en": 5e307}) == {"ar": 1e308 / 1.5e308, "en": 5e307 / 1.5e308}
+
+
 @given(
     st.dictionaries(st.sampled_from("abcde"), st.floats(0.1, 50), min_size=1),
     st.floats(0.01, 100),

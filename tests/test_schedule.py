@@ -1,8 +1,12 @@
 import math
+import sys
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ardata.schedule import (
+    MAIN_PHASE_MODES,
     BatchGeometry,
     ScheduleSpec,
     batch_tokens,
@@ -117,10 +121,36 @@ def test_spec_validation():
         ScheduleSpec(warmup_steps=0)
     with pytest.raises(ValueError):
         ScheduleSpec(cooldown_start=600_000)
+    with pytest.raises(ValueError):  # the cooldown's ramp once divided by zero at the last step
+        ScheduleSpec(cooldown_start=500_000)
     with pytest.raises(ValueError):
         ScheduleSpec(min_lr=1e-3, max_lr=5e-4)
     with pytest.raises(ValueError):
         ScheduleSpec(main_phase="nope")
+
+
+@given(
+    st.integers(1, 30),
+    st.integers(1, 30),
+    st.integers(1, 30),
+    # Near the two places the curve can overflow: max_lr * step in the warmup,
+    # and cosine * invsqrt (about max_lr**2) in the "product" main phase.
+    st.one_of(st.floats(1e153, 1e155), st.floats(1e306, sys.float_info.max)),
+    st.sampled_from(MAIN_PHASE_MODES),
+)
+@example(2, 1, 1, sys.float_info.max, "min")
+@example(30, 30, 30, 1.34e154, "product")
+def test_spec_refuses_exactly_the_max_lr_whose_curve_overflows(warmup, main_steps, cooldown_steps, max_lr, mode):
+    fields = dict(
+        total_steps=warmup + main_steps + cooldown_steps, warmup_steps=warmup, cooldown_start=warmup + main_steps,
+        max_lr=max_lr, min_lr=1e-3, main_phase=mode,
+    )
+    unchecked = SimpleNamespace(**fields)  # lr_at's own arithmetic, without the spec's checks
+    if all(math.isfinite(lr_at(step, unchecked)) for step in range(fields["total_steps"] + 1)):
+        ScheduleSpec(**fields)
+    else:
+        with pytest.raises(ValueError, match="max_lr"):
+            ScheduleSpec(**fields)
 
 
 # --- curve emission ---------------------------------------------------------------

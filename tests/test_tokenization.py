@@ -140,7 +140,7 @@ def test_fertility_invariant_under_sharding_and_order():
     for shard in (texts[::2], texts[1::2]):
         partial = FertilityAccumulator()
         for t in shard:
-            partial.add(t, tok)
+            partial.add_counts(len(segment_words(t)), tok.count_tokens(t))
         acc = acc.merge(partial)
     assert acc.report(tok.name).fertility == whole.fertility
     shuffled = list(texts)
