@@ -27,6 +27,10 @@ INTEGER = ("an integer", lambda v: type(v) is int)
 NUMBER = ("a number", lambda v: type(v) in (int, float))
 COUNT = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
 COUNTS = ("an object of integer counts >= 0", lambda v: isinstance(v, dict) and all(map(COUNT[1], v.values())))
+# Token and step counts meet floats in fractions, percentages and learning
+# rates; below 2**63 even their sum over any realistic number of terms stays
+# in float range.
+BELOW_2_63 = ("below 2**63", lambda v: v < 2**63)
 
 _MISSING = object()
 

@@ -194,7 +194,7 @@ def cmd_mix_plan(args, open_output) -> None:
 
     sources = mixture.load_sources(args.sources)
     per_source = mixture.source_fractions(sources, _parse_upweights(args.upweight))
-    plan = mixture.plan_mixture(sources, per_source, args.total_tokens, seed=args.seed)
+    plan = mixture.plan_mixture(sources, per_source, args.total_tokens)
     total_tokens_in = sum(s.tokens for s in sources)
 
     rows = [["source", "language", "tokens", "token_pct", "sampling_pct", "token_quota", "epochs"]]
@@ -413,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upweight", action="append", default=[], help="language=weight (repeatable)")
     p.add_argument("--total-tokens", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_mix_plan)
 
     p = sub.add_parser("lr-curve", help="CSV of (step, lr) samples")

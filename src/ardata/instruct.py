@@ -27,8 +27,6 @@ GPT = "gpt"
 
 ORIGIN_REPHRASE_STANDARD = "rephrase_standard"
 ORIGIN_REPHRASE_MCQ = "rephrase_mcq"
-ORIGIN_INSTAR = "instar"
-ORIGIN_AYA = "aya"
 
 
 @dataclass
@@ -49,20 +47,21 @@ class Dialogue:
         return sum(1 for t in self.turns if t.role == HUMAN)
 
 
-@dataclass(frozen=True)
-class Rejection:
-    reason: str
-    detail: str = ""
+class Rejection(Exception):
+    """Why a response or record gives no dialogue: raised by the parsers, and
+    yielded in the dialogue's place by ``iter_chunk_outcomes`` and
+    ``load_instruction_records``. Equal when ``reason`` and ``detail`` are."""
 
-
-class ParseRejection(Exception):
     def __init__(self, reason: str, detail: str = ""):
         super().__init__(f"{reason}: {detail}" if detail else reason)
         self.reason = reason
         self.detail = detail
 
-    def as_rejection(self) -> Rejection:
-        return Rejection(reason=self.reason, detail=self.detail)
+    def __eq__(self, other):
+        return type(other) is Rejection and (self.reason, self.detail) == (other.reason, other.detail)
+
+    def __hash__(self):
+        return hash((self.reason, self.detail))
 
 
 def validate_dialogue(d: Dialogue) -> str | None:
@@ -122,8 +121,8 @@ class MCQItem:
 
 
 def validate_mcq(item: MCQItem) -> str | None:
-    if not item.question.strip():
-        return "no_question"
+    """Reason the item breaks the MCQ contract, or None if valid. The option
+    checks come before ``no_question``, in the order ``parse_mcq`` reports them."""
     if len(item.options) < 2:
         return "too_few_options"
     if len(item.options) > 5:
@@ -132,6 +131,8 @@ def validate_mcq(item: MCQItem) -> str | None:
         return "empty_option"
     if len(set(item.options)) != len(item.options):
         return "duplicate_options"
+    if not item.question.strip():
+        return "no_question"
     if not 0 <= item.answer_index < len(item.options):
         return "answer_missing"
     if item.enum_style not in ENUM_STYLES:
@@ -152,9 +153,12 @@ def render_mcq(item: MCQItem) -> str:
 
 
 def parse_mcq(text: str) -> MCQItem:
-    """Inverse of render_mcq; raises ParseRejection with a structured reason."""
+    """Inverse of render_mcq; raises Rejection with a structured reason: one of
+    ``validate_mcq``'s, ``no_answer`` when no answer line follows the options,
+    or a parse-only one (``empty``, ``mixed_enumeration``, ``bad_marker_order``,
+    ``unparseable``)."""
     if not text.strip():
-        raise ParseRejection("empty")
+        raise Rejection("empty")
     question_lines: list[str] = []
     options: list[str] = []
     style: str | None = None
@@ -172,54 +176,38 @@ def parse_mcq(text: str) -> MCQItem:
             if style is None:
                 style = marker_style
             elif style != marker_style:
-                raise ParseRejection("mixed_enumeration", f"{style} vs {marker_style}")
+                raise Rejection("mixed_enumeration", f"{style} vs {marker_style}")
             if index != len(options):
-                raise ParseRejection("bad_marker_order", m.group(1))
+                raise Rejection("bad_marker_order", m.group(1))
             options.append(m.group(2))
             continue
         if not options:
             question_lines.append(line.strip())
         else:
-            raise ParseRejection("unparseable", f"stray line after options: {line.strip()!r}")
-    if not options or style is None:
-        raise ParseRejection("too_few_options" if question_lines else "unparseable")
-    if len(options) < 2:
-        raise ParseRejection("too_few_options")
-    # No sixth option reaches this point: each marker's index must equal
-    # len(options), and markers go up to index 4.
-    if any(not o.strip() for o in options):
-        raise ParseRejection("empty_option")
-    if len(set(options)) != len(options):
-        raise ParseRejection("duplicate_options")
-    if not question_lines:
-        raise ParseRejection("no_question")
-    if answer_raw is None:
-        raise ParseRejection("no_answer")
-    markers = ENUM_STYLES[style]
-    answer_index: int | None = None
-    if answer_raw in markers:
-        idx = markers.index(answer_raw)
-        answer_index = idx if idx < len(options) else None
+            raise Rejection("unparseable", f"stray line after options: {line.strip()!r}")
+    # With no options, style is None; validate_mcq stops at too_few_options first.
+    item = MCQItem("\n".join(question_lines), options, -1, style)
+    markers = ENUM_STYLES.get(style, ())
+    if answer_raw in markers:  # a marker past the last option is answer_missing
+        item.answer_index = markers.index(answer_raw)
     elif answer_raw in options:
-        answer_index = options.index(answer_raw)
-    if answer_index is None:
-        raise ParseRejection("answer_missing", answer_raw)
-    return MCQItem(
-        question="\n".join(question_lines),
-        options=options,
-        answer_index=answer_index,
-        enum_style=style,
-    )
+        item.answer_index = options.index(answer_raw)
+    reason = validate_mcq(item)
+    if reason == "answer_missing":
+        raise Rejection("no_answer") if answer_raw is None else Rejection(reason, answer_raw)
+    if reason:
+        raise Rejection(reason)
+    return item
 
 
-def mcq_to_dialogue(item: MCQItem, origin: str | None = ORIGIN_REPHRASE_MCQ) -> Dialogue:
+def mcq_to_dialogue(item: MCQItem) -> Dialogue:
     """Wrap an MCQ as one question/answer pair: options shown, marker answered."""
     markers = ENUM_STYLES[item.enum_style]
     human = "\n".join(
         [item.question] + [f"{markers[i]}. {opt}" for i, opt in enumerate(item.options)]
     )
     gpt = f"{markers[item.answer_index]}. {item.options[item.answer_index]}"
-    return Dialogue(turns=[Turn(HUMAN, human), Turn(GPT, gpt)], origin=origin)
+    return Dialogue(turns=[Turn(HUMAN, human), Turn(GPT, gpt)], origin=ORIGIN_REPHRASE_MCQ)
 
 
 # --- Chunking -----------------------------------------------------------------
@@ -266,8 +254,6 @@ def chunk_document(doc: Document | str, max_chars: int) -> list[str]:
 
 # --- Prompts and the generator interface ---------------------------------------
 
-PROMPT_VERSION = "v1"
-
 _CHUNK_OPEN = "النص: «"
 _CHUNK_CLOSE = "»"
 
@@ -309,8 +295,8 @@ def build_prompt(
 
     The standard template asks for a labeled question/answer dialogue and
     contains the chunk verbatim exactly once. The MCQ template embeds the
-    one-shot exemplar re-rendered in an enumeration style drawn from the
-    seed. Deterministic in (chunk, seed).
+    one-shot exemplar (``DEFAULT_EXEMPLAR`` when none is given) re-rendered
+    in an enumeration style drawn from the seed. Deterministic in (chunk, seed).
     """
     return _prompter(template, exemplar)(chunk, seed)
 
@@ -324,7 +310,7 @@ def _prompter(template: str, exemplar: MCQItem | None) -> Callable[[str, int], s
     if template != "mcq":
         raise ValueError(f"unknown template {template!r}")
     if exemplar is None:
-        raise ValueError("mcq template requires an exemplar MCQItem")
+        exemplar = DEFAULT_EXEMPLAR
     shots: dict[str, str] = {}
 
     def prompt(chunk: str, seed: int) -> str:
@@ -398,7 +384,7 @@ class MockGenerator:
     """
 
     malformed_rate: float = 0.0
-    name: str = "mock"
+    name = "mock"  # a class attribute, not a field: it seeds every response
 
     def __post_init__(self):
         if not 0 <= self.malformed_rate <= 1:
@@ -471,11 +457,11 @@ def parse_dialogue_response(text: str) -> Dialogue:
 
     Lines starting with a question label open a human turn, answer labels a
     gpt turn; unlabeled lines continue the current turn. Raises
-    ParseRejection (reason: empty / unparseable / role_order / empty_turn)
+    Rejection (reason: empty / unparseable / role_order / empty_turn)
     when the result cannot satisfy the dialogue contract.
     """
     if not text.strip():
-        raise ParseRejection("empty")
+        raise Rejection("empty")
     turns: list[Turn] = []
     current: Turn | None = None
     for line in text.split("\n"):
@@ -490,11 +476,11 @@ def parse_dialogue_response(text: str) -> Dialogue:
     if current is not None:
         turns.append(current)
     if not turns:
-        raise ParseRejection("unparseable", "no labeled lines")
+        raise Rejection("unparseable", "no labeled lines")
     dialogue = Dialogue(turns=turns, origin=ORIGIN_REPHRASE_STANDARD)
     reason = validate_dialogue(dialogue)
     if reason:
-        raise ParseRejection(reason if reason != "too_few_turns" else "role_order")
+        raise Rejection(reason if reason != "too_few_turns" else "role_order")
     return dialogue
 
 
@@ -586,14 +572,9 @@ def build_dialogues(
     no matter how callers parallelize the generator calls. Returns the kept
     dialogues (origin tagged) and the per-reason reject counts.
     """
-    kept: list[Dialogue] = []
-    rejects: Counter[str] = Counter()
-    for outcome in iter_chunk_outcomes(docs, generator, template, max_chars=max_chars, seed=seed, exemplar=exemplar):
-        if isinstance(outcome, Rejection):
-            rejects[outcome.reason] += 1
-        else:
-            kept.append(outcome)
-    return kept, dict(rejects)
+    return filter_dialogues(
+        iter_chunk_outcomes(docs, generator, template, max_chars=max_chars, seed=seed, exemplar=exemplar)
+    )
 
 
 def iter_chunk_outcomes(
@@ -612,8 +593,6 @@ def iter_chunk_outcomes(
     chunk index. The parsers validate what they return, so a dialogue
     yielded here already meets the dialogue contract.
     """
-    if template == "mcq" and exemplar is None:
-        exemplar = DEFAULT_EXEMPLAR
     prompt = _prompter(template, exemplar)
     parse = (lambda text: mcq_to_dialogue(parse_mcq(text))) if template == "mcq" else parse_dialogue_response
     for doc in sorted(docs, key=lambda d: d.id):
@@ -622,8 +601,8 @@ def iter_chunk_outcomes(
             response = generator.generate(prompt(chunk, chunk_seed), chunk_seed)
             try:
                 outcome = parse(response)
-            except ParseRejection as exc:
-                outcome = exc.as_rejection()
+            except Rejection as rejection:
+                outcome = rejection
             yield outcome
 
 
@@ -724,7 +703,7 @@ _TURN_ROLE_ALIASES = {"human": HUMAN, "user": HUMAN, "gpt": GPT, "assistant": GP
 
 def _turns_from_list(raw_turns: list, where: str) -> list[Turn]:
     """Turns from ``{"from", "value"}`` objects; ValueError names a wrongly typed
-    turn, and ParseRejection an unknown role."""
+    turn, and Rejection an unknown role."""
     turns = []
     for i, raw in enumerate(raw_turns):
         name = f"{where}turn {i}"
@@ -732,14 +711,14 @@ def _turns_from_list(raw_turns: list, where: str) -> list[Turn]:
         value = get_field(raw, "value", STRING, name + ": ", "")
         role = _TURN_ROLE_ALIASES.get(role_name.lower())
         if role is None:
-            raise ParseRejection("bad_role", role_name)
+            raise Rejection("bad_role", role_name)
         turns.append(Turn(role, value))
     return turns
 
 
 def _dialogue_from_record(record, origin: str | None, where: str) -> Dialogue:
     """One parsed record as a dialogue; ValueError names a wrongly typed field,
-    ParseRejection any other record that is no dialogue."""
+    Rejection any other record that is no dialogue."""
     if isinstance(record, list):
         return Dialogue(turns=_turns_from_list(record, where), origin=origin)
     if isinstance(record, dict):
@@ -749,16 +728,16 @@ def _dialogue_from_record(record, origin: str | None, where: str) -> Dialogue:
             try:
                 return Dialogue(turns=parse_chatml(text).turns, origin=origin)
             except ValueError as exc:
-                raise ParseRejection("bad_record", str(exc)) from None
+                raise Rejection("bad_record", str(exc)) from None
         if "conversations" in record or "turns" in record:
-            key = "conversations" if record.get("conversations") else "turns"
+            key = "conversations" if "conversations" in record else "turns"
             return Dialogue(turns=_turns_from_list(get_field(record, key, LIST, where), where), origin=origin)
         if "instruction" in record:
             question = get_field(record, "instruction", STRING, where)
             answer = (get_field(record, "output", STRING, where, "") or get_field(record, "response", STRING, where, "")
                       or get_field(record, "answer", STRING, where, ""))
             return Dialogue(turns=[Turn(HUMAN, question), Turn(GPT, answer)], origin=origin)
-    raise ParseRejection("bad_record", "unrecognized record shape")
+    raise Rejection("bad_record", "unrecognized record shape")
 
 
 def load_instruction_records(
@@ -786,8 +765,8 @@ def load_instruction_records(
             continue
         try:
             outcome = _dialogue_from_record(record, origin, f"line {lineno}: ")
-        except ParseRejection as exc:
-            outcome = exc.as_rejection()
+        except Rejection as rejection:
+            outcome = rejection
         except ValueError as exc:
             if strict:
                 raise

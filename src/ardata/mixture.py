@@ -17,7 +17,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from ._schema import INTEGER, LIST, OBJECT, STRING, check, get_field, read_json
+from ._schema import BELOW_2_63, INTEGER, LIST, OBJECT, STRING, check, get_field, read_json
 from .tokenization import TokenizerAdapter, WhitespaceTokenizer
 
 if TYPE_CHECKING:
@@ -73,11 +73,6 @@ def sampling_percentages(upweights: Mapping[str, float]) -> dict[str, float]:
     return {name: w / total for name, w in upweights.items()}
 
 
-# Token counts meet floats in the fractions and percentages; below 2**63 even
-# their sum over any realistic number of sources stays in float range.
-_TOKEN_COUNT = ("below 2**63", lambda v: v < 2**63)
-
-
 def load_sources(path: str | Path) -> list[SourceStats]:
     """Read a sources file: a JSON array of ``{name, tokens, language}`` objects."""
     sources = []
@@ -86,7 +81,7 @@ def load_sources(path: str | Path) -> list[SourceStats]:
         check(raw, OBJECT, f"source {i}")
         sources.append(SourceStats(
             name=get_field(raw, "name", STRING, where),
-            tokens=check(get_field(raw, "tokens", INTEGER, where), _TOKEN_COUNT, f"{where}'tokens'"),
+            tokens=check(get_field(raw, "tokens", INTEGER, where), BELOW_2_63, f"{where}'tokens'"),
             language=get_field(raw, "language", STRING, where, "other"),
         ))
     return sources
@@ -155,7 +150,7 @@ def plan_mixture(
     sources = list(sources)
     if total_tokens < 0:
         raise ValueError("total_tokens must be >= 0")
-    check(total_tokens, _TOKEN_COUNT, "total_tokens")
+    check(total_tokens, BELOW_2_63, "total_tokens")
     names = [s.name for s in sources]
     unknown = set(fractions) - set(names)
     if unknown:

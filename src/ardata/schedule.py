@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator
 
+from ._schema import BELOW_2_63, check
+
 
 MAIN_PHASE_MODES = ("min", "product", "cosine", "invsqrt")
 
@@ -29,6 +31,8 @@ class ScheduleSpec:
     main_phase: str = "min"
 
     def __post_init__(self):
+        for name in ("warmup_steps", "cooldown_start", "total_steps"):
+            check(getattr(self, name), BELOW_2_63, name)
         # The cooldown ramps over cooldown_start..total_steps, so it needs one step at least.
         if not (0 < self.warmup_steps < self.cooldown_start < self.total_steps):
             raise ValueError(

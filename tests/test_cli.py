@@ -69,7 +69,7 @@ SUBCOMMAND_ARGV = {
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
 @pytest.mark.parametrize("flag, readers", [
-    ("--seed", {"mix-plan", "instruct build", "eval acva"}),
+    ("--seed", {"instruct build", "eval acva"}),
     ("--parallelism", {"clean"}),
 ])
 def test_seed_and_parallelism_only_where_read(command, flag, readers):
@@ -366,10 +366,14 @@ def test_lr_curve_unknown_composition_is_usage_error(capsys):
 
 
 def test_lr_curve_infinite_max_lr_is_validation_error(capsys):
-    assert dispatch(["lr-curve", "--max-lr", "inf", "--stride", "250000"]) == 1
-    captured = capsys.readouterr()
-    assert "nan" not in captured.out
-    assert "max_lr" in json.loads(captured.err)["error"]
+    # Step counts past float range are refused by name, like an infinite max_lr.
+    steps_past_floats = ["--warmup-steps", str(10**310), "--cooldown-start", str(2 * 10**310),
+                         "--total-steps", str(3 * 10**310)]
+    for argv, field in [(["--max-lr", "inf", "--stride", "250000"], "max_lr"), (steps_past_floats, "warmup_steps")]:
+        assert dispatch(["lr-curve", *argv]) == 1
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        assert field in json.loads(captured.err)["error"]
 
 
 def test_lr_curve_late_variant_differs_late(tmp_path):
@@ -658,6 +662,26 @@ def test_instruct_stats_skips_records_that_are_not_dialogues(tmp_path, capsys):
     path.write_text("\n".join([json.dumps({"text": _CHATML}), *skipped]) + "\n", encoding="utf-8")
     assert dispatch(["instruct", "stats", "--in", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["per_origin_counts"] == {"unknown": 1}
+
+
+# A `conversations` key is read even when its list is empty, like a `turns` key.
+_EMPTY_TURN_LISTS = json.dumps({"conversations": []}) + "\n" + json.dumps({"turns": []}) + "\n"
+
+
+def test_instruct_stats_reads_an_empty_conversations_list(tmp_path, capsys):
+    path = tmp_path / "dialogues.jsonl"
+    path.write_text(_EMPTY_TURN_LISTS, encoding="utf-8")
+    assert dispatch(["instruct", "stats", "--in", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["turn_histogram"] == {"0": 2}
+
+
+def test_instruct_mix_rejects_an_empty_conversations_list_as_empty(tmp_path):
+    path, stats_path = tmp_path / "dialogues.jsonl", tmp_path / "stats.json"
+    path.write_text(_EMPTY_TURN_LISTS, encoding="utf-8")
+    assert dispatch(["instruct", "mix", "--in", str(path), "--out", str(tmp_path / "out.jsonl"),
+                     "--stats", str(stats_path)]) == 0
+    stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    assert (stats["kept"], stats["rejects_by_reason"]) == (0, {"empty": 2})
 
 
 def test_instruct_build_deterministic(tmp_path, cleaned_docs):

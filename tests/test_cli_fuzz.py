@@ -162,7 +162,7 @@ _FLAG_CASES = {
     "clean": (["clean", "--in", "@docs.jsonl", "--out", "@out", "--report", "@out2"], [("--parallelism", "")]),
     "mix-plan": (
         ["mix-plan", "--sources", "@sources.json", "--out", "@out"],
-        [("--total-tokens", ""), ("--seed", ""), ("--upweight", "ar="), ("--upweight", "en=")],
+        [("--total-tokens", ""), ("--upweight", "ar="), ("--upweight", "en=")],
     ),
     "lr-curve": (
         ["lr-curve", "--out", "@out"],

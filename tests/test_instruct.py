@@ -19,7 +19,6 @@ from ardata.instruct import (
     Dialogue,
     MCQItem,
     MockGenerator,
-    ParseRejection,
     Rejection,
     Turn,
     build_dialogues,
@@ -92,9 +91,9 @@ def test_standard_prompt_contains_chunk_exactly_once():
     assert prompt.count(chunk) == 1
 
 
-def test_mcq_prompt_requires_exemplar():
-    with pytest.raises(ValueError, match="exemplar"):
-        build_prompt("نص", "mcq")
+def test_mcq_prompt_defaults_to_the_default_exemplar():
+    for seed in range(8):  # every enumeration style is drawn at least once
+        assert build_prompt("نص", "mcq", seed=seed) == build_prompt("نص", "mcq", exemplar=DEFAULT_EXEMPLAR, seed=seed)
 
 
 def test_mcq_prompt_renders_exemplar_markers():
@@ -131,31 +130,31 @@ def test_parse_multiline_answer():
 
 
 def test_parse_answer_before_question_rejected():
-    with pytest.raises(ParseRejection) as exc:
+    with pytest.raises(Rejection) as exc:
         parse_dialogue_response("جواب: هذا جواب.\nسؤال: وهذا سؤال؟\nجواب: نعم.")
     assert exc.value.reason == "role_order"
 
 
 def test_parse_empty_rejected():
-    with pytest.raises(ParseRejection) as exc:
+    with pytest.raises(Rejection) as exc:
         parse_dialogue_response("   \n ")
     assert exc.value.reason == "empty"
 
 
 def test_parse_unlabeled_rejected():
-    with pytest.raises(ParseRejection) as exc:
+    with pytest.raises(Rejection) as exc:
         parse_dialogue_response("مجرد نص حر بلا تسميات")
     assert exc.value.reason == "unparseable"
 
 
 def test_parse_dangling_question_rejected():
-    with pytest.raises(ParseRejection) as exc:
+    with pytest.raises(Rejection) as exc:
         parse_dialogue_response("سؤال: بلا جواب؟")
     assert exc.value.reason == "role_order"
 
 
 def test_parse_empty_answer_rejected():
-    with pytest.raises(ParseRejection) as exc:
+    with pytest.raises(Rejection) as exc:
         parse_dialogue_response("سؤال: ما هذا؟\nجواب:")
     assert exc.value.reason == "empty_turn"
 
@@ -185,20 +184,20 @@ def test_parse_mcq_answer_by_full_text():
 
 
 def test_parse_mcq_answer_beyond_options_rejected():
-    with pytest.raises(ParseRejection) as exc:
+    with pytest.raises(Rejection) as exc:
         parse_mcq("سؤال؟\nA. x\nB. y\nالإجابة: C")
     assert exc.value.reason == "answer_missing"
 
 
 def test_parse_mcq_single_option_rejected():
-    with pytest.raises(ParseRejection) as exc:
+    with pytest.raises(Rejection) as exc:
         parse_mcq("سؤال؟\nA. x\nالإجابة: A")
     assert exc.value.reason == "too_few_options"
 
 
 def test_parse_mcq_whitespace_option_rejected():
     text = "ما العاصمة؟\nA.  \nB. الرياض\nالإجابة: A"
-    with pytest.raises(ParseRejection) as exc:
+    with pytest.raises(Rejection) as exc:
         parse_mcq(text)
     assert exc.value.reason == "empty_option"
 
@@ -206,19 +205,19 @@ def test_parse_mcq_whitespace_option_rejected():
 @pytest.mark.parametrize("sixth, reason", [("A. و", "bad_marker_order"), ("F. و", "unparseable")])
 def test_parse_mcq_sixth_option_rejected(sixth, reason):
     options = "".join(f"{m}. {o}\n" for m, o in zip("ABCDE", "أبجده"))
-    with pytest.raises(ParseRejection) as exc:
+    with pytest.raises(Rejection) as exc:
         parse_mcq(f"سؤال؟\n{options}{sixth}\nالإجابة: A")
     assert exc.value.reason == reason
 
 
 def test_parse_mcq_duplicates_rejected():
-    with pytest.raises(ParseRejection) as exc:
+    with pytest.raises(Rejection) as exc:
         parse_mcq("سؤال؟\nA. x\nB. x\nالإجابة: A")
     assert exc.value.reason == "duplicate_options"
 
 
 def test_parse_mcq_mixed_styles_rejected():
-    with pytest.raises(ParseRejection) as exc:
+    with pytest.raises(Rejection) as exc:
         parse_mcq("سؤال؟\nA. x\n٢. y\nالإجابة: A")
     assert exc.value.reason == "mixed_enumeration"
 

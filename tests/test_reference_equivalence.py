@@ -5,10 +5,11 @@ unification, of the filter rules, of the oracle scorer's key search, of the
 n-gram scorer, of the evaluation harness's prompt templates and its separate
 accuracy and true/false scoring loops, of the tokenizer-outer ``fertility``
 command, of the count-every-draw mixture sampler and of the list-based
-``instruct build`` and ``instruct mix`` writers, kept as oracles: the fast
-paths must give the same text, the same detail strings, the same scores and
-results, the same CSV bytes, the same draws and the same dialogue files on any
-input.
+``instruct build`` and ``instruct mix`` writers, and of the MCQ parser with
+its own copy of ``validate_mcq``'s checks, kept as oracles: the fast paths
+must give the same text, the same detail strings, the same scores and results,
+the same CSV bytes, the same draws, the same dialogue files and the same MCQ
+items and rejections on any input.
 """
 import csv
 import hashlib
@@ -890,7 +891,7 @@ def reference_build_dialogues(docs, generator, template, max_chars, seed, exempl
                     outcomes.append(instruct.mcq_to_dialogue(instruct.parse_mcq(response)))
                 else:
                     outcomes.append(instruct.parse_dialogue_response(response))
-            except instruct.ParseRejection as exc:
+            except instruct.Rejection as exc:
                 outcomes.append(instruct.Rejection(exc.reason, exc.detail))
     kept, rejects = reference_filter_dialogues(outcomes)
     for d in kept:
@@ -1052,3 +1053,116 @@ def test_instruct_mix_files_equal_list_based_mix(files, reserved):
         expected = _dialogue_files_or_none(reference_instruct_mix, paths)
         assert (expected is None) == reserved
         _check_dialogue_command(argv, root / "out.jsonl", root / "stats.json", expected)
+
+
+# --- one check list: MCQ parsing ---------------------------------------------------------------
+
+
+def reference_parse_mcq(text: str) -> instruct.MCQItem:
+    """``parse_mcq`` as it was, with its own copy of ``validate_mcq``'s checks."""
+    if not text.strip():
+        raise instruct.Rejection("empty")
+    question_lines: list[str] = []
+    options: list[str] = []
+    style = None
+    answer_raw = None
+    for line in text.split("\n"):
+        if not line.strip():
+            continue
+        m = instruct._ANSWER_RE.match(line)
+        if m and options:
+            answer_raw = m.group(1)
+            continue
+        m = instruct._OPTION_RE.match(line)
+        if m:
+            marker_style, index = instruct._OPTION_MARKERS[m.group(1)]
+            if style is None:
+                style = marker_style
+            elif style != marker_style:
+                raise instruct.Rejection("mixed_enumeration", f"{style} vs {marker_style}")
+            if index != len(options):
+                raise instruct.Rejection("bad_marker_order", m.group(1))
+            options.append(m.group(2))
+            continue
+        if not options:
+            question_lines.append(line.strip())
+        else:
+            raise instruct.Rejection("unparseable", f"stray line after options: {line.strip()!r}")
+    if not options or style is None:
+        raise instruct.Rejection("too_few_options" if question_lines else "unparseable")
+    if len(options) < 2:
+        raise instruct.Rejection("too_few_options")
+    if any(not o.strip() for o in options):
+        raise instruct.Rejection("empty_option")
+    if len(set(options)) != len(options):
+        raise instruct.Rejection("duplicate_options")
+    if not question_lines:
+        raise instruct.Rejection("no_question")
+    if answer_raw is None:
+        raise instruct.Rejection("no_answer")
+    markers = instruct.ENUM_STYLES[style]
+    answer_index = None
+    if answer_raw in markers:
+        idx = markers.index(answer_raw)
+        answer_index = idx if idx < len(options) else None
+    elif answer_raw in options:
+        answer_index = options.index(answer_raw)
+    if answer_index is None:
+        raise instruct.Rejection("answer_missing", answer_raw)
+    return instruct.MCQItem("\n".join(question_lines), options, answer_index, style)
+
+
+def _item_or_reason(parse, text):
+    try:
+        return parse(text)
+    except instruct.Rejection as rejection:
+        return rejection.reason, rejection.detail
+
+
+_STYLES = sorted(instruct.ENUM_STYLES)
+_ALL_MARKERS = [m for style in _STYLES for m in instruct.ENUM_STYLES[style]]
+_ODD_OPTIONS = ["x", " ", "", "A", "ب"]  # blanks, and texts that are markers
+_FREE_LINES = ["ما عاصمة مصر؟", "Which one?", "", "  ", "سطر آخر"]
+
+
+@st.composite
+def _mcq_texts(draw):
+    """Line lists shaped like model output: question lines, then options in one
+    enumeration style with up to two defects (another style's marker, an index
+    out of order, a duplicate or blank text), then an answer line that may be
+    missing, misplaced or out of range, and a stray line anywhere."""
+    style = draw(st.sampled_from(_STYLES))
+    n = draw(st.integers(0, 6))
+    markers = [instruct.ENUM_STYLES[style][min(i, 4)] for i in range(n)]
+    options = [f"خيار {i}" for i in range(n)]
+    defects = st.tuples(st.sampled_from(["style", "index", "text"]), st.integers(0, 5), st.integers(0, 11))
+    for kind, at, pick in draw(st.lists(defects, max_size=2)):
+        if at >= n:
+            continue
+        if kind == "style":
+            markers[at] = instruct.ENUM_STYLES[_STYLES[pick % 4]][min(at, 4)]
+        elif kind == "index":
+            markers[at] = instruct.ENUM_STYLES[style][pick % 5]
+        else:  # an odd text, or another option's
+            pool = _ODD_OPTIONS + options
+            options[at] = pool[pick % len(pool)]
+    lines = [draw(st.sampled_from(_FREE_LINES))] + draw(st.lists(st.sampled_from(_FREE_LINES), max_size=1))
+    lines += [f"{m}{draw(st.sampled_from(['.', ')']))} {o}" for m, o in zip(markers, options)]
+    answers = st.sampled_from(_ALL_MARKERS + options + _ODD_OPTIONS + ["F", "لا أعرف"])
+    answer = draw(st.one_of(st.none(), st.sampled_from(instruct.ENUM_STYLES[style]), answers))
+    if answer is not None:
+        label = draw(st.sampled_from(instruct._ANSWER_LABELS))
+        lines.insert(draw(st.one_of(st.just(len(lines)), st.integers(0, len(lines)))), f"{label}: {answer}")
+    for stray in draw(st.lists(st.sampled_from(_FREE_LINES), max_size=1)):
+        lines.insert(draw(st.integers(0, len(lines))), stray)
+    return "\n".join(lines)
+
+
+@given(_mcq_texts())
+@example("A. x\nB. x\nالإجابة: A")  # no question, duplicate options: duplicate_options
+@example("A. x\nB. y")  # no question, no answer line: no_question
+@example("سؤال؟\nA. x\nB. y\nC. z")  # no answer line: no_answer
+@example("سؤال؟\nA. x\nB. C\nالإجابة: C")  # a marker past the options, though an option's text: answer_missing
+@settings(max_examples=500, deadline=None)
+def test_parse_mcq_equals_its_own_check_list(text):
+    assert _item_or_reason(instruct.parse_mcq, text) == _item_or_reason(reference_parse_mcq, text)

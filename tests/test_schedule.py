@@ -127,6 +127,12 @@ def test_spec_validation():
         ScheduleSpec(min_lr=1e-3, max_lr=5e-4)
     with pytest.raises(ValueError):
         ScheduleSpec(main_phase="nope")
+    # Step counts meet floats in the curve, so each must be below 2**63.
+    ScheduleSpec(warmup_steps=2**63 - 3, cooldown_start=2**63 - 2, total_steps=2**63 - 1)
+    with pytest.raises(ValueError, match=r"^warmup_steps must be below 2\*\*63, got 9223372036854775808$"):
+        ScheduleSpec(warmup_steps=2**63, cooldown_start=2**63 + 1, total_steps=2**63 + 2)
+    with pytest.raises(ValueError, match=r"^total_steps must be below 2\*\*63"):
+        ScheduleSpec(total_steps=2**63)
 
 
 @given(
