@@ -3,8 +3,11 @@
 One binary, subcommand style: clean, fertility, mix-plan, lr-curve,
 instruct build/stats, eval cf/mcf/acva/diff, report merge. Reports are
 machine-readable first (JSON/CSV with sorted keys), so identical argv,
-inputs, and seed produce byte-identical outputs. Exit codes: 0 success,
-1 validation/runtime error (machine-readable JSON on stderr), 2 usage error.
+inputs, and seed produce byte-identical outputs. ``-`` is stdout for every
+output flag. Exit codes: 0 success, 1 validation/runtime error (JSON on
+stderr; two outputs naming one file are one), 2 usage error, 130 SIGINT (JSON
+on stderr), 129 SIGHUP, 143 SIGTERM. None of these leaves a partial output
+file; a run killed by SIGKILL cannot clean up after itself.
 
 Environment override: ARDATA_CONFIG supplies --config for ``clean`` when
 the flag is omitted.
@@ -17,10 +20,11 @@ import json
 import os
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
+from functools import reduce
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from ._schema import read_json
 
@@ -36,72 +40,65 @@ CONFIG_ENV = "ARDATA_CONFIG"
 
 @contextmanager
 def _staged_outputs():
-    """Yield ``open_output(path)``, which opens a temporary file for ``path``.
+    """Yield ``open_output(path)``, the one way a command opens an output.
 
-    A target that is absent or a regular file is staged: the temporary sits
-    next to the file ``path`` resolves to (through any symlinks), takes the
-    mode of the file it will replace, and is moved onto it with ``os.replace``
-    once the block succeeds. When the block raises, the temporaries are
-    removed, so a failed command leaves no partial output and its existing
-    targets as they were. Each target is replaced on its own, so a replace
-    that fails (it rarely can: the temporary is in the same directory) leaves
-    the targets moved before it in place. Any other existing target (a
-    device such as /dev/null, a FIFO, /dev/stdout on a pipe) is opened and
-    written directly, and a directory is refused when it is opened.
+    ``None`` and ``-`` are stdout. A target that is absent or a regular file
+    is staged: the temporary sits next to the file ``path`` resolves to
+    (through any symlinks), takes the mode of the file it will replace, and is
+    moved onto it with ``os.replace`` once the block succeeds. When the block
+    raises, the temporaries are removed, so a failed command leaves no partial
+    output and its existing targets as they were. Each target is replaced on
+    its own, so a replace that fails (it rarely can: the temporary is in the
+    same directory) leaves the targets moved before it in place. A target
+    staged twice raises ValueError: only one output could survive. Any other
+    existing target (a device such as /dev/null, a FIFO) is written directly,
+    and a directory is refused when it is opened. Every handle opened here is
+    closed when the block ends, before any replace or removal.
     """
-    staged: list[tuple[Path, Path]] = []
+    staged: dict[Path, Path] = {}  # target -> temporary
+    handles = ExitStack()
 
-    def open_output(path: str, newline: str | None = None):
+    def open_output(path: str | None) -> TextIO:
+        if path is None or path == "-":
+            return sys.stdout
         try:
             mode = os.stat(path).st_mode
         except OSError:
             mode = None
         if mode is not None and not stat.S_ISREG(mode):
-            return open(path, "w", encoding="utf-8", newline=newline)
+            return handles.enter_context(open(path, "w", encoding="utf-8", newline=""))
         target = Path(os.path.realpath(path))
+        if target in staged:
+            raise ValueError(f"{path} is named by two outputs of this command")
         attempt = 0
         while True:
             temporary = target.with_name(f".{target.name}.{os.getpid()}.{attempt}.tmp")
             try:
-                handle = open(temporary, "x", encoding="utf-8", newline=newline)
+                handle = handles.enter_context(open(temporary, "x", encoding="utf-8", newline=""))
                 break
-            except FileExistsError:  # left by a killed run, or a second output for this target
+            except FileExistsError:  # left by a killed run that had this process id
                 attempt += 1
-        staged.append((temporary, target))
+        staged[target] = temporary
         if mode is not None:
             os.chmod(temporary, stat.S_IMODE(mode))
         return handle
 
     try:
-        yield open_output
-        for temporary, target in staged:
+        with handles:
+            yield open_output
+        for target, temporary in staged.items():
             os.replace(temporary, target)
     finally:
-        for temporary, _ in staged:
+        for temporary in staged.values():
             temporary.unlink(missing_ok=True)
 
 
-def _write_json(open_output, path: str | None, payload) -> None:
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open_output(path) as out:
-            out.write(text)
+def _write_json(out: TextIO, payload) -> None:
+    out.write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
 
-def _write_csv(open_output, path: str | None, rows) -> None:
-    if path is None or path == "-":
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
-    else:
-        with open_output(path, newline="") as out:
-            csv.writer(out, lineterminator="\n").writerows(rows)
-
-
-def _write_jsonl(open_output, path: str, records) -> None:
-    with open_output(path) as out:
-        for record in records:
-            out.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+def _write_csv(out: TextIO, rows) -> None:
+    csv.writer(out, lineterminator="\n").writerows(rows)
 
 
 def make_tokenizer(spec: str) -> tokenization.TokenizerAdapter:
@@ -136,23 +133,16 @@ def cmd_clean(args, open_output) -> None:
     tok = make_tokenizer(args.tokenizer)
 
     rejects_out = open_output(args.rejects) if args.rejects else None
-
-    def on_reject(reject: corpus.Reject) -> None:
-        if rejects_out:
-            rejects_out.write(reject.to_json() + "\n")
-
-    try:
-        with open(args.input, "rb") as stream:
-            report = filters.CleaningReport()
-            kept = filters.iter_pipeline(corpus.ingest_jsonl(stream, on_reject=on_reject), cfg, tok, report)
-            _write_jsonl(open_output, args.output, map(corpus.document_to_record, kept))
-    finally:
-        if rejects_out:
-            rejects_out.close()
-
-    _write_json(open_output, args.report, report.to_dict())
+    on_reject = (lambda reject: rejects_out.write(reject.to_json() + "\n")) if args.rejects else None
+    out = open_output(args.output)
+    with open(args.input, "rb") as stream:
+        report = filters.CleaningReport()
+        kept = filters.iter_pipeline(corpus.ingest_jsonl(stream, on_reject=on_reject), cfg, tok, report)
+        for record in map(corpus.document_to_record, kept):
+            out.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    _write_json(open_output(args.report), report.to_dict())
     if args.report_csv:
-        _write_csv(open_output, args.report_csv, report.csv_rows())
+        _write_csv(open_output(args.report_csv), report.csv_rows())
 
 
 # --- fertility -------------------------------------------------------------------
@@ -173,7 +163,7 @@ def cmd_fertility(args, open_output) -> None:
     for tok, tok_accs in zip(toks, accs):
         for path, acc in zip(args.input, tok_accs):
             rows.append([tok.name, Path(path).stem, repr(acc.report(tok.name, average=args.average).fertility)])
-    _write_csv(open_output, args.out, rows)
+    _write_csv(open_output(args.out), rows)
 
 
 # --- mix-plan --------------------------------------------------------------------
@@ -208,7 +198,7 @@ def cmd_mix_plan(args, open_output) -> None:
             entry.token_quota,
             f"{entry.epochs:.3f}",
         ])
-    _write_csv(open_output, args.out, rows)
+    _write_csv(open_output(args.out), rows)
 
 
 # --- lr-curve --------------------------------------------------------------------
@@ -230,17 +220,15 @@ def cmd_lr_curve(args, open_output) -> None:
     from . import schedule
 
     spec = schedule.early_cooldown() if args.variant == "early" else schedule.late_cooldown()
-    overrides = {}
-    for name in ("total_steps", "warmup_steps", "cooldown_start", "max_lr", "min_lr"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
+    names = ("total_steps", "warmup_steps", "cooldown_start", "max_lr", "min_lr")
+    overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     if args.composition:
         overrides["main_phase"] = args.composition
-    if overrides:
-        spec = replace(spec, **overrides)
+    if args.variant == "late" and args.cooldown_start is None:
+        overrides["cooldown_start"] = overrides.get("total_steps", spec.total_steps) - schedule.LATE_COOLDOWN_STEPS
+    spec = replace(spec, **overrides)
     rows = [[step, repr(lr)] for step, lr in schedule.emit_curve(spec, args.stride)]
-    _write_csv(open_output, args.out, rows)
+    _write_csv(open_output(args.out), rows)
 
 
 # --- instruct --------------------------------------------------------------------
@@ -252,9 +240,8 @@ def _write_dialogues(open_output, args, outcomes) -> None:
     to ``--stats``. Neither the outcomes nor the dialogues are held in a list."""
     from . import instruct
 
-    with open_output(args.output) as out:
-        stats, rejects = instruct.write_chatml_jsonl(outcomes, out)
-    _write_json(open_output, args.stats, {
+    stats, rejects = instruct.write_chatml_jsonl(outcomes, open_output(args.output))
+    _write_json(open_output(args.stats), {
         "kept": sum(stats.per_origin_counts.values()),  # every written dialogue counts under one origin
         "rejected": sum(rejects.values()),
         "rejects_by_reason": dict(sorted(rejects.items())),
@@ -283,8 +270,11 @@ def cmd_instruct_stats(args, open_output) -> None:
 
     with open(args.input, "r", encoding="utf-8") as fh:
         outcomes = instruct.load_instruction_records(fh, "unknown", strict=True)
-        stats = instruct.dataset_stats(d for d in outcomes if isinstance(d, instruct.Dialogue))
-    _write_json(open_output, args.out, stats.to_dict())
+        # The dialogues `instruct mix` would write: parsed, and structurally valid.
+        stats = instruct.dataset_stats(
+            d for d in outcomes if isinstance(d, instruct.Dialogue) and not instruct.validate_dialogue(d)
+        )
+    _write_json(open_output(args.out), stats.to_dict())
 
 
 def cmd_instruct_mix(args, open_output) -> None:
@@ -326,7 +316,7 @@ def cmd_eval_cf(args, open_output) -> None:
     items = evaluation.load_benchmark_items(args.items)
     scorer = _build_scorer(args.scorer, items, "cf")
     result = evaluation.evaluate_cf(items, scorer, norm=args.norm)
-    _write_json(open_output, args.out, result.to_dict())
+    _write_json(open_output(args.out), result.to_dict())
 
 
 def cmd_eval_mcf(args, open_output) -> None:
@@ -335,7 +325,7 @@ def cmd_eval_mcf(args, open_output) -> None:
     items = evaluation.load_benchmark_items(args.items)
     scorer = _build_scorer(args.scorer, items, "mcf")
     result = evaluation.evaluate_mcf(items, scorer)
-    _write_json(open_output, args.out, result.to_dict())
+    _write_json(open_output(args.out), result.to_dict())
 
 
 def cmd_eval_acva(args, open_output) -> None:
@@ -347,7 +337,7 @@ def cmd_eval_acva(args, open_output) -> None:
     result = evaluation.evaluate_true_false(
         items, scorer, exemplars, shots=args.shots, seed=args.seed
     )
-    _write_json(open_output, args.out, result.to_dict())
+    _write_json(open_output(args.out), result.to_dict())
 
 
 def cmd_eval_diff(args, open_output) -> None:
@@ -361,7 +351,7 @@ def cmd_eval_diff(args, open_output) -> None:
     rows = [["model", "cf", "mcf", "diff"]]
     for row in evaluation.cf_mcf_diff(items, scorers, norm=args.norm):
         rows.append([row.model, repr(row.cf), repr(row.mcf), repr(row.diff)])
-    _write_csv(open_output, args.out, rows)
+    _write_csv(open_output(args.out), rows)
 
 
 # --- report merge -----------------------------------------------------------------
@@ -370,13 +360,8 @@ def cmd_eval_diff(args, open_output) -> None:
 def cmd_report_merge(args, open_output) -> None:
     from . import filters
 
-    merged = None
-    for path in args.reports:
-        report = filters.CleaningReport.from_dict(read_json(path))
-        merged = report if merged is None else filters.merge_reports(merged, report)
-    if merged is None:
-        raise ValueError("no report files given")
-    _write_json(open_output, args.out, merged.to_dict())
+    reports = (filters.CleaningReport.from_dict(read_json(path)) for path in args.reports)
+    _write_json(open_output(args.out), reduce(filters.merge_reports, reports).to_dict())
 
 
 # --- parser -----------------------------------------------------------------------
@@ -506,10 +491,20 @@ def dispatch(argv: list[str]) -> int:
     except (ValueError, KeyError, OSError, OverflowError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}) + "\n")
         return 1
+    except KeyboardInterrupt:
+        sys.stderr.write(json.dumps({"error": "interrupted", "command": args.command}) + "\n")
+        return 130
     return 0
 
 
 def main() -> None:
+    import signal
+
+    # SIGTERM and SIGHUP unwind as SystemExit, so the staged outputs are
+    # removed; a signal the caller ignores (nohup) stays ignored.
+    for signum in (signal.SIGTERM, signal.SIGHUP):
+        if signal.getsignal(signum) == signal.SIG_DFL:
+            signal.signal(signum, lambda signum, _: sys.exit(128 + signum))
     sys.exit(dispatch(sys.argv[1:]))
 
 

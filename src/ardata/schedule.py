@@ -19,6 +19,7 @@ from ._schema import BELOW_2_63, check
 
 
 MAIN_PHASE_MODES = ("min", "product", "cosine", "invsqrt")
+LATE_COOLDOWN_STEPS = 10_000  # the late variant cools down over this many final steps, whatever the total
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ def early_cooldown() -> ScheduleSpec:
 
 def late_cooldown() -> ScheduleSpec:
     spec = ScheduleSpec()
-    return replace(spec, cooldown_start=spec.total_steps - 10_000)
+    return replace(spec, cooldown_start=spec.total_steps - LATE_COOLDOWN_STEPS)
 
 
 def _cosine(step: int, spec: ScheduleSpec) -> float:

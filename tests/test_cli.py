@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 import unicodedata
 
 import pytest
@@ -301,6 +303,105 @@ def test_fifo_target_is_written_directly(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["lr.csv", "lr.fifo"]
 
 
+def test_dash_writes_clean_jsonl_to_stdout(corpus_files, capsys, monkeypatch):
+    # `-` is stdout for --out and --rejects too, as for every other output flag.
+    tmp_path, in_path, config_path, *_ = corpus_files
+    with open(in_path, "a", encoding="utf-8") as fh:
+        fh.write("{bad json\n")
+    argv = ["clean", "--in", str(in_path), "--report", str(tmp_path / "r.json"), "--config", str(config_path)]
+    kept, rejects = tmp_path / "kept.jsonl", tmp_path / "rejects.jsonl"
+    assert dispatch(argv + ["--out", str(kept), "--rejects", str(rejects)]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(argv + ["--out", "-", "--rejects", "-"]) == 0
+    written = kept.read_text(encoding="utf-8").splitlines() + rejects.read_text(encoding="utf-8").splitlines()
+    assert len(written) == 31
+    assert sorted(capsys.readouterr().out.splitlines()) == sorted(written)
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["clean", "--in", "docs.jsonl", "--out", "same.json", "--report", "same.json"],
+    ["clean", "--in", "docs.jsonl", "--out", "same.json", "--rejects", "link.json", "--report", "r.json"],
+    ["instruct", "build", "--in", "docs.jsonl", "--out", "same.json", "--stats", "same.json"],
+])
+def test_two_outputs_naming_one_file_is_validation_error(corpus_files, capsys, monkeypatch, argv):
+    # Only one of the two could survive, so the run writes nothing.
+    tmp_path = corpus_files[0]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "same.json").write_text("earlier run\n", encoding="utf-8")
+    (tmp_path / "link.json").symlink_to(tmp_path / "same.json")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert dispatch(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"command": argv[0], "error": "same.json is named by two outputs of this command"}
+    assert (tmp_path / "same.json").read_text(encoding="utf-8") == "earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_outputs_to_stdout_or_a_device_may_repeat(corpus_files, capsys, monkeypatch):
+    tmp_path, in_path, config_path, *_ = corpus_files
+    monkeypatch.chdir(tmp_path)
+    for target in ("-", os.devnull):
+        assert dispatch([
+            "clean", "--in", str(in_path), "--out", target, "--rejects", target,
+            "--report", target, "--report-csv", target, "--config", str(config_path),
+        ]) == 0
+    assert capsys.readouterr().out.count("\n") > 30
+
+
+def _default_signals():
+    # A signal ignored by the test runner (a background job ignores SIGINT)
+    # would stay ignored in the child.
+    for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):
+        signal.signal(signum, signal.SIG_DFL)
+
+
+@pytest.mark.parametrize("signum, code", [(signal.SIGTERM, 143), (signal.SIGHUP, 129), (signal.SIGINT, 130)])
+@pytest.mark.parametrize("command", ["clean", "instruct mix"])
+def test_signalled_run_leaves_no_partial_output(tmp_path, command, signum, code):
+    # The input is a FIFO that the test keeps open, so the run blocks reading it
+    # with its staged outputs on disk until the signal arrives. The input is
+    # ended after the signal: one that lands just before the child enters read()
+    # is handled only when the read returns.
+    fifo, out = tmp_path / "in.fifo", tmp_path / "out.jsonl"
+    os.mkfifo(fifo)
+    out.write_text("earlier run\n", encoding="utf-8")
+    if command == "clean":
+        argv = ["clean", "--in", str(fifo), "--out", str(out), "--rejects", str(tmp_path / "rejects.jsonl"),
+                "--report", str(tmp_path / "r.json")]
+    else:
+        argv = ["instruct", "mix", "--in", str(fifo), "--out", str(out), "--stats", str(tmp_path / "stats.json")]
+    child = subprocess.Popen([sys.executable, "-m", "ardata.cli", *argv], stdout=subprocess.DEVNULL,
+                             stderr=subprocess.PIPE, text=True, preexec_fn=_default_signals)
+    writer = None
+    try:
+        deadline = time.monotonic() + 60
+        while writer is None:  # a non-blocking open fails until the child opens its end
+            assert child.poll() is None and time.monotonic() < deadline
+            try:
+                writer = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+            except OSError:
+                time.sleep(0.01)
+        assert list(tmp_path.glob(".out.jsonl.*.tmp"))
+        child.send_signal(signum)
+        os.close(writer)
+        writer = None
+        _, err = child.communicate(timeout=60)
+    finally:
+        if writer is not None:
+            os.close(writer)
+        if child.poll() is None:
+            child.kill()
+            child.communicate()
+    assert child.returncode == code
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.fifo", "out.jsonl"]
+    assert out.read_text(encoding="utf-8") == "earlier run\n"
+    if signum == signal.SIGINT:
+        assert [json.loads(line) for line in err.splitlines()] == [{"command": argv[0], "error": "interrupted"}]
+    else:
+        assert err == ""
+
+
 def test_clean_min_lines_zero_on_empty_text(tmp_path, capsys):
     # No non-empty line and no word: the short-line fraction and the per-word
     # ratios have nothing to divide by, so they pass and gopher's word count removes.
@@ -386,6 +487,15 @@ def test_lr_curve_late_variant_differs_late(tmp_path):
         if int(step_e) <= 300_000:
             assert lr_e == lr_l, step_e
     assert rows_early != rows_late
+
+
+@pytest.mark.parametrize("total", [600_000, 200_000])
+def test_lr_curve_late_cooldown_starts_10k_before_the_given_end(tmp_path, total):
+    late, early = tmp_path / "late.csv", tmp_path / "early.csv"
+    assert dispatch(["lr-curve", "--variant", "late", "--total-steps", str(total), "--out", str(late)]) == 0
+    assert dispatch(["lr-curve", "--variant", "early", "--total-steps", str(total),
+                     "--cooldown-start", str(total - 10_000), "--out", str(early)]) == 0
+    assert late.read_bytes() == early.read_bytes()
 
 
 # --- mix-plan ----------------------------------------------------------------------
@@ -536,6 +646,16 @@ def test_instruct_build_and_stats(tmp_path, cleaned_docs):
     assert recomputed["turn_histogram"] == stats["stats"]["turn_histogram"]
 
 
+def test_dash_writes_instruct_build_jsonl_to_stdout(tmp_path, cleaned_docs, capsys, monkeypatch):
+    argv = ["instruct", "build", "--in", str(cleaned_docs), "--stats", str(tmp_path / "stats.json"), "--seed", "3"]
+    out = tmp_path / "chatml.jsonl"
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8") != ""
+    assert not (tmp_path / "-").exists()
+
+
 def test_instruct_build_failure_leaves_no_partial_output(tmp_path, cleaned_docs, capsys):
     out = tmp_path / "chatml.jsonl"
     assert dispatch([
@@ -672,7 +792,7 @@ def test_instruct_stats_reads_an_empty_conversations_list(tmp_path, capsys):
     path = tmp_path / "dialogues.jsonl"
     path.write_text(_EMPTY_TURN_LISTS, encoding="utf-8")
     assert dispatch(["instruct", "stats", "--in", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["turn_histogram"] == {"0": 2}
+    assert json.loads(capsys.readouterr().out)["turn_histogram"] == {}  # both are rejected as empty
 
 
 def test_instruct_mix_rejects_an_empty_conversations_list_as_empty(tmp_path):
@@ -682,6 +802,25 @@ def test_instruct_mix_rejects_an_empty_conversations_list_as_empty(tmp_path):
                      "--stats", str(stats_path)]) == 0
     stats = json.loads(stats_path.read_text(encoding="utf-8"))
     assert (stats["kept"], stats["rejects_by_reason"]) == (0, {"empty": 2})
+
+
+def test_instruct_stats_counts_what_instruct_mix_keeps(tmp_path, capsys):
+    turns = {
+        "valid": [{"from": "human", "value": "اختر:\nأ) نعم\nب) لا"}, {"from": "gpt", "value": "أ"}],
+        "role_order": [{"from": "gpt", "value": "جواب"}, {"from": "human", "value": "سؤال"}],
+        "too_few_turns": [{"from": "human", "value": "سؤال"}],
+        "empty": [],
+    }
+    path, stats_path = tmp_path / "dialogues.jsonl", tmp_path / "stats.json"
+    lines = [json.dumps({"text": _CHATML, "origin": "chatml"})]
+    lines += [json.dumps({"conversations": value, "origin": name}) for name, value in turns.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert dispatch(["instruct", "mix", "--in", str(path), "--out", str(tmp_path / "out.jsonl"),
+                     "--stats", str(stats_path)]) == 0
+    mixed = json.loads(stats_path.read_text(encoding="utf-8"))
+    assert (mixed["kept"], mixed["rejected"]) == (2, 3)
+    assert dispatch(["instruct", "stats", "--in", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == mixed["stats"]
 
 
 def test_instruct_build_deterministic(tmp_path, cleaned_docs):
