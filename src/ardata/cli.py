@@ -129,20 +129,23 @@ def _load_filter_config(path: str | None) -> filters.FilterConfig:
 def cmd_clean(args, open_output) -> None:
     from . import corpus, filters
 
+    # Every output is opened before any input is read, so a bad target fails at once.
+    rejects_out = open_output(args.rejects) if args.rejects else None
+    out = open_output(args.output)
+    report_out = open_output(args.report)
+    csv_out = open_output(args.report_csv) if args.report_csv else None
+
     cfg = _load_filter_config(args.config)
     tok = make_tokenizer(args.tokenizer)
-
-    rejects_out = open_output(args.rejects) if args.rejects else None
     on_reject = (lambda reject: rejects_out.write(reject.to_json() + "\n")) if args.rejects else None
-    out = open_output(args.output)
     with open(args.input, "rb") as stream:
         report = filters.CleaningReport()
         kept = filters.iter_pipeline(corpus.ingest_jsonl(stream, on_reject=on_reject), cfg, tok, report)
         for record in map(corpus.document_to_record, kept):
             out.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-    _write_json(open_output(args.report), report.to_dict())
-    if args.report_csv:
-        _write_csv(open_output(args.report_csv), report.csv_rows())
+    _write_json(report_out, report.to_dict())
+    if csv_out:
+        _write_csv(csv_out, report.csv_rows())
 
 
 # --- fertility -------------------------------------------------------------------
@@ -234,14 +237,14 @@ def cmd_lr_curve(args, open_output) -> None:
 # --- instruct --------------------------------------------------------------------
 
 
-def _write_dialogues(open_output, args, outcomes) -> None:
+def _write_dialogues(out: TextIO, stats_out: TextIO, outcomes) -> None:
     """In one pass over ``outcomes``: each valid dialogue as a ChatML record to
-    ``--out`` as it comes, then the stats of those written and the reject counts
-    to ``--stats``. Neither the outcomes nor the dialogues are held in a list."""
+    ``out`` as it comes, then the stats of those written and the reject counts
+    to ``stats_out``. Neither the outcomes nor the dialogues are held in a list."""
     from . import instruct
 
-    stats, rejects = instruct.write_chatml_jsonl(outcomes, open_output(args.output))
-    _write_json(open_output(args.stats), {
+    stats, rejects = instruct.write_chatml_jsonl(outcomes, out)
+    _write_json(stats_out, {
         "kept": sum(stats.per_origin_counts.values()),  # every written dialogue counts under one origin
         "rejected": sum(rejects.values()),
         "rejects_by_reason": dict(sorted(rejects.items())),
@@ -252,13 +255,14 @@ def _write_dialogues(open_output, args, outcomes) -> None:
 def cmd_instruct_build(args, open_output) -> None:
     from . import corpus, instruct
 
+    out, stats_out = open_output(args.output), open_output(args.stats)  # before any input is read
     with open(args.input, "rb") as stream:
         docs = list(corpus.ingest_jsonl(stream))
     generator = instruct.MockGenerator(malformed_rate=args.malformed_rate)
     exemplar = instruct.MCQItem.from_dict(read_json(args.exemplar)) if args.exemplar else None
 
     templates = ["standard", "mcq"] if args.template == "both" else [args.template]
-    _write_dialogues(open_output, args, chain.from_iterable(
+    _write_dialogues(out, stats_out, chain.from_iterable(
         instruct.iter_chunk_outcomes(docs, generator, template, max_chars=args.max_chars, seed=args.seed,
                                      exemplar=exemplar)
         for template in templates
@@ -286,7 +290,7 @@ def cmd_instruct_mix(args, open_output) -> None:
             with open(path, "r", encoding="utf-8") as fh:
                 yield from instruct.load_instruction_records(fh, Path(path).stem)
 
-    _write_dialogues(open_output, args, outcomes())
+    _write_dialogues(open_output(args.output), open_output(args.stats), outcomes())
 
 
 # --- eval ------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 from ._schema import (
     INTEGER, LIST, OBJECT, STRING, STRING_OR_INTEGER, STRING_OR_NULL, STRINGS, check, get_field, read_json,
 )
-from .tokenization import segment_words
 
 DEFAULT_LETTERS: tuple[str, ...] = ("A", "B", "C", "D", "E")
 
@@ -45,6 +44,8 @@ class BenchmarkItem:
     context: str | None = None
 
     def __post_init__(self):
+        if not self.question.strip():
+            raise ValueError(f"item {self.id!r}: question must have a non-whitespace character")
         if not 2 <= len(self.choices) <= 5:
             raise ValueError(f"item {self.id!r}: need 2..5 choices, got {len(self.choices)}")
         if any(not c for c in self.choices):
@@ -215,6 +216,8 @@ def evaluate_cf(items: Sequence[BenchmarkItem], scorer: Scorer, norm: str = "non
     elif norm == "by_bytes":
         divisor_fn = lambda item, i: len(item.choices[i].encode("utf-8"))
     elif norm == "by_tokens":
+        from .tokenization import segment_words
+
         divisor_fn = lambda item, i: max(len(segment_words(item.choices[i])), 1)
     else:
         raise ValueError(f"unknown norm {norm!r} (expected none, by_bytes, or by_tokens)")
@@ -313,7 +316,11 @@ class OracleScorer:
 
     The keys are indexed once, when the scorer is built, by their first
     ``m`` characters (``m`` the shortest key length), so a call scans the
-    context backwards from its end instead of searching for every key.
+    context backwards from its end instead of searching for every key, and
+    steps past a position whose character starts no key without slicing it.
+    The last context scored and its accepted continuations are kept as one
+    tuple, and the scan runs again only for a context that differs from it,
+    so the choices of one item, which share a context, cost one scan.
     ``pairs`` is read-only after construction.
     """
 
@@ -338,6 +345,10 @@ class OracleScorer:
         for key, accepted in self.pairs:
             if key:
                 self._buckets.setdefault(key[: self._prefix_len], []).append((key, accepted))
+        self._first_chars = frozenset(prefix[0] for prefix in self._buckets)
+        # (context, its accepted continuations): one tuple, replaced whole, so
+        # a concurrent caller never pairs one context with another's golds.
+        self._last: tuple[str | None, tuple[str, ...] | None] = (None, None)
 
     @classmethod
     def for_cf(cls, items: Sequence[BenchmarkItem]) -> "OracleScorer":
@@ -355,15 +366,22 @@ class OracleScorer:
         """The accepted continuations of the pair whose key occurs last."""
         if self._always is not None:
             return self._always
-        m, buckets = self._prefix_len, self._buckets
+        if not self._buckets:
+            return None
+        m, buckets, first_chars = self._prefix_len, self._buckets, self._first_chars
         for pos in range(len(context) - m, -1, -1):
+            if context[pos] not in first_chars:
+                continue
             for key, accepted in buckets.get(context[pos : pos + m], ()):
                 if context.startswith(key, pos):
                     return accepted
         return None
 
     def loglikelihood(self, context: str, continuation: str) -> float:
-        golds = self._golds(context)
+        last_context, golds = self._last
+        if last_context != context:  # an identity check when the object is the same
+            golds = self._golds(context)
+            self._last = (context, golds)
         if golds is None:
             return self.miss
         return self.hit if continuation in golds else self.miss
@@ -395,6 +413,12 @@ class CharNgramScorer:
     Trained once on ``MINI_CORPUS``; scores the continuation characters
     conditioned on the context tail. Deterministic and finite for any
     non-empty continuation.
+
+    The log-probabilities are computed once, when the scorer is built: one
+    per seen trigram, one per seen history for the trigrams it never
+    precedes, and one for an unseen history. A call looks each continuation
+    character up and adds the values in order, so it returns the same float
+    as computing each term from the counts.
     """
 
     name = "char-ngram"
@@ -411,6 +435,16 @@ class CharNgramScorer:
             history = padded[i - (n - 1) : i]
             self._ngram_counts[(history, padded[i])] += 1
             self._history_counts[history] += 1
+        vocab = self._vocab_size
+        # history + character -> log P; the counts stay for the tests' reference loop.
+        self._logp = {
+            history + ch: math.log((count + 1) / (self._history_counts[history] + vocab))
+            for (history, ch), count in self._ngram_counts.items()
+        }
+        self._logp_unseen = {
+            history: math.log(1 / (count + vocab)) for history, count in self._history_counts.items()
+        }
+        self._logp_unseen_history = math.log(1 / vocab)
 
     def _canon(self, ch: str) -> str:
         return ch if ch in self._known else "\x00"
@@ -418,16 +452,16 @@ class CharNgramScorer:
     def loglikelihood(self, context: str, continuation: str) -> float:
         if not continuation:
             return 0.0
+        known, logp, unseen = self._known, self._logp, self._logp_unseen
         # Only the last n-1 characters of the (padded) context are ever read.
         tail = ("\x00" * (self.n - 1) + context)[len(context):]
-        sequence = "".join(self._canon(c) for c in tail + continuation)
-        start = len(sequence) - len(continuation)
+        history = "".join(map(self._canon, tail))
         total = 0.0
-        for i in range(start, len(sequence)):
-            history = sequence[i - (self.n - 1) : i]
-            count = self._ngram_counts[(history, sequence[i])]
-            denom = self._history_counts[history] + self._vocab_size
-            total += math.log((count + 1) / denom)
+        for ch in continuation:
+            gram = history + (ch if ch in known else "\x00")
+            value = logp.get(gram)
+            total += value if value is not None else unseen.get(history, self._logp_unseen_history)
+            history = gram[1:]
         return total
 
 

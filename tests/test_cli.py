@@ -214,7 +214,7 @@ def test_clean_bad_config_key_is_validation_error(corpus_files, capsys, config, 
 
 def test_clean_failure_leaves_no_partial_output(corpus_files, capsys):
     # The report's directory is missing, so the run fails after kept.jsonl and
-    # the rejects file were written in full: neither may appear, and an existing
+    # the rejects file were opened: neither may appear, and an existing
     # kept.jsonl from an earlier run stays as it was.
     tmp_path, in_path, config_path, *_ = corpus_files
     out = tmp_path / "kept.jsonl"
@@ -336,6 +336,22 @@ def test_two_outputs_naming_one_file_is_validation_error(corpus_files, capsys, m
     assert err == {"command": argv[0], "error": "same.json is named by two outputs of this command"}
     assert (tmp_path / "same.json").read_text(encoding="utf-8") == "earlier run\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["clean", "--in", "missing.jsonl", "--out", "same.json", "--report", "same.json"], "same.json is named"),
+    (["clean", "--in", "missing.jsonl", "--out", "k.jsonl", "--report", "r.json", "--report-csv", "nodir/r.csv"],
+     "nodir"),
+    (["instruct", "build", "--in", "missing.jsonl", "--out", "d.jsonl", "--stats", "d.jsonl"], "d.jsonl is named"),
+    (["instruct", "mix", "--in", "missing.jsonl", "--out", "d.jsonl", "--stats", "nodir/s.json"], "nodir"),
+])
+def test_outputs_are_opened_before_the_input_is_read(tmp_path, capsys, monkeypatch, argv, named):
+    # A bad output is refused before any work: the error names it, not the missing input.
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert named in err["error"] and "missing.jsonl" not in err["error"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_outputs_to_stdout_or_a_device_may_repeat(corpus_files, capsys, monkeypatch):
@@ -927,6 +943,9 @@ def test_eval_cf_oracle(bench_files, capsys):
     ([{"question": "q", "choices": ["a", "b"], "gold_index": 1.0}], "item 0: 'gold_index' must be an integer, got 1.0"),
     # A missing key used to surface as a bare KeyError: "'question'".
     ([{"choices": ["a", "b"], "gold_index": 0}], "item 0: 'question' must be a string, got nothing"),
+    # An empty question was the oracle's key for every context: `eval cf --scorer oracle` scored 0.5 on this file.
+    ([{"question": "", "choices": ["a", "b"], "gold_index": 0}, {"question": "q", "choices": ["a", "b"], "gold_index": 1}],
+     "item '0': question must have a non-whitespace character"),
 ])
 def test_eval_malformed_items_are_validation_errors(tmp_path, capsys, items, message):
     items_path = tmp_path / "items.json"

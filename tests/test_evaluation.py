@@ -71,6 +71,9 @@ def test_item_validation():
         BenchmarkItem(id="x", question="q", choices=["a", "b"], gold_index=2)
     with pytest.raises(ValueError):
         BenchmarkItem(id="x", question="q", choices=["a", ""], gold_index=0)
+    for blank in ("", " \t\n"):
+        with pytest.raises(ValueError, match="item 'x': question must have a non-whitespace character"):
+            BenchmarkItem(id="x", question=blank, choices=["a", "b"], gold_index=0)
 
 
 def test_load_benchmark_items(tmp_path):

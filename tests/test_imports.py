@@ -68,6 +68,7 @@ def _argv(command: str, root: Path) -> list[str]:
     docs, items, out = str(root / "docs.jsonl"), str(root / "items.json"), str(root / f"{command}.out")
     return {
         "eval cf": ["eval", "cf", "--items", items, "--out", out],
+        "eval cf by_tokens": ["eval", "cf", "--items", items, "--norm", "by_tokens", "--out", out],
         "eval mcf": ["eval", "mcf", "--items", items, "--scorer", "oracle", "--out", out],
         "clean -p 1": ["clean", "--in", docs, "--out", out, "--report", out + ".json", "--parallelism", "1"],
         "clean -p 2": ["clean", "--in", docs, "--out", out, "--report", out + ".json", "--parallelism", "2"],
@@ -78,13 +79,14 @@ def _argv(command: str, root: Path) -> list[str]:
 
 
 @pytest.mark.parametrize("command, modules", [
-    ("eval cf", {"ardata.evaluation", "ardata.tokenization"}),
-    ("eval mcf", {"ardata.evaluation", "ardata.tokenization"}),
+    ("eval cf", {"ardata.evaluation"}),
+    ("eval mcf", {"ardata.evaluation"}),
     ("clean -p 1", {"ardata.corpus", "ardata.filters", "ardata.tokenization"}),
     ("fertility", {"ardata.corpus", "ardata.tokenization"}),
     ("lr-curve", {"ardata.schedule"}),
     ("instruct build", {"ardata.corpus", "ardata.instruct", "ardata.tokenization"}),
     ("clean -p 2", {"ardata.corpus", "ardata.filters", "ardata.tokenization"}),
+    ("eval cf by_tokens", {"ardata.evaluation", "ardata.tokenization"}),
 ])
 def test_command_imports_only_its_modules(inputs, command, modules):
     result = fresh_python("-c", PROBE, *_argv(command, inputs))

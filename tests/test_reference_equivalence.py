@@ -376,6 +376,32 @@ def test_oracle_scorer_equals_reference_loop(keys, context_parts):
             assert s.loglikelihood(context, continuation) == reference_oracle_loglikelihood(s, context, continuation)
 
 
+_contexts = st.lists(st.one_of(_keys, st.text("abAاx\n", max_size=3)), max_size=6).map("".join)
+
+
+@given(
+    st.lists(_keys, max_size=8),
+    st.lists(_contexts, min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=12),
+)
+@example([], ["ab", "b"], [(0, False), (0, True), (1, False), (0, False)])  # no non-empty key
+@example(["a", "b"], ["xa", "xb"], [(0, False), (1, False), (0, True), (0, False), (1, True)])
+@settings(max_examples=300, deadline=None)
+def test_oracle_scorer_cache_never_goes_stale(keys, contexts, steps):
+    # One pair of scorers scores a sequence of contexts: repeats, alternations and
+    # equal strings that are distinct objects. Every score must be the scan's.
+    scorer = OracleScorer([(key, (f"c{i}",)) for i, key in enumerate(keys)])
+    anti = OracleScorer.anti(scorer.pairs)
+    continuations = [f"c{i}" for i in range(len(keys))] + ["x"]
+    for index, copy in steps:
+        context = contexts[index % len(contexts)]
+        if copy:
+            context = "".join(list(context))
+        for continuation in continuations:
+            for s in (scorer, anti):
+                assert s.loglikelihood(context, continuation) == reference_oracle_loglikelihood(s, context, continuation)
+
+
 _ngram_scorer = CharNgramScorer()
 _ngram_text = st.text(st.one_of(st.sampled_from("العربية من the fox."), _chars), max_size=12)
 
@@ -527,7 +553,7 @@ def _eval_items(draw, prefix, two_choices=False):
         n_choices = 2 if two_choices else draw(st.integers(2, 5))
         items.append(BenchmarkItem(
             id=f"{prefix}{k}",
-            question=draw(st.text(_EVAL_ALPHABET, max_size=8)),
+            question=draw(st.text(_EVAL_ALPHABET, min_size=1, max_size=8).filter(str.strip)),  # no blank question
             choices=draw(st.lists(_eval_texts, min_size=n_choices, max_size=n_choices)),
             gold_index=draw(st.integers(0, n_choices - 1)),
             category=draw(st.one_of(st.none(), st.sampled_from(["", "stem", "lang"]))),
