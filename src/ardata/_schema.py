@@ -11,6 +11,7 @@ integer, got true``. A kind is a pair: its name in messages, and a test.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 
@@ -24,7 +25,8 @@ STRING_OR_INTEGER = ("a string or an integer", lambda v: isinstance(v, str) or t
 STRINGS = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
 BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
 INTEGER = ("an integer", lambda v: type(v) is int)
-NUMBER = ("a number", lambda v: type(v) in (int, float))
+# json.loads reads NaN and Infinity, and a NaN bound turns a check off.
+NUMBER = ("a finite number", lambda v: type(v) is int or (type(v) is float and math.isfinite(v)))
 COUNT = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
 COUNTS = ("an object of integer counts >= 0", lambda v: isinstance(v, dict) and all(map(COUNT[1], v.values())))
 # Token and step counts meet floats in fractions, percentages and learning

@@ -3,11 +3,12 @@
 One binary, subcommand style: clean, fertility, mix-plan, lr-curve,
 instruct build/stats, eval cf/mcf/acva/diff, report merge. Reports are
 machine-readable first (JSON/CSV with sorted keys), so identical argv,
-inputs, and seed produce byte-identical outputs. ``-`` is stdout for every
-output flag. Exit codes: 0 success, 1 validation/runtime error (JSON on
-stderr; two outputs naming one file are one), 2 usage error, 130 SIGINT (JSON
-on stderr), 129 SIGHUP, 143 SIGTERM. None of these leaves a partial output
-file; a run killed by SIGKILL cannot clean up after itself.
+inputs, and seed produce byte-identical outputs. Every output is opened
+before any input is read; ``-`` is stdout, the default of each optional
+--out. Exit codes: 0 success, 1 validation/runtime error (JSON on stderr; two
+outputs naming one file are one), 2 usage error, 130 SIGINT (JSON on stderr),
+129 SIGHUP, 143 SIGTERM. None of these leaves a partial output file; a run
+killed by SIGKILL cannot clean up after itself.
 
 Environment override: ARDATA_CONFIG supplies --config for ``clean`` when
 the flag is omitted.
@@ -40,27 +41,28 @@ CONFIG_ENV = "ARDATA_CONFIG"
 
 @contextmanager
 def _staged_outputs():
-    """Yield ``open_output(path)``, the one way a command opens an output.
+    """Yield ``open_output(path)``, the one way an output is opened.
 
-    ``None`` and ``-`` are stdout. A target that is absent or a regular file
-    is staged: the temporary sits next to the file ``path`` resolves to
-    (through any symlinks), takes the mode of the file it will replace, and is
-    moved onto it with ``os.replace`` once the block succeeds. When the block
-    raises, the temporaries are removed, so a failed command leaves no partial
-    output and its existing targets as they were. Each target is replaced on
-    its own, so a replace that fails (it rarely can: the temporary is in the
-    same directory) leaves the targets moved before it in place. A target
-    staged twice raises ValueError: only one output could survive. Any other
-    existing target (a device such as /dev/null, a FIFO) is written directly,
-    and a directory is refused when it is opened. Every handle opened here is
-    closed when the block ends, before any replace or removal.
+    ``-`` is stdout and ``None``, an output not asked for, opens nothing. A
+    target that is absent or a regular file is staged: the temporary sits next
+    to the file ``path`` resolves to (through any symlinks), takes the mode of
+    the file it will replace, and is moved onto it with ``os.replace`` once the
+    block succeeds. When the block raises, the temporaries are removed, so a
+    failed command leaves no partial output and its existing targets as they
+    were. Each target is replaced on its own, so a replace that fails (it
+    rarely can: the temporary is in the same directory) leaves the targets
+    moved before it in place. A target staged twice raises ValueError: only one
+    output could survive. Any other existing target (a device such as
+    /dev/null, a FIFO) is written directly, and a directory is refused when it
+    is opened. Every handle opened here is closed when the block ends, before
+    any replace or removal.
     """
     staged: dict[Path, Path] = {}  # target -> temporary
     handles = ExitStack()
 
-    def open_output(path: str | None) -> TextIO:
-        if path is None or path == "-":
-            return sys.stdout
+    def open_output(path: str | None) -> TextIO | None:
+        if path in (None, "-"):
+            return None if path is None else sys.stdout
         try:
             mode = os.stat(path).st_mode
         except OSError:
@@ -78,6 +80,8 @@ def _staged_outputs():
                 break
             except FileExistsError:  # left by a killed run that had this process id
                 attempt += 1
+            except OSError as exc:  # named as given, not as the temporary
+                raise OSError(exc.errno, exc.strerror, path) from None
         staged[target] = temporary
         if mode is not None:
             os.chmod(temporary, stat.S_IMODE(mode))
@@ -126,32 +130,26 @@ def _load_filter_config(path: str | None) -> filters.FilterConfig:
     return filters.FilterConfig.from_dict(read_json(path))
 
 
-def cmd_clean(args, open_output) -> None:
+def cmd_clean(args) -> None:
     from . import corpus, filters
-
-    # Every output is opened before any input is read, so a bad target fails at once.
-    rejects_out = open_output(args.rejects) if args.rejects else None
-    out = open_output(args.output)
-    report_out = open_output(args.report)
-    csv_out = open_output(args.report_csv) if args.report_csv else None
 
     cfg = _load_filter_config(args.config)
     tok = make_tokenizer(args.tokenizer)
-    on_reject = (lambda reject: rejects_out.write(reject.to_json() + "\n")) if args.rejects else None
+    on_reject = (lambda reject: args.rejects.write(reject.to_json() + "\n")) if args.rejects else None
     with open(args.input, "rb") as stream:
         report = filters.CleaningReport()
         kept = filters.iter_pipeline(corpus.ingest_jsonl(stream, on_reject=on_reject), cfg, tok, report)
         for record in map(corpus.document_to_record, kept):
-            out.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-    _write_json(report_out, report.to_dict())
-    if csv_out:
-        _write_csv(csv_out, report.csv_rows())
+            args.output.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    _write_json(args.report, report.to_dict())
+    if args.report_csv:
+        _write_csv(args.report_csv, report.csv_rows())
 
 
 # --- fertility -------------------------------------------------------------------
 
 
-def cmd_fertility(args, open_output) -> None:
+def cmd_fertility(args) -> None:
     from . import corpus, tokenization
 
     toks = [make_tokenizer(spec) for spec in args.tokenizer]
@@ -166,7 +164,7 @@ def cmd_fertility(args, open_output) -> None:
     for tok, tok_accs in zip(toks, accs):
         for path, acc in zip(args.input, tok_accs):
             rows.append([tok.name, Path(path).stem, repr(acc.report(tok.name, average=args.average).fertility)])
-    _write_csv(open_output(args.out), rows)
+    _write_csv(args.out, rows)
 
 
 # --- mix-plan --------------------------------------------------------------------
@@ -182,7 +180,7 @@ def _parse_upweights(pairs: list[str]) -> dict[str, float]:
     return upweights
 
 
-def cmd_mix_plan(args, open_output) -> None:
+def cmd_mix_plan(args) -> None:
     from . import mixture
 
     sources = mixture.load_sources(args.sources)
@@ -201,7 +199,7 @@ def cmd_mix_plan(args, open_output) -> None:
             entry.token_quota,
             f"{entry.epochs:.3f}",
         ])
-    _write_csv(open_output(args.out), rows)
+    _write_csv(args.out, rows)
 
 
 # --- lr-curve --------------------------------------------------------------------
@@ -217,7 +215,7 @@ def _composition(value: str) -> str:
     return value
 
 
-def cmd_lr_curve(args, open_output) -> None:
+def cmd_lr_curve(args) -> None:
     from dataclasses import replace
 
     from . import schedule
@@ -231,7 +229,7 @@ def cmd_lr_curve(args, open_output) -> None:
         overrides["cooldown_start"] = overrides.get("total_steps", spec.total_steps) - schedule.LATE_COOLDOWN_STEPS
     spec = replace(spec, **overrides)
     rows = [[step, repr(lr)] for step, lr in schedule.emit_curve(spec, args.stride)]
-    _write_csv(open_output(args.out), rows)
+    _write_csv(args.out, rows)
 
 
 # --- instruct --------------------------------------------------------------------
@@ -252,24 +250,23 @@ def _write_dialogues(out: TextIO, stats_out: TextIO, outcomes) -> None:
     })
 
 
-def cmd_instruct_build(args, open_output) -> None:
+def cmd_instruct_build(args) -> None:
     from . import corpus, instruct
 
-    out, stats_out = open_output(args.output), open_output(args.stats)  # before any input is read
     with open(args.input, "rb") as stream:
         docs = list(corpus.ingest_jsonl(stream))
     generator = instruct.MockGenerator(malformed_rate=args.malformed_rate)
     exemplar = instruct.MCQItem.from_dict(read_json(args.exemplar)) if args.exemplar else None
 
     templates = ["standard", "mcq"] if args.template == "both" else [args.template]
-    _write_dialogues(out, stats_out, chain.from_iterable(
+    _write_dialogues(args.output, args.stats, chain.from_iterable(
         instruct.iter_chunk_outcomes(docs, generator, template, max_chars=args.max_chars, seed=args.seed,
                                      exemplar=exemplar)
         for template in templates
     ))
 
 
-def cmd_instruct_stats(args, open_output) -> None:
+def cmd_instruct_stats(args) -> None:
     from . import instruct
 
     with open(args.input, "r", encoding="utf-8") as fh:
@@ -278,10 +275,10 @@ def cmd_instruct_stats(args, open_output) -> None:
         stats = instruct.dataset_stats(
             d for d in outcomes if isinstance(d, instruct.Dialogue) and not instruct.validate_dialogue(d)
         )
-    _write_json(open_output(args.out), stats.to_dict())
+    _write_json(args.out, stats.to_dict())
 
 
-def cmd_instruct_mix(args, open_output) -> None:
+def cmd_instruct_mix(args) -> None:
     """Merge dialogue datasets into one validated ChatML JSONL with stats."""
     from . import instruct
 
@@ -290,7 +287,7 @@ def cmd_instruct_mix(args, open_output) -> None:
             with open(path, "r", encoding="utf-8") as fh:
                 yield from instruct.load_instruction_records(fh, Path(path).stem)
 
-    _write_dialogues(open_output(args.output), open_output(args.stats), outcomes())
+    _write_dialogues(args.output, args.stats, outcomes())
 
 
 # --- eval ------------------------------------------------------------------------
@@ -314,25 +311,25 @@ def _build_scorer(name: str, items, fmt: str):
     raise ValueError(f"unknown scorer {name!r} (constant, oracle, anti-oracle, or ngram)")
 
 
-def cmd_eval_cf(args, open_output) -> None:
+def cmd_eval_cf(args) -> None:
     from . import evaluation
 
     items = evaluation.load_benchmark_items(args.items)
     scorer = _build_scorer(args.scorer, items, "cf")
     result = evaluation.evaluate_cf(items, scorer, norm=args.norm)
-    _write_json(open_output(args.out), result.to_dict())
+    _write_json(args.out, result.to_dict())
 
 
-def cmd_eval_mcf(args, open_output) -> None:
+def cmd_eval_mcf(args) -> None:
     from . import evaluation
 
     items = evaluation.load_benchmark_items(args.items)
     scorer = _build_scorer(args.scorer, items, "mcf")
     result = evaluation.evaluate_mcf(items, scorer)
-    _write_json(open_output(args.out), result.to_dict())
+    _write_json(args.out, result.to_dict())
 
 
-def cmd_eval_acva(args, open_output) -> None:
+def cmd_eval_acva(args) -> None:
     from . import evaluation
 
     items = evaluation.load_benchmark_items(args.items)
@@ -341,10 +338,10 @@ def cmd_eval_acva(args, open_output) -> None:
     result = evaluation.evaluate_true_false(
         items, scorer, exemplars, shots=args.shots, seed=args.seed
     )
-    _write_json(open_output(args.out), result.to_dict())
+    _write_json(args.out, result.to_dict())
 
 
-def cmd_eval_diff(args, open_output) -> None:
+def cmd_eval_diff(args) -> None:
     from . import evaluation
 
     items = evaluation.load_benchmark_items(args.items)
@@ -355,17 +352,17 @@ def cmd_eval_diff(args, open_output) -> None:
     rows = [["model", "cf", "mcf", "diff"]]
     for row in evaluation.cf_mcf_diff(items, scorers, norm=args.norm):
         rows.append([row.model, repr(row.cf), repr(row.mcf), repr(row.diff)])
-    _write_csv(open_output(args.out), rows)
+    _write_csv(args.out, rows)
 
 
 # --- report merge -----------------------------------------------------------------
 
 
-def cmd_report_merge(args, open_output) -> None:
+def cmd_report_merge(args) -> None:
     from . import filters
 
     reports = (filters.CleaningReport.from_dict(read_json(path)) for path in args.reports)
-    _write_json(open_output(args.out), reduce(filters.merge_reports, reports).to_dict())
+    _write_json(args.out, reduce(filters.merge_reports, reports).to_dict())
 
 
 # --- parser -----------------------------------------------------------------------
@@ -388,21 +385,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted and ignored: clean always runs as one streaming pass; to use more cores, "
         "run one clean per shard of the input and combine the reports with `report merge`",
     )
-    p.set_defaults(func=cmd_clean)
+    p.set_defaults(func=cmd_clean, outputs=("rejects", "output", "report", "report_csv"))
 
     p = sub.add_parser("fertility", help="fertility CSV per (tokenizer, dataset)")
     p.add_argument("--in", dest="input", action="append", required=True)
     p.add_argument("--tokenizer", action="append", required=True)
     p.add_argument("--average", choices=("micro", "macro"), default="micro")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fertility)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=cmd_fertility, outputs=("out",))
 
     p = sub.add_parser("mix-plan", help="token shares, sampling percentages, quotas, epochs")
     p.add_argument("--sources", required=True, help="JSON array of {name, tokens, language}")
     p.add_argument("--upweight", action="append", default=[], help="language=weight (repeatable)")
     p.add_argument("--total-tokens", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_mix_plan)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=cmd_mix_plan, outputs=("out",))
 
     p = sub.add_parser("lr-curve", help="CSV of (step, lr) samples")
     p.add_argument("--variant", choices=("early", "late"), default="early")
@@ -413,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-lr", type=float, default=None)
     p.add_argument("--min-lr", type=float, default=None)
     p.add_argument("--composition", type=_composition, default=None, help="main-phase composition mode")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_lr_curve)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=cmd_lr_curve, outputs=("out",))
 
     p_instruct = sub.add_parser("instruct", help="synthetic dialogue factory")
     instruct_sub = p_instruct.add_subparsers(dest="subcommand", required=True)
@@ -428,18 +425,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--malformed-rate", type=float, default=0.0)
     p.add_argument("--exemplar", default=None, help="JSON file with an MCQ exemplar")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_instruct_build)
+    p.set_defaults(func=cmd_instruct_build, outputs=("output", "stats"))
 
     p = instruct_sub.add_parser("stats", help="turn/enumeration histograms for a dialogue JSONL")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_instruct_stats)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=cmd_instruct_stats, outputs=("out",))
 
     p = instruct_sub.add_parser("mix", help="merge dialogue datasets into one ChatML JSONL")
     p.add_argument("--in", dest="inputs", action="append", required=True)
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--stats", required=True)
-    p.set_defaults(func=cmd_instruct_mix)
+    p.set_defaults(func=cmd_instruct_mix, outputs=("output", "stats"))
 
     p_eval = sub.add_parser("eval", help="benchmark evaluation")
     eval_sub = p_eval.add_subparsers(dest="subcommand", required=True)
@@ -448,37 +445,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", required=True)
     p.add_argument("--scorer", default="ngram")
     p.add_argument("--norm", choices=("none", "by_bytes", "by_tokens"), default="by_bytes")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval_cf)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=cmd_eval_cf, outputs=("out",))
 
     p = eval_sub.add_parser("mcf", help="multiple-choice-format accuracy")
     p.add_argument("--items", required=True)
     p.add_argument("--scorer", default="ngram")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval_mcf)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=cmd_eval_mcf, outputs=("out",))
 
     p = eval_sub.add_parser("acva", help="few-shot True/False with macro F1")
     p.add_argument("--items", required=True)
     p.add_argument("--exemplars", required=True)
     p.add_argument("--shots", type=int, default=5)
     p.add_argument("--scorer", default="ngram")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="-")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_eval_acva)
+    p.set_defaults(func=cmd_eval_acva, outputs=("out",))
 
     p = eval_sub.add_parser("diff", help="CF minus MCF accuracy per scorer (CSV)")
     p.add_argument("--items", required=True)
     p.add_argument("--scorers", default="constant,oracle,anti-oracle,ngram")
     p.add_argument("--norm", choices=("none", "by_bytes", "by_tokens"), default="none")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval_diff)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=cmd_eval_diff, outputs=("out",))
 
     p = sub.add_parser("report", help="cleaning-report utilities")
     report_sub = p.add_subparsers(dest="subcommand", required=True)
     p = report_sub.add_parser("merge", help="merge sharded cleaning reports")
     p.add_argument("reports", nargs="+")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_report_merge)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=cmd_report_merge, outputs=("out",))
 
     return parser
 
@@ -491,7 +488,9 @@ def dispatch(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         with _staged_outputs() as open_output:
-            args.func(args, open_output)
+            for dest in args.outputs:  # each path becomes its handle before the command runs
+                setattr(args, dest, open_output(getattr(args, dest)))
+            args.func(args)
     except (ValueError, KeyError, OSError, OverflowError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}) + "\n")
         return 1

@@ -12,6 +12,7 @@ import math
 import random
 import weakref
 from bisect import bisect
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -152,6 +153,9 @@ def plan_mixture(
         raise ValueError("total_tokens must be >= 0")
     check(total_tokens, BELOW_2_63, "total_tokens")
     names = [s.name for s in sources]
+    repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+    if repeated:
+        raise ValueError(f"sources must have distinct names, repeated: {repeated}")
     unknown = set(fractions) - set(names)
     if unknown:
         raise ValueError(f"fractions reference unknown sources: {sorted(unknown)}")

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import math
 import os
 import signal
 import stat
@@ -199,6 +201,8 @@ def test_clean_rejects_ids_and_urls_of_another_kind(tmp_path):
 @pytest.mark.parametrize("config, key", [
     ({"min_linez": 3}, "'min_linez'"),
     ({"gopher": {"min_words": "x"}}, "'gopher.min_words'"),
+    # json.dumps writes NaN, which json.loads reads back; a NaN bound never fires.
+    ({"gopher": {"max_punct_char_frac": math.nan}}, "'gopher.max_punct_char_frac' must be a finite number, got NaN"),
 ])
 def test_clean_bad_config_key_is_validation_error(corpus_files, capsys, config, key):
     tmp_path, in_path, config_path, *_ = corpus_files
@@ -344,14 +348,51 @@ def test_two_outputs_naming_one_file_is_validation_error(corpus_files, capsys, m
      "nodir"),
     (["instruct", "build", "--in", "missing.jsonl", "--out", "d.jsonl", "--stats", "d.jsonl"], "d.jsonl is named"),
     (["instruct", "mix", "--in", "missing.jsonl", "--out", "d.jsonl", "--stats", "nodir/s.json"], "nodir"),
+    (["fertility", "--in", "missing.jsonl", "--tokenizer", "whitespace", "--out", "nodir/f.csv"], "'nodir/f.csv'"),
+    (["mix-plan", "--sources", "missing.jsonl", "--total-tokens", "10", "--out", "nodir/m.csv"], "'nodir/m.csv'"),
+    (["lr-curve", "--total-steps", "5", "--out", "nodir/l.csv"], "'nodir/l.csv'"),
+    (["instruct", "stats", "--in", "missing.jsonl", "--out", "nodir/s.json"], "'nodir/s.json'"),
+    (["eval", "cf", "--items", "missing.jsonl", "--out", "nodir/x.json"], "'nodir/x.json'"),
+    (["eval", "mcf", "--items", "missing.jsonl", "--out", "nodir/x.json"], "'nodir/x.json'"),
+    (["eval", "acva", "--items", "missing.jsonl", "--exemplars", "missing.jsonl", "--out", "nodir/x.json"],
+     "'nodir/x.json'"),
+    (["eval", "diff", "--items", "missing.jsonl", "--out", "nodir/x.csv"], "'nodir/x.csv'"),
+    (["report", "merge", "missing.jsonl", "--out", "nodir/r.json"], "'nodir/r.json'"),
 ])
 def test_outputs_are_opened_before_the_input_is_read(tmp_path, capsys, monkeypatch, argv, named):
-    # A bad output is refused before any work: the error names it, not the missing input.
+    # A bad output is refused before any work: the error names it as given,
+    # not the missing input and not the temporary it would be staged in.
     monkeypatch.chdir(tmp_path)
     assert dispatch(argv) == 1
     err = json.loads(capsys.readouterr().err)
-    assert named in err["error"] and "missing.jsonl" not in err["error"]
+    assert named in err["error"] and "missing.jsonl" not in err["error"] and ".tmp" not in err["error"]
     assert list(tmp_path.iterdir()) == []
+
+
+def _leaf_parsers(parser, words=()):
+    """(command, parser) for each subcommand that runs, such as ("eval cf", <parser>)."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(words), parser
+    for action in subparsers:
+        for word, child in action.choices.items():
+            yield from _leaf_parsers(child, words + (word,))
+
+
+OUTPUT_DESTS = {"out", "output", "report", "report_csv", "rejects", "stats"}
+
+
+def test_every_output_is_declared():
+    # dispatch opens only the declared outputs before a command runs, so an
+    # undeclared output flag would reach its command as a path, unopened.
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert sorted(leaves) == sorted(SUBCOMMAND_ARGV)
+    for command, parser in leaves.items():
+        options = {a.dest for a in parser._actions if a.option_strings}
+        declared = parser.get_default("outputs")
+        assert len(set(declared)) == len(declared), command
+        assert options & OUTPUT_DESTS <= set(declared) <= options, command
+        assert "outputs" not in options, command
 
 
 def test_outputs_to_stdout_or_a_device_may_repeat(corpus_files, capsys, monkeypatch):
@@ -600,6 +641,16 @@ def test_mix_plan_quotas_sum_to_the_largest_total(tmp_path, capsys, sources, upw
     assert dispatch(["mix-plan", "--sources", str(path), "--total-tokens", str(2**63 - 1), *upweight]) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert sum(int(row["token_quota"]) for row in rows) == 2**63 - 1
+
+
+def test_mix_plan_repeated_source_name_is_validation_error(tmp_path, capsys):
+    # Used to exit with "fractions must sum to 1, got 0.875".
+    sources = tmp_path / "sources.json"
+    sources.write_text(json.dumps([{"name": "a", "tokens": 10}, {"name": "a", "tokens": 30},
+                                   {"name": "b", "tokens": 10, "language": "en"}]), encoding="utf-8")
+    assert dispatch(["mix-plan", "--sources", str(sources), "--total-tokens", "900"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"command": "mix-plan", "error": "sources must have distinct names, repeated: ['a']"}
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -394,6 +395,11 @@ def test_config_validation():
     ({"safety_count_mode": 1}, "'safety_count_mode'"),
     # An unknown label used to become `other`, moving safety filtering off CulturaX.
     ({"safety_sources": ["culturaxx"]}, "'safety_sources'"),
+    # A NaN bound turns its check off: no value compares above or below it.
+    ({"gopher": {"max_punct_char_frac": math.nan}}, "'gopher.max_punct_char_frac' must be a finite number"),
+    ({"gopher": {"min_alpha_word_frac": math.nan}}, "'gopher.min_alpha_word_frac' must be a finite number"),
+    ({"short_line_frac_max": math.inf}, "'short_line_frac_max' must be a finite number"),
+    ({"permissible_char_min_frac": -math.inf}, "'permissible_char_min_frac' must be a finite number"),
 ])
 def test_config_from_dict_names_bad_key(data, key):
     with pytest.raises(ValueError, match=key):
@@ -407,6 +413,8 @@ def test_config_from_dict_rejects_non_object():
 
 def test_config_from_dict_accepts_int_for_fraction():
     assert FilterConfig.from_dict({"permissible_char_min_frac": 1}).permissible_char_min_frac == 1
+    # An int of any size is finite; math.isfinite would overflow on this one.
+    assert FilterConfig.from_dict({"gopher": {"max_punct_char_frac": 10**400}}).gopher.max_punct_char_frac == 10**400
 
 
 def test_latin_phrase_matching_case_insensitive():

@@ -128,6 +128,13 @@ def test_plan_unknown_source_error():
         plan_mixture([SourceStats("a", 10)], {"a": 0.5, "ghost": 0.5}, 100)
 
 
+def test_plan_repeated_source_name_error():
+    # Each "a" used to get a third of the tokens, and "b" a third instead of half.
+    sources = [SourceStats("a", 10), SourceStats("a", 30), SourceStats("b", 10)]
+    with pytest.raises(ValueError, match=r"distinct names, repeated: \['a'\]"):
+        plan_mixture(sources, {"a": 0.5, "b": 0.5}, 900)
+
+
 def test_plan_fractions_must_sum_to_one():
     with pytest.raises(ValueError, match="sum to 1"):
         plan_mixture([SourceStats("a", 10), SourceStats("b", 10)], {"a": 0.6, "b": 0.6}, 100)
