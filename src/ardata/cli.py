@@ -9,9 +9,6 @@ before any input is read; ``-`` is stdout, the default of each optional
 outputs naming one file are one), 2 usage error, 130 SIGINT (JSON on stderr),
 129 SIGHUP, 143 SIGTERM. None of these leaves a partial output file; a run
 killed by SIGKILL cannot clean up after itself.
-
-Environment override: ARDATA_CONFIG supplies --config for ``clean`` when
-the flag is omitted.
 """
 from __future__ import annotations
 
@@ -23,7 +20,6 @@ import stat
 import sys
 from contextlib import ExitStack, contextmanager
 from functools import reduce
-from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
@@ -32,11 +28,9 @@ from ._schema import read_json
 # Each command imports the library modules it runs, so a command does not
 # pay at start-up for the modules of the others.
 if TYPE_CHECKING:
-    from . import filters, tokenization
+    from . import tokenization
 
 DEFAULT_SEED = 0
-
-CONFIG_ENV = "ARDATA_CONFIG"
 
 
 @contextmanager
@@ -44,10 +38,12 @@ def _staged_outputs():
     """Yield ``open_output(path)``, the one way an output is opened.
 
     ``-`` is stdout and ``None``, an output not asked for, opens nothing. A
-    target that is absent or a regular file is staged: the temporary sits next
-    to the file ``path`` resolves to (through any symlinks), takes the mode of
-    the file it will replace, and is moved onto it with ``os.replace`` once the
-    block succeeds. When the block raises, the temporaries are removed, so a
+    path that names no file (empty, or ending in a separator) is opened as
+    given, so it is refused as a plain ``open`` refuses it. A target that is
+    absent or a regular file is staged: the temporary sits next to the file
+    ``path`` resolves to (through any symlinks), takes the mode of the file it
+    will replace, and is moved onto it with ``os.replace`` once the block
+    succeeds. When the block raises, the temporaries are removed, so a
     failed command leaves no partial output and its existing targets as they
     were. Each target is replaced on its own, so a replace that fails (it
     rarely can: the temporary is in the same directory) leaves the targets
@@ -67,7 +63,7 @@ def _staged_outputs():
             mode = os.stat(path).st_mode
         except OSError:
             mode = None
-        if mode is not None and not stat.S_ISREG(mode):
+        if not os.path.basename(path) or (mode is not None and not stat.S_ISREG(mode)):
             return handles.enter_context(open(path, "w", encoding="utf-8", newline=""))
         target = Path(os.path.realpath(path))
         if target in staged:
@@ -120,20 +116,10 @@ def make_tokenizer(spec: str) -> tokenization.TokenizerAdapter:
 # --- clean ---------------------------------------------------------------------
 
 
-def _load_filter_config(path: str | None) -> filters.FilterConfig:
-    from . import filters
-
-    if path is None:
-        path = os.environ.get(CONFIG_ENV)
-    if path is None:
-        return filters.FilterConfig()
-    return filters.FilterConfig.from_dict(read_json(path))
-
-
 def cmd_clean(args) -> None:
     from . import corpus, filters
 
-    cfg = _load_filter_config(args.config)
+    cfg = filters.FilterConfig.from_dict(read_json(args.config)) if args.config is not None else filters.FilterConfig()
     tok = make_tokenizer(args.tokenizer)
     on_reject = (lambda reject: args.rejects.write(reject.to_json() + "\n")) if args.rejects else None
     with open(args.input, "rb") as stream:
@@ -153,17 +139,14 @@ def cmd_fertility(args) -> None:
     from . import corpus, tokenization
 
     toks = [make_tokenizer(spec) for spec in args.tokenizer]
-    accs = [[tokenization.FertilityAccumulator() for _ in args.input] for _ in toks]
-    for j, path in enumerate(args.input):  # one read of each file feeds every tokenizer
+
+    def reports(path: str) -> list[tokenization.FertilityReport]:  # one read of the file for every tokenizer
         with open(path, "rb") as stream:
-            for doc in corpus.ingest_jsonl(stream):
-                words = len(tokenization.segment_words(doc.text))  # once, for every tokenizer
-                for tok, tok_accs in zip(toks, accs):
-                    tok_accs[j].add_counts(words, tok.count_tokens(doc.text))
+            return tokenization.fertility_reports(corpus.ingest_jsonl(stream), toks, args.average)
+
     rows = [["tokenizer", "dataset", "fertility"]]
-    for tok, tok_accs in zip(toks, accs):
-        for path, acc in zip(args.input, tok_accs):
-            rows.append([tok.name, Path(path).stem, repr(acc.report(tok.name, average=args.average).fertility)])
+    for tok_reports in zip(*map(reports, args.input)):  # tokenizer-major
+        rows.extend([r.tokenizer_name, Path(path).stem, repr(r.fertility)] for path, r in zip(args.input, tok_reports))
     _write_csv(args.out, rows)
 
 
@@ -216,18 +199,11 @@ def _composition(value: str) -> str:
 
 
 def cmd_lr_curve(args) -> None:
-    from dataclasses import replace
-
     from . import schedule
 
-    spec = schedule.early_cooldown() if args.variant == "early" else schedule.late_cooldown()
-    names = ("total_steps", "warmup_steps", "cooldown_start", "max_lr", "min_lr")
+    names = ("total_steps", "warmup_steps", "cooldown_start", "max_lr", "min_lr", "main_phase")
     overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    if args.composition:
-        overrides["main_phase"] = args.composition
-    if args.variant == "late" and args.cooldown_start is None:
-        overrides["cooldown_start"] = overrides.get("total_steps", spec.total_steps) - schedule.LATE_COOLDOWN_STEPS
-    spec = replace(spec, **overrides)
+    spec = (schedule.early_cooldown if args.variant == "early" else schedule.late_cooldown)(**overrides)
     rows = [[step, repr(lr)] for step, lr in schedule.emit_curve(spec, args.stride)]
     _write_csv(args.out, rows)
 
@@ -253,17 +229,13 @@ def _write_dialogues(out: TextIO, stats_out: TextIO, outcomes) -> None:
 def cmd_instruct_build(args) -> None:
     from . import corpus, instruct
 
-    with open(args.input, "rb") as stream:
-        docs = list(corpus.ingest_jsonl(stream))
     generator = instruct.MockGenerator(malformed_rate=args.malformed_rate)
     exemplar = instruct.MCQItem.from_dict(read_json(args.exemplar)) if args.exemplar else None
-
-    templates = ["standard", "mcq"] if args.template == "both" else [args.template]
-    _write_dialogues(args.output, args.stats, chain.from_iterable(
-        instruct.iter_chunk_outcomes(docs, generator, template, max_chars=args.max_chars, seed=args.seed,
-                                     exemplar=exemplar)
-        for template in templates
-    ))
+    with open(args.input, "rb") as stream:
+        _write_dialogues(args.output, args.stats, instruct.iter_chunk_outcomes(
+            corpus.ingest_jsonl(stream), generator, args.template, max_chars=args.max_chars, seed=args.seed,
+            exemplar=exemplar,
+        ))
 
 
 def cmd_instruct_stats(args) -> None:
@@ -271,10 +243,7 @@ def cmd_instruct_stats(args) -> None:
 
     with open(args.input, "r", encoding="utf-8") as fh:
         outcomes = instruct.load_instruction_records(fh, "unknown", strict=True)
-        # The dialogues `instruct mix` would write: parsed, and structurally valid.
-        stats = instruct.dataset_stats(
-            d for d in outcomes if isinstance(d, instruct.Dialogue) and not instruct.validate_dialogue(d)
-        )
+        stats = instruct.dataset_stats(instruct.valid_dialogues(outcomes, rejects={}))  # what `instruct mix` writes
     _write_json(args.out, stats.to_dict())
 
 
@@ -409,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cooldown-start", type=int, default=None)
     p.add_argument("--max-lr", type=float, default=None)
     p.add_argument("--min-lr", type=float, default=None)
-    p.add_argument("--composition", type=_composition, default=None, help="main-phase composition mode")
+    p.add_argument("--composition", dest="main_phase", type=_composition, default=None,
+                   help="main-phase composition mode")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_lr_curve, outputs=("out",))
 

@@ -25,6 +25,9 @@ from .tokenization import segment_words
 HUMAN = "human"
 GPT = "gpt"
 
+IM_START = "<|im_start|>"
+IM_END = "<|im_end|>"
+
 ORIGIN_REPHRASE_STANDARD = "rephrase_standard"
 ORIGIN_REPHRASE_MCQ = "rephrase_mcq"
 
@@ -65,7 +68,8 @@ class Rejection(Exception):
 
 
 def validate_dialogue(d: Dialogue) -> str | None:
-    """Reason the dialogue breaks the structural contract, or None if valid."""
+    """Reason the dialogue cannot be written, or None: the structural contract, then
+    ``reserved_sequence`` for a ChatML marker in a turn (escaping it would corrupt the data)."""
     if not d.turns:
         return "empty"
     if len(d.turns) < 2:
@@ -79,6 +83,9 @@ def validate_dialogue(d: Dialogue) -> str | None:
             return "role_order"
     if any(not t.value.strip() for t in d.turns):
         return "empty_turn"
+    for t in d.turns:
+        if IM_START in t.value or IM_END in t.value:
+            return "reserved_sequence"
     return None
 
 
@@ -110,14 +117,19 @@ class MCQItem:
 
     @classmethod
     def from_dict(cls, data) -> "MCQItem":
-        """Item from parsed JSON; a missing or wrongly typed key raises ValueError naming it."""
+        """Item from parsed JSON; a missing or wrongly typed key raises ValueError
+        naming it, and an item that ``validate_mcq`` refuses one naming the reason."""
         check(data, OBJECT, "MCQ item")
-        return cls(
+        item = cls(
             get_field(data, "question", STRING, "MCQ item: "),
             list(get_field(data, "options", STRINGS, "MCQ item: ")),
             get_field(data, "answer_index", INTEGER, "MCQ item: "),
             get_field(data, "enum_style", STRING, "MCQ item: ", "latin_letters"),
         )
+        reason = validate_mcq(item)
+        if reason:
+            raise ValueError(f"invalid MCQ item: {reason}")
+        return item
 
 
 def validate_mcq(item: MCQItem) -> str | None:
@@ -219,14 +231,18 @@ def split_sentences(text: str) -> list[str]:
     return [s.strip() for s in _SENTENCE_RE.findall(text) if s.strip()]
 
 
+def _check_max_chars(max_chars: int) -> None:
+    if max_chars < 1:
+        raise ValueError("max_chars must be >= 1")
+
+
 def chunk_document(doc: Document | str, max_chars: int) -> list[str]:
     """Greedy sentence packing into chunks of at most ``max_chars`` characters.
 
     Sentences end at Arabic or Latin sentence-final punctuation. A sentence
     is only ever split mid-way when it alone exceeds ``max_chars``.
     """
-    if max_chars < 1:
-        raise ValueError("max_chars must be >= 1")
+    _check_max_chars(max_chars)
     text = doc.text if isinstance(doc, Document) else doc
     if not text.strip():
         return []
@@ -487,14 +503,14 @@ def parse_dialogue_response(text: str) -> Dialogue:
 def filter_dialogues(
     candidates: Iterable[Dialogue | Rejection],
 ) -> tuple[list[Dialogue], dict[str, int]]:
-    """Keep structurally valid dialogues; tally rejects by reason."""
+    """Keep valid dialogues; tally rejects by reason."""
     rejects: dict[str, int] = {}
-    return list(_valid_dialogues(candidates, rejects)), rejects
+    return list(valid_dialogues(candidates, rejects)), rejects
 
 
-def _valid_dialogues(candidates: Iterable[Dialogue | Rejection], rejects: dict[str, int]) -> Iterator[Dialogue]:
-    """Each structurally valid dialogue of ``candidates`` as it comes, validated
-    once; each rejection and invalid dialogue is tallied by reason into ``rejects``."""
+def valid_dialogues(candidates: Iterable[Dialogue | Rejection], rejects: dict[str, int]) -> Iterator[Dialogue]:
+    """Each valid dialogue of ``candidates`` as it comes, validated once; each
+    rejection and invalid dialogue is tallied by reason into ``rejects``."""
     for candidate in candidates:
         if isinstance(candidate, Rejection):
             reason = candidate.reason
@@ -508,8 +524,6 @@ def _valid_dialogues(candidates: Iterable[Dialogue | Rejection], rejects: dict[s
 
 # --- ChatML ---------------------------------------------------------------------
 
-IM_START = "<|im_start|>"
-IM_END = "<|im_end|>"
 _ROLE_TO_CHATML = {HUMAN: "user", GPT: "assistant"}
 _CHATML_TO_ROLE = {v: k for k, v in _ROLE_TO_CHATML.items()}
 _CHATML_BLOCK_RE = re.compile(
@@ -519,11 +533,8 @@ _CHATML_BLOCK_RE = re.compile(
 
 
 def render_chatml(d: Dialogue) -> str:
-    """One ``<|im_start|>role ... <|im_end|>`` block per turn.
-
-    Values containing the control markers are rejected outright (escaping
-    them would silently corrupt training data downstream).
-    """
+    """One ``<|im_start|>role ... <|im_end|>`` block per turn; a dialogue that
+    ``validate_dialogue`` refuses, one holding a marker included, raises ValueError."""
     reason = validate_dialogue(d)
     if reason:
         raise ValueError(f"invalid dialogue: {reason}")
@@ -532,12 +543,7 @@ def render_chatml(d: Dialogue) -> str:
 
 def _chatml_blocks(d: Dialogue) -> str:
     """``render_chatml`` of a dialogue already validated."""
-    parts = []
-    for turn in d.turns:
-        if IM_START in turn.value or IM_END in turn.value:
-            raise ValueError("reserved_sequence: turn value contains a ChatML marker")
-        parts.append(f"{IM_START}{_ROLE_TO_CHATML[turn.role]}\n{turn.value}{IM_END}\n")
-    return "".join(parts)
+    return "".join(f"{IM_START}{_ROLE_TO_CHATML[turn.role]}\n{turn.value}{IM_END}\n" for turn in d.turns)
 
 
 def parse_chatml(text: str) -> Dialogue:
@@ -568,7 +574,7 @@ def build_dialogues(
 ) -> tuple[list[Dialogue], dict[str, int]]:
     """Chunk documents, prompt the generator, parse, and filter.
 
-    Work is ordered by (document id, chunk index) so output is deterministic
+    Work is ordered as in ``iter_chunk_outcomes`` so output is deterministic
     no matter how callers parallelize the generator calls. Returns the kept
     dialogues (origin tagged) and the per-reason reject counts.
     """
@@ -589,21 +595,26 @@ def iter_chunk_outcomes(
     """Each chunk's outcome as it is generated: the parsed dialogue (origin
     tagged by the template's parser), or the parser's rejection.
 
-    Chunks come in ``build_dialogues`` order: documents sorted by id, then
-    chunk index. The parsers validate what they return, so a dialogue
-    yielded here already meets the dialogue contract.
+    Chunks come in order of template (``"both"`` is ``"standard"`` then
+    ``"mcq"``), document id, then chunk index. ``valid_dialogues`` may still
+    refuse an MCQ dialogue, for a ChatML marker taken from the chunk.
+    ``max_chars`` and the template are checked before any document is read.
     """
-    prompt = _prompter(template, exemplar)
-    parse = (lambda text: mcq_to_dialogue(parse_mcq(text))) if template == "mcq" else parse_dialogue_response
-    for doc in sorted(docs, key=lambda d: d.id):
-        for idx, chunk in enumerate(chunk_document(doc, max_chars)):
-            chunk_seed = _stable_hash(doc.id, idx, seed)
-            response = generator.generate(prompt(chunk, chunk_seed), chunk_seed)
-            try:
-                outcome = parse(response)
-            except Rejection as rejection:
-                outcome = rejection
-            yield outcome
+    _check_max_chars(max_chars)
+    templates = ("standard", "mcq") if template == "both" else (template,)
+    prompts = [_prompter(one, exemplar) for one in templates]
+    docs = sorted(docs, key=lambda d: d.id)
+    for one, prompt in zip(templates, prompts):
+        parse = (lambda text: mcq_to_dialogue(parse_mcq(text))) if one == "mcq" else parse_dialogue_response
+        for doc in docs:
+            for idx, chunk in enumerate(chunk_document(doc, max_chars)):
+                chunk_seed = _stable_hash(doc.id, idx, seed)
+                response = generator.generate(prompt(chunk, chunk_seed), chunk_seed)
+                try:
+                    outcome = parse(response)
+                except Rejection as rejection:
+                    outcome = rejection
+                yield outcome
 
 
 def _detect_enum_style(value: str) -> str | None:
@@ -663,20 +674,19 @@ def write_chatml_jsonl(
     outcomes: Iterable[Dialogue | Rejection],
     out: TextIO,
 ) -> tuple[DatasetStats, dict[str, int]]:
-    """Write each structurally valid dialogue of ``outcomes`` to ``out`` as one
+    """Write each valid dialogue of ``outcomes`` to ``out`` as one
     ``{"origin", "text"}`` ChatML line, validating it once, in one pass.
 
     Returns the written dialogues' ``dataset_stats`` and the reject counts by
     reason (rejections and invalid dialogues). Outcomes are taken ``_BLOCK``
-    at a time, and no dialogue is held after its block is written. A turn
-    value holding a ChatML marker raises ValueError, as in ``render_chatml``.
+    at a time, and no dialogue is held after its block is written.
     """
     rejects: dict[str, int] = {}
 
     def written() -> Iterator[Dialogue]:
         pending = iter(outcomes)
         while block := list(islice(pending, _BLOCK)):
-            for d in _valid_dialogues(block, rejects):
+            for d in valid_dialogues(block, rejects):
                 out.write(_chatml_record(d) + "\n")
                 yield d
 

@@ -12,7 +12,7 @@ at the cooldown start down to min_lr at the final step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from ._schema import BELOW_2_63, check
@@ -52,13 +52,17 @@ class ScheduleSpec:
             raise ValueError(f"max_lr={self.max_lr} is too large: the learning-rate curve overflows")
 
 
-def early_cooldown() -> ScheduleSpec:
-    return ScheduleSpec()
+def early_cooldown(**overrides) -> ScheduleSpec:
+    """The default schedule, with ``overrides`` of its ``ScheduleSpec`` fields."""
+    return ScheduleSpec(**overrides)
 
 
-def late_cooldown() -> ScheduleSpec:
-    spec = ScheduleSpec()
-    return replace(spec, cooldown_start=spec.total_steps - LATE_COOLDOWN_STEPS)
+def late_cooldown(**overrides) -> ScheduleSpec:
+    """``early_cooldown(**overrides)``, but unless ``cooldown_start`` is given the
+    cooldown starts ``LATE_COOLDOWN_STEPS`` before ``total_steps``."""
+    total_steps = overrides.get("total_steps", ScheduleSpec.total_steps)
+    overrides.setdefault("cooldown_start", total_steps - LATE_COOLDOWN_STEPS)
+    return ScheduleSpec(**overrides)
 
 
 def _cosine(step: int, spec: ScheduleSpec) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 if TYPE_CHECKING:
     from .corpus import Document
@@ -160,19 +160,31 @@ class FertilityAccumulator:
         )
 
 
-def fertility(
+def fertility_reports(
     corpus: Iterable[Document | str],
-    tok: TokenizerAdapter,
+    toks: Sequence[TokenizerAdapter],
     average: str = "micro",
-) -> FertilityReport:
-    """Corpus fertility for one tokenizer.
+) -> list[FertilityReport]:
+    """Corpus fertility for each tokenizer of ``toks``, in its order, from one
+    pass over ``corpus`` that splits each document into words once.
 
     Micro average (the default): sum tokens over all documents, divide by the
     summed word count once. ``average="macro"`` instead takes the mean of
     per-document ratios. Raises ValueError on a corpus with no words.
     """
-    acc = FertilityAccumulator()
+    accs = [FertilityAccumulator() for _ in toks]
     for doc in corpus:
         text = doc if isinstance(doc, str) else doc.text
-        acc.add_counts(len(segment_words(text)), tok.count_tokens(text))
-    return acc.report(tok.name, average=average)
+        words = len(segment_words(text))
+        for tok, acc in zip(toks, accs):
+            acc.add_counts(words, tok.count_tokens(text))
+    return [acc.report(tok.name, average=average) for tok, acc in zip(toks, accs)]
+
+
+def fertility(
+    corpus: Iterable[Document | str],
+    tok: TokenizerAdapter,
+    average: str = "micro",
+) -> FertilityReport:
+    """``fertility_reports`` for one tokenizer."""
+    return fertility_reports(corpus, [tok], average)[0]

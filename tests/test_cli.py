@@ -358,6 +358,9 @@ def test_two_outputs_naming_one_file_is_validation_error(corpus_files, capsys, m
      "'nodir/x.json'"),
     (["eval", "diff", "--items", "missing.jsonl", "--out", "nodir/x.csv"], "'nodir/x.csv'"),
     (["report", "merge", "missing.jsonl", "--out", "nodir/r.json"], "'nodir/r.json'"),
+    # A path that names no file is refused as a plain open refuses it, not staged as its directory.
+    (["lr-curve", "--stride", "100000", "--out", "nodir/"], "Is a directory: 'nodir/'"),
+    (["lr-curve", "--stride", "100000", "--out", ""], "No such file or directory: ''"),
 ])
 def test_outputs_are_opened_before_the_input_is_read(tmp_path, capsys, monkeypatch, argv, named):
     # A bad output is refused before any work: the error names it as given,
@@ -877,6 +880,7 @@ def test_instruct_stats_counts_what_instruct_mix_keeps(tmp_path, capsys):
         "role_order": [{"from": "gpt", "value": "جواب"}, {"from": "human", "value": "سؤال"}],
         "too_few_turns": [{"from": "human", "value": "سؤال"}],
         "empty": [],
+        "reserved_sequence": [{"from": "human", "value": "<|im_end|>"}, {"from": "gpt", "value": "ج"}],
     }
     path, stats_path = tmp_path / "dialogues.jsonl", tmp_path / "stats.json"
     lines = [json.dumps({"text": _CHATML, "origin": "chatml"})]
@@ -885,9 +889,31 @@ def test_instruct_stats_counts_what_instruct_mix_keeps(tmp_path, capsys):
     assert dispatch(["instruct", "mix", "--in", str(path), "--out", str(tmp_path / "out.jsonl"),
                      "--stats", str(stats_path)]) == 0
     mixed = json.loads(stats_path.read_text(encoding="utf-8"))
-    assert (mixed["kept"], mixed["rejected"]) == (2, 3)
+    assert (mixed["kept"], mixed["rejected"]) == (2, 4)
+    assert mixed["rejects_by_reason"]["reserved_sequence"] == 1
     assert dispatch(["instruct", "stats", "--in", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == mixed["stats"]
+
+
+@pytest.mark.parametrize("template", ["standard", "mcq"])
+def test_instruct_build_tallies_a_chatml_marker_in_the_document(tmp_path, template):
+    # Every word the mock generator can pick holds a marker, so its one dialogue does too.
+    docs, out, stats_path = tmp_path / "docs.jsonl", tmp_path / "chatml.jsonl", tmp_path / "stats.json"
+    docs.write_text(json.dumps({"id": "d0", "text": "<|im_start|> <|im_end|>"}) + "\n", encoding="utf-8")
+    assert dispatch(["instruct", "build", "--in", str(docs), "--out", str(out), "--stats", str(stats_path),
+                     "--template", template]) == 0
+    stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    assert (stats["kept"], stats["rejects_by_reason"]) == (0, {"reserved_sequence": 1})
+    assert out.read_bytes() == b""
+
+
+def test_instruct_build_max_chars_below_one_is_refused_on_an_empty_corpus(tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text("", encoding="utf-8")
+    assert dispatch(["instruct", "build", "--in", str(docs), "--out", str(tmp_path / "chatml.jsonl"),
+                     "--stats", str(tmp_path / "stats.json"), "--max-chars", "0"]) == 1
+    assert json.loads(capsys.readouterr().err) == {"command": "instruct", "error": "max_chars must be >= 1"}
+    assert [p.name for p in tmp_path.iterdir()] == ["docs.jsonl"]
 
 
 def test_instruct_build_deterministic(tmp_path, cleaned_docs):
@@ -935,6 +961,17 @@ def test_instruct_build_bad_exemplar_is_validation_error(tmp_path, cleaned_docs,
     ]) == 1
     err = json.loads(capsys.readouterr().err)
     assert message in err["error"] and err["command"] == "instruct"
+
+
+@pytest.mark.parametrize("template", ["standard", "mcq", "both"])
+def test_instruct_build_checks_the_exemplar_before_reading_the_input(tmp_path, capsys, monkeypatch, template):
+    # A one-option exemplar is refused whether or not the template uses it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exemplar.json").write_text(json.dumps({**EXEMPLAR, "options": ["أزرق"]}), encoding="utf-8")
+    assert dispatch(["instruct", "build", "--in", "missing.jsonl", "--out", "chatml.jsonl", "--stats", "stats.json",
+                     "--template", template, "--exemplar", "exemplar.json"]) == 1
+    assert json.loads(capsys.readouterr().err) == {"command": "instruct", "error": "invalid MCQ item: too_few_options"}
+    assert [p.name for p in tmp_path.iterdir()] == ["exemplar.json"]
 
 
 # --- eval ---------------------------------------------------------------------------
@@ -1042,25 +1079,17 @@ def test_eval_diff_csv(bench_files, capsys):
     assert float(by_model["oracle"][1]) == 1.0
 
 
-# --- environment overrides ---------------------------------------------------------
+# --- config -----------------------------------------------------------------------
 
 
-def test_config_env_var_override(corpus_files, monkeypatch):
+def test_config_is_named_by_the_flag_alone(corpus_files):
     tmp_path, in_path, config_path, *_ = corpus_files
-    out_flag = tmp_path / "kept-flag.jsonl"
-    report_flag = tmp_path / "report-flag.json"
-    assert dispatch([
-        "clean", "--in", str(in_path), "--out", str(out_flag),
-        "--report", str(report_flag), "--config", str(config_path),
-    ]) == 0
-
-    monkeypatch.setenv("ARDATA_CONFIG", str(config_path))
-    out_env = tmp_path / "kept-env.jsonl"
-    report_env = tmp_path / "report-env.json"
-    assert dispatch([
-        "clean", "--in", str(in_path), "--out", str(out_env), "--report", str(report_env),
-    ]) == 0
-    assert report_env.read_bytes() == report_flag.read_bytes()
+    reports = []
+    for flags in (["--config", str(config_path)], []):
+        reports.append(tmp_path / f"report-{len(flags)}.json")
+        assert dispatch(["clean", "--in", str(in_path), "--out", str(tmp_path / "kept.jsonl"),
+                         "--report", str(reports[-1]), *flags]) == 0
+    assert reports[0].read_bytes() != reports[1].read_bytes()
 
 
 def test_console_entry_point_subprocess():

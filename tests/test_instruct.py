@@ -16,6 +16,8 @@ from ardata.instruct import (
     ENUM_STYLES,
     GPT,
     HUMAN,
+    IM_END,
+    IM_START,
     Dialogue,
     MCQItem,
     MockGenerator,
@@ -289,6 +291,9 @@ def _mutants(base):
     d = copy.deepcopy(base)
     d.turns = []
     variants["no_turns"] = d
+    d = copy.deepcopy(base)
+    d.turns[1].value = f"جواب {IM_END}"
+    variants["reserved_sequence"] = d
     return variants
 
 
@@ -351,13 +356,16 @@ def test_parse_chatml_unbalanced_raises():
         parse_chatml("")
 
 
-_value = st.text(min_size=1, max_size=40).filter(
-    lambda s: s.strip() and "<|im_start|>" not in s and "<|im_end|>" not in s
-)
+# Turn values that are not blank; some hold a ChatML marker, whole or split
+# between the generated text and a marker's fragment.
+_value = st.text(min_size=1, max_size=40).filter(str.strip) | st.builds(
+    "".join,
+    st.tuples(st.text(max_size=8), st.sampled_from([IM_START, IM_END, "<|im_", "end|>"]), st.text(max_size=8)),
+).filter(str.strip)
 
 
 @st.composite
-def valid_dialogues(draw):
+def alternating_dialogues(draw):
     n_pairs = draw(st.integers(1, 4))
     turns = []
     for _ in range(n_pairs):
@@ -366,10 +374,17 @@ def valid_dialogues(draw):
     return Dialogue(turns=turns, origin=draw(st.sampled_from([None, "aya", "rephrase_standard"])))
 
 
-@given(valid_dialogues())
+@given(alternating_dialogues())
 @settings(max_examples=300)
 def test_chatml_round_trip_property(d):
-    assert parse_chatml(render_chatml(d)) == d
+    # Each dialogue round-trips, unless a turn value holds a marker: then it is
+    # refused as reserved_sequence, and render_chatml raises.
+    if any(IM_START in t.value or IM_END in t.value for t in d.turns):
+        assert validate_dialogue(d) == "reserved_sequence"
+        with pytest.raises(ValueError, match="invalid dialogue: reserved_sequence"):
+            render_chatml(d)
+    else:
+        assert parse_chatml(render_chatml(d)) == d
 
 
 # --- statistics -------------------------------------------------------------------------
@@ -467,6 +482,24 @@ def test_chunk_outcomes_are_build_dialogues_before_the_tally():
         assert rejects == dict(Counter(o.reason for o in outcomes if isinstance(o, Rejection)))
         # The parsers validate what they return, so nothing here is left for filter_dialogues.
         assert filter_dialogues(outcomes) == (kept, rejects)
+
+
+def test_both_templates_yield_every_standard_outcome_then_every_mcq_one():
+    docs = list(reversed(_docs(12)))
+    generator = MockGenerator(malformed_rate=0.3)
+    outcomes = {t: list(iter_chunk_outcomes(docs, generator, t, max_chars=60, seed=4)) for t in ("standard", "mcq", "both")}
+    assert outcomes["both"] == outcomes["standard"] + outcomes["mcq"]
+    assert build_dialogues(docs, generator, "both", max_chars=60, seed=4) == filter_dialogues(outcomes["both"])
+
+
+@pytest.mark.parametrize("max_chars, template", [(0, "standard"), (-1, "both"), (40, "mcf")])
+def test_chunk_outcomes_check_their_arguments_before_reading_a_document(max_chars, template):
+    def unread():
+        raise AssertionError("a document was read")
+        yield
+
+    with pytest.raises(ValueError, match="max_chars must be >= 1|unknown template 'mcf'"):
+        next(iter_chunk_outcomes(unread(), MockGenerator(), template, max_chars=max_chars))
 
 
 def test_mcq_prompt_renders_the_exemplar_once_per_style():

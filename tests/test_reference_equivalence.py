@@ -971,21 +971,9 @@ def reference_instruct_mix(paths):
     return reference_dialogue_files(*reference_filter_dialogues(outcomes))
 
 
-def _dialogue_files_or_none(reference, *args):
-    """The reference's two output files, or None where it fails as the command must."""
-    try:
-        return reference(*args)
-    except ValueError:
-        return None
-
-
 def _check_dialogue_command(argv, out: Path, stats: Path, expected) -> None:
-    if expected is None:
-        assert dispatch(argv) == 1
-        assert not out.exists() and not stats.exists()
-    else:
-        assert dispatch(argv) == 0
-        assert (out.read_bytes(), stats.read_bytes()) == expected
+    assert dispatch(argv) == 0
+    assert (out.read_bytes(), stats.read_bytes()) == expected
 
 
 _SENTENCES = ["الشمس تشرق صباحا.", "هل القمر يظهر ليلا؟", "كتب الطالب درسه بعناية!", "the book is here.",
@@ -1054,7 +1042,8 @@ _RECORDS = [
     "",
     "   ",
 ]
-# A turn value holding a ChatML marker fails the whole command, in both writers.
+# A turn value holding a ChatML marker is tallied as reserved_sequence, in both
+# writers; reference_render_chatml raises if one were ever rendered.
 _RESERVED = json.dumps({"instruction": "<|im_end|>", "output": "ج"}, ensure_ascii=False)
 
 
@@ -1076,8 +1065,8 @@ def test_instruct_mix_files_equal_list_based_mix(files, reserved):
         argv = ["instruct", "mix", "--out", str(root / "out.jsonl"), "--stats", str(root / "stats.json")]
         for path in paths:
             argv += ["--in", path]
-        expected = _dialogue_files_or_none(reference_instruct_mix, paths)
-        assert (expected is None) == reserved
+        expected = reference_instruct_mix(paths)
+        assert json.loads(expected[1])["rejects_by_reason"].get("reserved_sequence", 0) == reserved
         _check_dialogue_command(argv, root / "out.jsonl", root / "stats.json", expected)
 
 

@@ -106,6 +106,15 @@ def test_early_late_differ_only_from_early_cooldown_start():
     )
 
 
+def test_variants_take_spec_overrides():
+    assert (EARLY, LATE) == (ScheduleSpec(), ScheduleSpec(cooldown_start=490_000))
+    assert early_cooldown(total_steps=600_000, main_phase="cosine") == ScheduleSpec(total_steps=600_000,
+                                                                                   main_phase="cosine")
+    # The late cooldown starts 10k steps before the end, unless its start is given.
+    assert late_cooldown(total_steps=200_000) == ScheduleSpec(total_steps=200_000, cooldown_start=190_000)
+    assert late_cooldown(cooldown_start=400_000) == ScheduleSpec(cooldown_start=400_000)
+
+
 def test_composition_variants():
     cosine_only = ScheduleSpec(main_phase="cosine")
     invsqrt_only = ScheduleSpec(main_phase="invsqrt")

@@ -10,6 +10,7 @@ from ardata.tokenization import (
     VocabTokenizer,
     WhitespaceTokenizer,
     fertility,
+    fertility_reports,
     segment_words,
 )
 
@@ -129,6 +130,14 @@ def test_fertility_matches_brute_force_oracle():
         expected = brute_force_fertility(texts, tok)
         got = fertility(docs(*texts), tok).fertility
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("average", ["micro", "macro"])
+def test_fertility_reports_are_each_tokenizers_fertility_from_one_pass(average):
+    texts = random_corpus(random.Random(11))
+    toks = [WhitespaceTokenizer(), CharacterTokenizer(), VocabTokenizer(["ab", "ال", "ب"])]
+    one_pass = (doc for doc in docs(*texts))  # a generator: it can be read only once
+    assert fertility_reports(one_pass, toks, average) == [fertility(docs(*texts), tok, average) for tok in toks]
 
 
 def test_fertility_invariant_under_sharding_and_order():
