@@ -2,17 +2,20 @@
 
 Every file input (corpora, filter configs, cleaning reports, MCQ exemplars,
 benchmark items, mixture sources, dialogue and instruction records) is
-parsed with ``parse_json`` or ``read_json``, and its fields are checked
-with ``check`` and ``get_field``. So this module alone decides what a valid
-value of each kind is, and every bad input is one ``ValueError`` worded the
-same way, naming where the value sits: ``item 3: 'gold_index' must be an
-integer, got true``. A kind is a pair: its name in messages, and a test.
+parsed with ``read_json``, or line by line with ``iter_json_lines``, and its
+fields are checked with ``check`` and ``get_field``. So this module alone
+decides what a valid value of each kind is, and every bad input is one
+``ValueError`` worded the same way, naming where the value sits: ``item 3:
+'gold_index' must be an integer, got true``. A kind is a pair: its name in
+messages, and a test. The line reader decides what a bad JSONL line is, so
+``clean`` and ``instruct mix`` reject the same lines.
 """
 from __future__ import annotations
 
 import json
 import math
 from pathlib import Path
+from typing import Iterable, Iterator
 
 
 # JSON numbers parse to exactly int or float, and true/false (a bool, so an
@@ -35,6 +38,7 @@ COUNTS = ("an object of integer counts >= 0", lambda v: isinstance(v, dict) and 
 BELOW_2_63 = ("below 2**63", lambda v: v < 2**63)
 
 _MISSING = object()
+_BOM = "\ufeff"  # dropped at the start of a file, kept as text anywhere else
 
 
 def parse_json(text: str | bytes):
@@ -49,11 +53,38 @@ def parse_json(text: str | bytes):
 
 
 def read_json(path: str | Path):
-    """The JSON value in the UTF-8 file ``path``; a ValueError names the file."""
+    """The JSON value in the UTF-8 file ``path``, after one leading byte-order
+    mark; a ValueError names the file."""
     try:
-        return parse_json(Path(path).read_text(encoding="utf-8"))
+        return parse_json(Path(path).read_text(encoding="utf-8").removeprefix(_BOM))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def iter_json_lines(lines: Iterable[bytes | str]) -> Iterator[tuple[int, object, str | None]]:
+    """``(line_no, value, None)`` for each JSON line of ``lines``, 1-based, or
+    ``(line_no, None, reason)`` for a line that holds no value: ``invalid utf-8``,
+    ``empty line`` (only whitespace) or ``invalid json``. A bytes line is decoded
+    as UTF-8 and a str line is taken as it is. One byte-order mark at the start
+    of line 1 is dropped, as ``read_json`` drops it."""
+    for line_no, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                yield line_no, None, "invalid utf-8"
+                continue
+        if line_no == 1:
+            line = line.removeprefix(_BOM)
+        if not line.strip():
+            yield line_no, None, "empty line"
+            continue
+        try:
+            value = parse_json(line)
+        except ValueError:
+            yield line_no, None, "invalid json"
+            continue
+        yield line_no, value, None
 
 
 def check(value, kind: tuple, name: str):

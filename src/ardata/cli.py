@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 One binary, subcommand style: clean, fertility, mix-plan, lr-curve,
-instruct build/stats, eval cf/mcf/acva/diff, report merge. Reports are
+instruct build/mix, eval cf/mcf/acva/diff, report merge. Reports are
 machine-readable first (JSON/CSV with sorted keys), so identical argv,
 inputs, and seed produce byte-identical outputs. Every output is opened
 before any input is read; ``-`` is stdout, the default of each optional
@@ -238,23 +238,14 @@ def cmd_instruct_build(args) -> None:
         ))
 
 
-def cmd_instruct_stats(args) -> None:
-    from . import instruct
-
-    with open(args.input, "r", encoding="utf-8") as fh:
-        outcomes = instruct.load_instruction_records(fh, "unknown", strict=True)
-        stats = instruct.dataset_stats(instruct.valid_dialogues(outcomes, rejects={}))  # what `instruct mix` writes
-    _write_json(args.out, stats.to_dict())
-
-
 def cmd_instruct_mix(args) -> None:
     """Merge dialogue datasets into one validated ChatML JSONL with stats."""
     from . import instruct
 
     def outcomes():
         for path in args.inputs:
-            with open(path, "r", encoding="utf-8") as fh:
-                yield from instruct.load_instruction_records(fh, Path(path).stem)
+            with open(path, "rb") as stream:
+                yield from instruct.load_instruction_records(stream, Path(path).stem)
 
     _write_dialogues(args.output, args.stats, outcomes())
 
@@ -396,11 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exemplar", default=None, help="JSON file with an MCQ exemplar")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_instruct_build, outputs=("output", "stats"))
-
-    p = instruct_sub.add_parser("stats", help="turn/enumeration histograms for a dialogue JSONL")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_instruct_stats, outputs=("out",))
 
     p = instruct_sub.add_parser("mix", help="merge dialogue datasets into one ChatML JSONL")
     p.add_argument("--in", dest="inputs", action="append", required=True)

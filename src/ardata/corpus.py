@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-from ._schema import STRING_OR_INTEGER, STRING_OR_NULL, parse_json
+from ._schema import STRING_OR_INTEGER, STRING_OR_NULL, iter_json_lines
 
 
 class Source(str, Enum):
@@ -73,27 +73,13 @@ def ingest_jsonl(
     a string or null. Bad lines (invalid UTF-8, invalid JSON, missing or
     non-string text, an id or url of another kind, an empty id) are reported
     through ``on_reject`` and skipped; ingestion continues. Yielded +
-    rejected covers every input line, in input order. One UTF-8 byte-order mark at the start of the
-    first line is dropped; a U+FEFF anywhere else is kept as text.
+    rejected covers every input line, in input order. Lines are read by
+    ``iter_json_lines``, so one byte-order mark at the start of the first line
+    is dropped; a U+FEFF anywhere else is kept as text.
     """
-    for line_no, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                _reject(on_reject, line_no, "invalid utf-8")
-                continue
-        else:
-            line = raw
-        if line_no == 1:
-            line = line.removeprefix("\ufeff")
-        if not line.strip():
-            _reject(on_reject, line_no, "empty line")
-            continue
-        try:
-            record = parse_json(line)
-        except ValueError:
-            _reject(on_reject, line_no, "invalid json")
+    for line_no, record, reason in iter_json_lines(stream):
+        if reason is not None:
+            _reject(on_reject, line_no, reason)
             continue
         if not isinstance(record, dict):
             _reject(on_reject, line_no, "not a json object")

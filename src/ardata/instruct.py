@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Protocol, TextIO
 
-from ._schema import INTEGER, LIST, OBJECT, STRING, STRING_OR_NULL, STRINGS, check, get_field, parse_json
+from ._schema import INTEGER, LIST, OBJECT, STRING, STRING_OR_NULL, STRINGS, check, get_field, iter_json_lines
 from .corpus import Document
 from .tokenization import segment_words
 
@@ -750,35 +750,27 @@ def _dialogue_from_record(record, origin: str | None, where: str) -> Dialogue:
     raise Rejection("bad_record", "unrecognized record shape")
 
 
-def load_instruction_records(
-    lines: Iterable[str],
-    origin: str,
-    strict: bool = False,
-) -> Iterator[Dialogue | Rejection]:
+def load_instruction_records(lines: Iterable[bytes | str], origin: str) -> Iterator[Dialogue | Rejection]:
     """Read dialogue and instruction data as JSONL, skipping blank lines.
 
     Accepts four record shapes: ChatML ``{"text"}`` as ``instruct build``
     writes it, a bare list of ``{"from", "value"}`` turns, an object with a
     ``conversations``/``turns`` key holding such a list, or one
     ``{"instruction", "output"}`` pair, wrapped as a two-turn dialogue. An
-    object's ``origin`` field overrides ``origin``. Any other line yields a
-    rejection; a field of the wrong JSON type raises ValueError naming the
-    1-based line instead when ``strict``.
+    object's ``origin`` field overrides ``origin``. Any other line, one that
+    ``iter_json_lines`` cannot decode or parse included, yields a rejection.
     """
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+    for lineno, record, reason in iter_json_lines(lines):
+        where = f"line {lineno}: "
+        if reason == "empty line":
+            continue
+        if reason is not None:
+            yield Rejection("bad_record", where + reason)
             continue
         try:
-            record = parse_json(line)
-        except ValueError:
-            yield Rejection("bad_record", "invalid json")
-            continue
-        try:
-            outcome = _dialogue_from_record(record, origin, f"line {lineno}: ")
+            outcome = _dialogue_from_record(record, origin, where)
         except Rejection as rejection:
             outcome = rejection
         except ValueError as exc:
-            if strict:
-                raise
             outcome = Rejection("bad_record", str(exc))
         yield outcome

@@ -3,6 +3,8 @@ import csv
 import json
 import math
 import os
+import re
+import shlex
 import signal
 import stat
 import subprocess
@@ -10,12 +12,13 @@ import sys
 import threading
 import time
 import unicodedata
+from pathlib import Path
 
 import pytest
 
 from ardata.cli import build_parser, dispatch
 from ardata.corpus import document_to_record
-from ardata.instruct import parse_chatml
+from ardata.instruct import Rejection, load_instruction_records, parse_chatml
 
 from planted import AD_PHRASES, UNSAFE_PHRASES, planted_corpus
 
@@ -61,7 +64,6 @@ SUBCOMMAND_ARGV = {
     "mix-plan": ["mix-plan", "--sources", "s", "--total-tokens", "10"],
     "lr-curve": ["lr-curve"],
     "instruct build": ["instruct", "build", "--in", "i", "--out", "o", "--stats", "s"],
-    "instruct stats": ["instruct", "stats", "--in", "i"],
     "instruct mix": ["instruct", "mix", "--in", "i", "--out", "o", "--stats", "s"],
     "eval cf": ["eval", "cf", "--items", "i"],
     "eval mcf": ["eval", "mcf", "--items", "i"],
@@ -351,7 +353,7 @@ def test_two_outputs_naming_one_file_is_validation_error(corpus_files, capsys, m
     (["fertility", "--in", "missing.jsonl", "--tokenizer", "whitespace", "--out", "nodir/f.csv"], "'nodir/f.csv'"),
     (["mix-plan", "--sources", "missing.jsonl", "--total-tokens", "10", "--out", "nodir/m.csv"], "'nodir/m.csv'"),
     (["lr-curve", "--total-steps", "5", "--out", "nodir/l.csv"], "'nodir/l.csv'"),
-    (["instruct", "stats", "--in", "missing.jsonl", "--out", "nodir/s.json"], "'nodir/s.json'"),
+    (["instruct", "mix", "--in", "missing.jsonl", "--out", "nodir/s.json", "--stats", "s.json"], "'nodir/s.json'"),
     (["eval", "cf", "--items", "missing.jsonl", "--out", "nodir/x.json"], "'nodir/x.json'"),
     (["eval", "mcf", "--items", "missing.jsonl", "--out", "nodir/x.json"], "'nodir/x.json'"),
     (["eval", "acva", "--items", "missing.jsonl", "--exemplars", "missing.jsonl", "--out", "nodir/x.json"],
@@ -585,6 +587,17 @@ def test_mix_plan_reproduces_published_percentages(tmp_path, capsys):
     assert quotas == 197_000_000_000
 
 
+def test_mix_plan_reads_a_sources_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    sources = tmp_path / "sources.json"
+    text = json.dumps([{"name": "a", "tokens": 30, "language": "ar"}, {"name": "b", "tokens": 10, "language": "en"}])
+    outputs = []
+    for prefix in ("", "\ufeff"):
+        sources.write_text(prefix + text, encoding="utf-8")
+        assert dispatch(["mix-plan", "--sources", str(sources), "--total-tokens", "100"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+
+
 def test_mix_plan_sources_object_is_validation_error(tmp_path, capsys):
     sources = tmp_path / "sources.json"
     sources.write_text(json.dumps({"name": "arabic-mix", "tokens": 10, "language": "arabic"}), encoding="utf-8")
@@ -711,9 +724,9 @@ def test_instruct_build_and_stats(tmp_path, cleaned_docs):
     assert set(stats["stats"]["per_origin_counts"]) == {"rephrase_mcq", "rephrase_standard"}
 
     stats_out = tmp_path / "stats2.json"
-    assert dispatch(["instruct", "stats", "--in", str(out), "--out", str(stats_out)]) == 0
+    assert dispatch(["instruct", "mix", "--in", str(out), "--out", os.devnull, "--stats", str(stats_out)]) == 0
     recomputed = json.loads(stats_out.read_text(encoding="utf-8"))
-    assert recomputed["turn_histogram"] == stats["stats"]["turn_histogram"]
+    assert (recomputed["kept"], recomputed["stats"]) == (stats["kept"], stats["stats"])
 
 
 def test_dash_writes_instruct_build_jsonl_to_stdout(tmp_path, cleaned_docs, capsys, monkeypatch):
@@ -834,35 +847,32 @@ def test_instruct_mix_counts_malformed_record_as_bad_record(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_DIALOGUES))
-def test_instruct_stats_malformed_record_is_validation_error(tmp_path, capsys, case):
+def test_load_instruction_records_names_the_line_of_a_malformed_record(case):
     line, detail = _MALFORMED_DIALOGUES[case]
-    path = tmp_path / "dialogues.jsonl"
-    path.write_text(json.dumps({"text": _CHATML}) + "\n\n" + line + "\n", encoding="utf-8")
-    assert dispatch(["instruct", "stats", "--in", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err) == {"command": "instruct", "error": f"line 3: {detail}"}
+    outcomes = list(load_instruction_records([json.dumps({"text": _CHATML}), "", line], "dialogues"))
+    assert outcomes[1] == Rejection("bad_record", f"line 3: {detail}")
 
 
-def test_instruct_stats_skips_records_that_are_not_dialogues(tmp_path, capsys):
+def _mix_stats(tmp_path, path) -> dict:
+    stats_path = tmp_path / "stats.json"
+    assert dispatch(["instruct", "mix", "--in", str(path), "--out", str(tmp_path / "out.jsonl"),
+                     "--stats", str(stats_path)]) == 0
+    return json.loads(stats_path.read_text(encoding="utf-8"))
+
+
+def test_instruct_mix_tallies_records_that_are_not_dialogues(tmp_path):
     # Invalid JSON, an unknown shape, a bad role and malformed ChatML yield no
-    # dialogue and are left out of the histograms, as they always were.
+    # dialogue; a record with no origin counts under the file stem.
     skipped = ["{broken", '{"other": 1}', '[{"from": "system", "value": "x"}]', '{"text": "no blocks"}']
     path = tmp_path / "dialogues.jsonl"
     path.write_text("\n".join([json.dumps({"text": _CHATML}), *skipped]) + "\n", encoding="utf-8")
-    assert dispatch(["instruct", "stats", "--in", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["per_origin_counts"] == {"unknown": 1}
+    stats = _mix_stats(tmp_path, path)
+    assert stats["rejects_by_reason"] == {"bad_record": 3, "bad_role": 1}
+    assert stats["stats"]["per_origin_counts"] == {"dialogues": 1}
 
 
 # A `conversations` key is read even when its list is empty, like a `turns` key.
 _EMPTY_TURN_LISTS = json.dumps({"conversations": []}) + "\n" + json.dumps({"turns": []}) + "\n"
-
-
-def test_instruct_stats_reads_an_empty_conversations_list(tmp_path, capsys):
-    path = tmp_path / "dialogues.jsonl"
-    path.write_text(_EMPTY_TURN_LISTS, encoding="utf-8")
-    assert dispatch(["instruct", "stats", "--in", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["turn_histogram"] == {}  # both are rejected as empty
 
 
 def test_instruct_mix_rejects_an_empty_conversations_list_as_empty(tmp_path):
@@ -874,7 +884,7 @@ def test_instruct_mix_rejects_an_empty_conversations_list_as_empty(tmp_path):
     assert (stats["kept"], stats["rejects_by_reason"]) == (0, {"empty": 2})
 
 
-def test_instruct_stats_counts_what_instruct_mix_keeps(tmp_path, capsys):
+def test_instruct_mix_counts_only_the_dialogues_it_writes(tmp_path):
     turns = {
         "valid": [{"from": "human", "value": "اختر:\nأ) نعم\nب) لا"}, {"from": "gpt", "value": "أ"}],
         "role_order": [{"from": "gpt", "value": "جواب"}, {"from": "human", "value": "سؤال"}],
@@ -882,17 +892,35 @@ def test_instruct_stats_counts_what_instruct_mix_keeps(tmp_path, capsys):
         "empty": [],
         "reserved_sequence": [{"from": "human", "value": "<|im_end|>"}, {"from": "gpt", "value": "ج"}],
     }
-    path, stats_path = tmp_path / "dialogues.jsonl", tmp_path / "stats.json"
+    path = tmp_path / "dialogues.jsonl"
     lines = [json.dumps({"text": _CHATML, "origin": "chatml"})]
     lines += [json.dumps({"conversations": value, "origin": name}) for name, value in turns.items()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert dispatch(["instruct", "mix", "--in", str(path), "--out", str(tmp_path / "out.jsonl"),
-                     "--stats", str(stats_path)]) == 0
-    mixed = json.loads(stats_path.read_text(encoding="utf-8"))
-    assert (mixed["kept"], mixed["rejected"]) == (2, 4)
-    assert mixed["rejects_by_reason"]["reserved_sequence"] == 1
-    assert dispatch(["instruct", "stats", "--in", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out) == mixed["stats"]
+    stats = _mix_stats(tmp_path, path)
+    assert stats["rejects_by_reason"] == {"empty": 1, "reserved_sequence": 1, "role_order": 1, "too_few_turns": 1}
+    assert stats["stats"] == {
+        "enum_style_histogram": {"arabic_letters": 1},
+        "per_origin_counts": {"chatml": 1, "valid": 1},
+        "turn_histogram": {"1": 2},
+    }
+    assert len((tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines()) == stats["kept"] == 2
+
+
+def test_instruct_mix_drops_a_byte_order_mark_on_line_1(tmp_path):
+    path = tmp_path / "dialogues.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + (json.dumps({"instruction": "q", "output": "a"}) + "\n").encode())
+    stats = _mix_stats(tmp_path, path)
+    assert (stats["kept"], stats["rejected"]) == (1, 0)
+
+
+def test_instruct_mix_tallies_an_invalid_utf8_line_and_goes_on(tmp_path):
+    path = tmp_path / "dialogues.jsonl"
+    records = [json.dumps({"instruction": f"q{i}", "output": "a"}).encode() for i in range(2)]
+    path.write_bytes(b"\n".join([records[0], b'{"instruction": "\xff"}', records[1]]) + b"\n")
+    stats = _mix_stats(tmp_path, path)
+    assert (stats["kept"], stats["rejects_by_reason"]) == (2, {"bad_record": 1})
+    written = [parse_chatml(json.loads(line)["text"]) for line in (tmp_path / "out.jsonl").read_bytes().splitlines()]
+    assert [d.turns[0].value for d in written] == ["q0", "q1"]
 
 
 @pytest.mark.parametrize("template", ["standard", "mcq"])
@@ -1153,3 +1181,33 @@ def test_report_merge_malformed_report_is_validation_error(tmp_path, capsys, rep
     assert dispatch(["report", "merge", str(path)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert message in err["error"] and err["command"] == "report"
+
+
+# --- docs -------------------------------------------------------------------------------
+
+_BASH_BLOCK = re.compile(r"^[ \t]*```bash\n(.*?)^[ \t]*```", re.DOTALL | re.MULTILINE)
+_SHELL_OPERATOR = re.compile(r"^\d*[<>|&;]")
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each ``ardata`` command in README's bash blocks, continuations
+    joined and cut at the first redirection, pipe or comment."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in _BASH_BLOCK.findall(readme):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["ardata"]:
+                cut = next((i for i, word in enumerate(words) if _SHELL_OPERATOR.match(word)), len(words))
+                commands.append(words[1:cut])
+    return commands
+
+
+def test_every_readme_command_parses():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README shows a command that does not parse: ardata {shlex.join(argv)}")

@@ -53,7 +53,6 @@ _CASES = {
         "instruct", "build", "--in", "@docs.jsonl", "--exemplar", "@F", "--template", "mcq", "--out", "@out",
         "--stats", "@out2",
     ],
-    "instruct stats --in": ["instruct", "stats", "--in", "@F", "--out", "@out"],
     "instruct mix --in": ["instruct", "mix", "--in", "@F", "--in", "@dialogues.jsonl", "--out", "@out", "--stats", "@out2"],
     "eval cf --items": ["eval", "cf", "--items", "@F", "--scorer", "oracle", "--out", "@out"],
     "eval mcf --items": ["eval", "mcf", "--items", "@F", "--scorer", "ngram", "--out", "@out"],
@@ -145,11 +144,13 @@ def _assert_one_json_error(err: str) -> None:
 @example(content=_PAST_FLOAT[1])
 @example(content=_PAST_FLOAT[2])
 @example(content=_PAST_FLOAT[3])
+@example(content=b"\xef\xbb\xbf" + _PAST_SSIZE_T[0])  # a byte-order mark, dropped from a whole file and from line 1
+@example(content=b'{"text": "\xff"}\n' + _PAST_SSIZE_T[0])  # a line that is not UTF-8
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_file_input_exits_0_or_1_with_one_json_error(workdir, case, content):
     (workdir / "F").write_bytes(content)
     code, _, err = _run(_argv(case, workdir))
-    assert code in (0, 1)
+    assert code in ((0,) if case == "instruct mix --in" else (0, 1))  # mix tallies every bad line
     if code == 0:
         assert err == ""
     else:

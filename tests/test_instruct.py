@@ -2,6 +2,7 @@ import copy
 import hashlib
 import io
 import json
+import re
 import sys
 from collections import Counter
 from unittest import mock
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ardata import instruct
-from ardata.corpus import Document
+from ardata.corpus import Document, ingest_jsonl
 from ardata.instruct import (
     DEFAULT_EXEMPLAR,
     ENUM_STYLES,
@@ -588,9 +589,26 @@ def test_load_chatml_record_takes_its_origin():
     assert outcomes == [d, d] and [o.origin for o in outcomes] == ["aya", "file-stem"]
 
 
-def test_load_wrongly_typed_field_is_bad_record_or_strict_error():
+def test_load_wrongly_typed_field_is_bad_record():
     lines = ['{"instruction": "q", "output": "a"}', "", '{"instruction": "q", "output": 5}']
     outcomes = list(load_instruction_records(lines, origin="x"))
     assert outcomes[1] == Rejection("bad_record", "line 3: 'output' must be a string, got 5")
-    with pytest.raises(ValueError, match=r"^line 3: 'output' must be a string, got 5$"):
-        list(load_instruction_records(lines, origin="x", strict=True))
+
+
+_READER_REJECT = re.compile(r"line (\d+): (?:invalid utf-8|invalid json)")
+
+
+@given(st.lists(st.sampled_from([
+    b'{"instruction": "q", "output": "a"}', b'{"id": 1, "text": "t"}', b"[]", b"\xff", b'{"text": "\xff"}',
+    b"\xef\xbb\xbf{}", b"\xef\xbb\xbf", b"", b"  \t", b"{broken", b'{"text": "a"} x',
+]), max_size=8))
+def test_both_line_readers_reject_the_same_lines(lines):
+    # A line ingest_jsonl rejects as undecodable or unparsable is the line that
+    # load_instruction_records rejects before reading its record.
+    stream = [line + b"\n" for line in lines]
+    rejects = []
+    list(ingest_jsonl(stream, on_reject=rejects.append))
+    ingested = [r.line for r in rejects if r.reason in ("invalid utf-8", "invalid json")]
+    loaded = [int(m[1]) for o in load_instruction_records(stream, "x")
+              if isinstance(o, Rejection) and (m := _READER_REJECT.fullmatch(o.detail))]
+    assert loaded == ingested

@@ -966,8 +966,8 @@ def reference_instruct_build(docs_path, template, malformed_rate, exemplar, seed
 def reference_instruct_mix(paths):
     outcomes = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            outcomes.extend(instruct.load_instruction_records(fh, Path(path).stem))
+        with open(path, "rb") as stream:
+            outcomes.extend(instruct.load_instruction_records(stream, Path(path).stem))
     return reference_dialogue_files(*reference_filter_dialogues(outcomes))
 
 
