@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -39,17 +40,27 @@ BELOW_2_63 = ("below 2**63", lambda v: v < 2**63)
 
 _MISSING = object()
 _BOM = "\ufeff"  # dropped at the start of a file, kept as text anywhere else
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def parse_json(text: str | bytes):
+def parse_json(text: str):
     """The JSON value in ``text``. Every way the parse fails, nesting past the
-    recursion limit and an integer past the digit limit included, is a ValueError."""
+    recursion limit, an integer past the digit limit and a string holding a
+    lone surrogate (which I-JSON, RFC 7493, forbids and UTF-8 cannot encode)
+    included, is a ValueError."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
+        # In text decoded from UTF-8 only a \ud800-\udfff escape makes a surrogate
+        # (an escaped pair parses to one character), so only such text is searched.
+        lone = _SURROGATE_ESCAPE.search(text) and _SURROGATE.search(json.dumps(value, ensure_ascii=False))
     except RecursionError:
         raise ValueError("invalid json: nested too deeply") from None
     except ValueError as exc:
         raise ValueError(f"invalid json: {exc}") from None
+    if lone:
+        raise ValueError("invalid json: lone surrogate in a string")
+    return value
 
 
 def read_json(path: str | Path):

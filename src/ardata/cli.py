@@ -159,7 +159,10 @@ def _parse_upweights(pairs: list[str]) -> dict[str, float]:
         if "=" not in pair:
             raise ValueError(f"--upweight expects language=weight, got {pair!r}")
         name, raw = pair.split("=", 1)
-        upweights[name.strip()] = float(raw)
+        name = name.strip()
+        if name in upweights:
+            raise ValueError(f"--upweight names language {name!r} more than once")
+        upweights[name] = float(raw)
     return upweights
 
 
@@ -204,8 +207,7 @@ def cmd_lr_curve(args) -> None:
     names = ("total_steps", "warmup_steps", "cooldown_start", "max_lr", "min_lr", "main_phase")
     overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     spec = (schedule.early_cooldown if args.variant == "early" else schedule.late_cooldown)(**overrides)
-    rows = [[step, repr(lr)] for step, lr in schedule.emit_curve(spec, args.stride)]
-    _write_csv(args.out, rows)
+    _write_csv(args.out, ([step, repr(lr)] for step, lr in schedule.emit_curve(spec, args.stride)))
 
 
 # --- instruct --------------------------------------------------------------------

@@ -37,7 +37,7 @@ class Source(str, Enum):
             return cls.OTHER
 
 
-@dataclass  # no slots=True: mixture.sample_stream holds documents by weak reference
+@dataclass
 class Document:
     id: str
     text: str

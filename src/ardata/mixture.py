@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-import weakref
 from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
@@ -108,12 +107,15 @@ def source_fractions(sources: Iterable[SourceStats], upweights: Mapping[str, flo
     """Sampling fraction per source name, from per-language upweights.
 
     Each language present gets its ``sampling_percentages`` share (weight 1.0
-    unless ``upweights`` names it; languages with no source are ignored), split
-    among that language's sources in proportion to their raw tokens. The
-    result feeds ``plan_mixture``.
+    unless ``upweights`` names it), split among that language's sources in
+    proportion to their raw tokens. An upweight for a language that no source
+    has is a ValueError. The result feeds ``plan_mixture``.
     """
     sources = list(sources)
     per_language = _language_tokens(sources)
+    unknown = set(upweights) - set(per_language)
+    if unknown:
+        raise ValueError(f"upweights reference unknown languages: {sorted(unknown)}")
     lang_fractions = sampling_percentages({lang: upweights.get(lang, 1.0) for lang in per_language})
     return {s.name: lang_fractions[s.language] * s.tokens / per_language[s.language] for s in sources}
 
@@ -202,14 +204,11 @@ def sample_stream(
     Each draw picks a source with probability proportional to its unfilled
     token quota, so realized per-source token counts converge to the plan.
     Streams must be restartable (re-iterable) when a quota implies more than
-    one epoch; a stream that yields nothing on restart raises
-    StreamExhaustedError. The same plan seed reproduces the same sequence.
-
-    A drawn document's token count is kept while the document lives, so a
-    stream that yields the same objects every epoch (a list) is counted once
-    per document; a document whose ``text`` was reassigned is counted again.
-    The counts hold documents only by weak reference, so ``Document`` must
-    stay weakref-able (no ``slots=True``).
+    one epoch, and a restarted stream must yield the same documents in the
+    same order: each stream position is counted on the first pass, and later
+    passes reuse that count. A stream whose first pass makes no token
+    progress, or that yields nothing on restart, raises StreamExhaustedError.
+    The same plan seed reproduces the same sequence.
     """
     tok = tok or WhitespaceTokenizer()
     rng = random.Random(plan.seed)
@@ -219,46 +218,33 @@ def sample_stream(
 
     remaining = {e.name: e.token_quota for e in plan.entries if e.token_quota > 0}
     names = sorted(remaining)
-    quotas = [remaining[n] for n in names]  # parallel to names; a source leaves both when filled
-    iterators = {name: iter(streams[name]) for name in names}
-    epoch_tokens = dict.fromkeys(names, 0)  # progress since last restart
-    counts: dict[int, tuple] = {}  # id(doc) -> (weakref to doc, its text when counted, tokens)
+    quotas = [remaining[n] for n in names]
+    sources = [_counted(n, streams[n], tok) for n in names]  # parallel to quotas; a filled source leaves both
 
-    while names:
-        # What rng.choices(names, weights=quotas, k=1)[0] draws, from the same single random().
+    while quotas:
+        # What rng.choices(range(len(quotas)), weights=quotas, k=1)[0] draws, from the same single random().
         cum = list(accumulate(quotas))
         i = bisect(cum, rng.random() * (cum[-1] + 0.0), 0, len(cum) - 1)
-        name = names[i]
-        doc = _next_doc(iterators, streams, epoch_tokens, name)
-        text, key = doc.text, id(doc)
-        entry = counts.get(key)
-        if entry is not None and entry[1] is text:
-            tokens = entry[2]
-        else:
-            # An id is reused only after its document died, and the weakref's callback
-            # drops the entry when it dies.
-            tokens = tok.count_tokens(text)
-            counts[key] = (weakref.ref(doc, lambda _, key=key: counts.pop(key, None)), text, tokens)
-        epoch_tokens[name] += tokens
+        doc, tokens = next(sources[i])
         quotas[i] -= tokens
         if quotas[i] <= 0:
-            del names[i], quotas[i]
+            del quotas[i], sources[i]
         yield doc
 
 
-def _next_doc(iterators, streams, epoch_tokens, name: str) -> Document:
-    try:
-        return next(iterators[name])
-    except StopIteration:
-        if epoch_tokens[name] == 0:
-            raise StreamExhaustedError(
-                f"stream for source {name!r} made no token progress over a full pass"
-            ) from None
-        epoch_tokens[name] = 0
-        iterators[name] = iter(streams[name])  # next epoch
-        try:
-            return next(iterators[name])
-        except StopIteration:
-            raise StreamExhaustedError(
-                f"stream for source {name!r} is empty or not restartable"
-            ) from None
+def _counted(name: str, stream: Iterable[Document], tok: TokenizerAdapter) -> Iterator[tuple[Document, int]]:
+    """``(doc, tokens)`` for each document of ``stream``, pass after pass, with
+    each position's count taken on the first pass."""
+    counts = []
+    for doc in stream:
+        counts.append(tok.count_tokens(doc.text))
+        yield doc, counts[-1]
+    if not sum(counts):
+        raise StreamExhaustedError(f"stream for source {name!r} made no token progress over a full pass")
+    while True:  # next epoch
+        progress = 0
+        for tokens, doc in zip(counts, stream):
+            progress += tokens
+            yield doc, tokens
+        if not progress:  # nothing yielded, or a shorter restart with no counted token: drawing on would spin
+            raise StreamExhaustedError(f"stream for source {name!r} is empty or not restartable")

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import unicodedata
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from ardata.cli import build_parser, dispatch
 from ardata.corpus import document_to_record
 from ardata.instruct import Rejection, load_instruction_records, parse_chatml
 
-from planted import AD_PHRASES, UNSAFE_PHRASES, planted_corpus
+from planted import AD_PHRASES, UNSAFE_PHRASES, clean_doc, planted_corpus
 
 CONFIG = {
     "unsafe_phrases": list(UNSAFE_PHRASES),
@@ -178,6 +179,25 @@ def test_clean_rejects_lines_the_parser_or_document_refuses(tmp_path):
     ]
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert report["sources"]["other"]["docs_in"] == 2
+
+
+def test_clean_rejects_a_lone_surrogate_escape_as_invalid_json(tmp_path):
+    # The filters keep each document; writing the lone surrogate used to exit 1, naming no line.
+    # json.dumps escapes "b"'s lone surrogate as \ud800 and "c"'s emoji as the pair \ud83d\ude00.
+    record = document_to_record(clean_doc(0))
+    in_path = tmp_path / "docs.jsonl"
+    in_path.write_text("".join(json.dumps({**record, "id": doc_id, "text": record["text"] + tail}) + "\n"
+                               for doc_id, tail in (("a", ""), ("b", "\ud800"), ("c", " \U0001f600"))),
+                       encoding="utf-8")
+    kept, rejects = tmp_path / "kept.jsonl", tmp_path / "rejects.jsonl"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(CONFIG), encoding="utf-8")
+    assert dispatch(["clean", "--in", str(in_path), "--out", str(kept), "--report", str(tmp_path / "report.json"),
+                     "--config", str(config_path), "--rejects", str(rejects)]) == 0
+    assert [json.loads(line) for line in rejects.read_text(encoding="utf-8").splitlines()] == [
+        {"line": 2, "reason": "invalid json"},
+    ]
+    assert [json.loads(line)["id"] for line in kept.read_text(encoding="utf-8").splitlines()] == ["a", "c"]
 
 
 def test_clean_rejects_ids_and_urls_of_another_kind(tmp_path):
@@ -523,6 +543,24 @@ def test_lr_curve_stdout(capsys):
     assert len(lines) == 3
 
 
+def test_lr_curve_writes_each_row_as_it_is_computed(capsys, monkeypatch):
+    from ardata import schedule
+
+    assert dispatch(["lr-curve", "--stride", "1000"]) == 0
+    first_rows = capsys.readouterr().out.splitlines()[:3]
+    emit_curve = schedule.emit_curve
+
+    def three_rows_then_fail(spec, stride):
+        yield from islice(emit_curve(spec, stride), 3)
+        raise ValueError("stopped after 3 rows")
+
+    monkeypatch.setattr(schedule, "emit_curve", three_rows_then_fail)
+    assert dispatch(["lr-curve", "--stride", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == first_rows
+    assert json.loads(captured.err) == {"command": "lr-curve", "error": "stopped after 3 rows"}
+
+
 def test_lr_curve_unknown_composition_is_usage_error(capsys):
     assert dispatch(["lr-curve", "--composition", "bogus"]) == 2
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
@@ -667,6 +705,30 @@ def test_mix_plan_repeated_source_name_is_validation_error(tmp_path, capsys):
     assert dispatch(["mix-plan", "--sources", str(sources), "--total-tokens", "900"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"command": "mix-plan", "error": "sources must have distinct names, repeated: ['a']"}
+
+
+def test_mix_plan_sources_file_with_a_lone_surrogate_is_validation_error(tmp_path, capsys):
+    sources = tmp_path / "sources.json"
+    sources.write_text('[{"name": "a\\udc00", "tokens": 10}]', encoding="utf-8")
+    assert dispatch(["mix-plan", "--sources", str(sources), "--total-tokens", "100"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"command": "mix-plan", "error": f"{sources}: invalid json: lone surrogate in a string"}
+
+
+@pytest.mark.parametrize("upweights, error", [
+    (["arabc=4.6"], "upweights reference unknown languages: ['arabc']"),
+    (["arabic=4.6", "arabic=1"], "--upweight names language 'arabic' more than once"),
+])
+def test_mix_plan_upweight_it_cannot_apply_is_validation_error(tmp_path, capsys, upweights, error):
+    # Each used to exit 0 with an un-upweighted 50/50 plan.
+    sources = tmp_path / "sources.json"
+    sources.write_text(json.dumps([{"name": "a", "tokens": 10, "language": "arabic"},
+                                   {"name": "e", "tokens": 10, "language": "english"}]), encoding="utf-8")
+    argv = ["mix-plan", "--sources", str(sources), "--total-tokens", "100"]
+    for pair in upweights:
+        argv += ["--upweight", pair]
+    assert dispatch(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"command": "mix-plan", "error": error}
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])
@@ -921,6 +983,17 @@ def test_instruct_mix_tallies_an_invalid_utf8_line_and_goes_on(tmp_path):
     assert (stats["kept"], stats["rejects_by_reason"]) == (2, {"bad_record": 1})
     written = [parse_chatml(json.loads(line)["text"]) for line in (tmp_path / "out.jsonl").read_bytes().splitlines()]
     assert [d.turns[0].value for d in written] == ["q0", "q1"]
+
+
+def test_instruct_mix_tallies_a_lone_surrogate_escape_and_goes_on(tmp_path):
+    # Writing the lone surrogate used to exit 1, naming no file or line.
+    path = tmp_path / "dialogues.jsonl"
+    path.write_text('{"instruction": "\\ud800", "output": "b"}\n{"instruction": "q \\ud83d\\ude00", "output": "a"}\n',
+                    encoding="utf-8")
+    stats = _mix_stats(tmp_path, path)
+    assert (stats["kept"], stats["rejects_by_reason"]) == (1, {"bad_record": 1})
+    written = [parse_chatml(json.loads(line)["text"]) for line in (tmp_path / "out.jsonl").read_bytes().splitlines()]
+    assert [d.turns[0].value for d in written] == ["q \U0001f600"]
 
 
 @pytest.mark.parametrize("template", ["standard", "mcq"])

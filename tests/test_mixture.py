@@ -1,6 +1,7 @@
 import math
 import weakref
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -97,9 +98,11 @@ def test_source_stats_validation():
 
 def test_source_fractions_split_each_language_by_tokens():
     sources = [SourceStats("ar-web", 100, "arabic"), SourceStats("ar-books", 300, "arabic"), SourceStats("en", 50, "english")]
-    fractions = source_fractions(sources, {"arabic": 4.0, "ghost": 9.0})
+    fractions = source_fractions(sources, {"arabic": 4.0})
     assert fractions == pytest.approx({"ar-web": 0.2, "ar-books": 0.6, "en": 0.2})
     assert plan_mixture(sources, fractions, 1000).entry("ar-books").token_quota == 600
+    with pytest.raises(ValueError, match=r"upweights reference unknown languages: \['ghost'\]"):
+        source_fractions(sources, {"arabic": 4.0, "ghost": 9.0})
 
 
 # --- mixture planning ---------------------------------------------------------------
@@ -227,6 +230,21 @@ def test_zero_token_stream_cannot_spin_forever():
         list(sample_stream(plan, {"a": empty_docs}))
 
 
+def test_restart_short_of_every_counted_token_cannot_spin_forever():
+    # Breaks the contract: each restart yields only the zero-token first document.
+    class Shrinking:
+        def __init__(self):
+            self.passes = 0
+
+        def __iter__(self):
+            self.passes += 1
+            return iter([Document(id="e", text=" "), Document(id="w", text="w")][: 2 if self.passes == 1 else 1])
+
+    plan = plan_mixture([SourceStats("a", 1)], {"a": 1.0}, 2)
+    with pytest.raises(StreamExhaustedError, match="empty or not restartable"):
+        list(islice(sample_stream(plan, {"a": Shrinking()}), 10))  # bounded, should it spin
+
+
 def test_missing_stream_errors():
     plan = plan_mixture([SourceStats("a", 10)], {"a": 1.0}, 10)
     with pytest.raises(ValueError, match="no stream"):
@@ -257,7 +275,7 @@ def test_realized_tokens_within_one_document_of_quota(doc_lengths, weights, tota
         assert entry.token_quota <= realized[entry.name] < entry.token_quota + max(doc_lengths[s])
 
 
-# --- stream sampling: counts kept per live document -----------------------------------------
+# --- stream sampling: counts kept per stream position ---------------------------------------
 
 
 class _CountingTokenizer(WhitespaceTokenizer):
@@ -297,10 +315,12 @@ def test_fresh_documents_each_pass_give_the_list_sequence():
     tok = _CountingTokenizer()
     fresh = [d.id for d in sample_stream(plan, {"a": _FreshDocs("a", 5), "b": _FreshDocs("b", 7)}, tok=tok)]
     assert fresh == from_lists
-    assert len(tok.texts) == len(fresh)  # no document repeats, so every draw is counted
+    assert len(tok.texts) == 12  # one count per stream position, on the first pass
 
 
-def test_reassigned_text_is_counted_again():
+def test_reassigned_text_keeps_its_first_pass_count():
+    # A restarted stream must yield the same documents in the same order, so each
+    # position is counted on the first pass only; text reassigned later is not recounted.
     docs = [Document(id="d0", text="w"), Document(id="d1", text="w")]
 
     class Growing:
@@ -316,10 +336,9 @@ def test_reassigned_text_is_counted_again():
 
     tok = _CountingTokenizer()
     plan = plan_mixture([SourceStats("a", 2)], {"a": 1.0}, 6)
-    # Passes give 1+1, 2+1 and 3 tokens: 8 >= 6 after five draws. Stale counts
-    # of 1 for d0 would need six.
-    assert [d.id for d in sample_stream(plan, {"a": Growing()}, tok=tok)] == ["d0", "d1"] * 2 + ["d0"]
-    assert tok.texts == ["w", "w", "w w", "w w w"]
+    # Every position keeps its first-pass count of 1, so six draws fill the quota.
+    assert [d.id for d in sample_stream(plan, {"a": Growing()}, tok=tok)] == ["d0", "d1"] * 3
+    assert tok.texts == ["w", "w"]
 
 
 def test_sampler_keeps_no_document_alive():
@@ -331,9 +350,3 @@ def test_sampler_keeps_no_document_alive():
     assert drawn == 11 and first() is None
     assert sum(1 for _ in gen) == 39
     assert first() is None
-
-
-def test_document_stays_weakref_able():
-    # sample_stream keeps its counts by weak reference to each document.
-    doc = Document(id="a", text="b")
-    assert weakref.ref(doc)() is doc

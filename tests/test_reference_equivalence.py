@@ -748,7 +748,8 @@ def test_vocab_count_tokens_tokenizes_each_distinct_word_once():
 
 
 def reference_sample_stream(plan, streams, tok=None):
-    """``sample_stream`` as it was when it counted every draw and rebuilt its draw state."""
+    """``sample_stream`` as it was when it counted every draw, kept an iterator per
+    source and rebuilt its draw state: the oracle for the position-count sampler."""
     tok = tok or WhitespaceTokenizer()
     rng = random.Random(plan.seed)
     missing = [e.name for e in plan.entries if e.name not in streams]
@@ -852,8 +853,13 @@ def _mixture(seed, *sources):
 def test_sample_stream_equals_reference_loop(mixture):
     seed, sources = mixture
     plan = _plan(seed, sources)
-    got = _draws(sample_stream(plan, _streams(sources)))
+    tok = WhitespaceTokenizer()
+    with mock.patch.object(tok, "count_tokens", wraps=tok.count_tokens) as spy:
+        got = _draws(sample_stream(plan, _streams(sources), tok=tok))
     assert got == _draws(reference_sample_stream(plan, _streams(sources)))
+    # Each stream position is counted once, on the first pass.
+    drawn = Counter(doc_id.split("-")[0] for doc_id, _ in got[0])
+    assert spy.call_count == sum(min(drawn[name], len(docs)) for name, _, docs, _ in sources)
 
 
 # --- streaming oracles: instruct build and mix -----------------------------------------------
