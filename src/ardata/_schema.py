@@ -76,15 +76,18 @@ def iter_json_lines(lines: Iterable[bytes | str]) -> Iterator[tuple[int, object,
     """``(line_no, value, None)`` for each JSON line of ``lines``, 1-based, or
     ``(line_no, None, reason)`` for a line that holds no value: ``invalid utf-8``,
     ``empty line`` (only whitespace) or ``invalid json``. A bytes line is decoded
-    as UTF-8 and a str line is taken as it is. One byte-order mark at the start
-    of line 1 is dropped, as ``read_json`` drops it."""
+    as UTF-8; a str line must be encodable as UTF-8, so one holding a lone
+    surrogate character is ``invalid utf-8`` too. One byte-order mark at the
+    start of line 1 is dropped, as ``read_json`` drops it."""
     for line_no, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            try:
+        try:
+            if isinstance(line, bytes):
                 line = line.decode("utf-8")
-            except UnicodeDecodeError:
-                yield line_no, None, "invalid utf-8"
-                continue
+            elif not line.isascii():
+                line.encode("utf-8")
+        except UnicodeError:
+            yield line_no, None, "invalid utf-8"
+            continue
         if line_no == 1:
             line = line.removeprefix(_BOM)
         if not line.strip():

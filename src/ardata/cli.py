@@ -255,6 +255,21 @@ def cmd_instruct_mix(args) -> None:
 # --- eval ------------------------------------------------------------------------
 
 
+SCORERS = ("constant", "oracle", "anti-oracle", "ngram")
+
+
+def _scorer_names(value: str) -> list[str]:
+    """argparse type for --scorers: comma-separated names, each a known scorer
+    given once, so a bad list is a usage error before any input is read."""
+    names = [name.strip() for name in value.split(",")]
+    for i, name in enumerate(names):
+        if name not in SCORERS:
+            raise argparse.ArgumentTypeError(f"unknown scorer {name!r} (choose from {', '.join(SCORERS)})")
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(f"scorer {name!r} is named more than once")
+    return names
+
+
 def _build_scorer(name: str, items, fmt: str):
     from . import evaluation
 
@@ -262,15 +277,8 @@ def _build_scorer(name: str, items, fmt: str):
         return evaluation.ConstantScorer()
     if name == "ngram":
         return evaluation.CharNgramScorer()
-    if name in ("oracle", "anti-oracle"):
-        if fmt == "mcf":
-            base = evaluation.OracleScorer.for_mcf(items)
-        else:
-            base = evaluation.OracleScorer.for_cf(items)
-        if name == "oracle":
-            return base
-        return evaluation.OracleScorer.anti(base.pairs)
-    raise ValueError(f"unknown scorer {name!r} (constant, oracle, anti-oracle, or ngram)")
+    base = evaluation.OracleScorer.for_mcf(items) if fmt == "mcf" else evaluation.OracleScorer.for_cf(items)
+    return base if name == "oracle" else evaluation.OracleScorer.anti(base.pairs)
 
 
 def cmd_eval_cf(args) -> None:
@@ -307,10 +315,7 @@ def cmd_eval_diff(args) -> None:
     from . import evaluation
 
     items = evaluation.load_benchmark_items(args.items)
-    scorers = {}
-    for name in args.scorers.split(","):
-        name = name.strip()
-        scorers[name] = _build_scorer(name, items, "cf")
+    scorers = {name: _build_scorer(name, items, "cf") for name in args.scorers}
     rows = [["model", "cf", "mcf", "diff"]]
     for row in evaluation.cf_mcf_diff(items, scorers, norm=args.norm):
         rows.append([row.model, repr(row.cf), repr(row.mcf), repr(row.diff)])
@@ -401,14 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = eval_sub.add_parser("cf", help="cloze-format accuracy")
     p.add_argument("--items", required=True)
-    p.add_argument("--scorer", default="ngram")
+    p.add_argument("--scorer", choices=SCORERS, default="ngram")
     p.add_argument("--norm", choices=("none", "by_bytes", "by_tokens"), default="by_bytes")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_eval_cf, outputs=("out",))
 
     p = eval_sub.add_parser("mcf", help="multiple-choice-format accuracy")
     p.add_argument("--items", required=True)
-    p.add_argument("--scorer", default="ngram")
+    p.add_argument("--scorer", choices=SCORERS, default="ngram")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_eval_mcf, outputs=("out",))
 
@@ -416,14 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", required=True)
     p.add_argument("--exemplars", required=True)
     p.add_argument("--shots", type=int, default=5)
-    p.add_argument("--scorer", default="ngram")
+    p.add_argument("--scorer", choices=SCORERS, default="ngram")
     p.add_argument("--out", default="-")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_eval_acva, outputs=("out",))
 
     p = eval_sub.add_parser("diff", help="CF minus MCF accuracy per scorer (CSV)")
     p.add_argument("--items", required=True)
-    p.add_argument("--scorers", default="constant,oracle,anti-oracle,ngram")
+    p.add_argument("--scorers", type=_scorer_names, default=",".join(SCORERS))
     p.add_argument("--norm", choices=("none", "by_bytes", "by_tokens"), default="none")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_eval_diff, outputs=("out",))

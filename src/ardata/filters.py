@@ -453,18 +453,29 @@ class CleaningReport:
     @classmethod
     def from_dict(cls, data) -> "CleaningReport":
         """Rebuild a report from ``to_dict()`` output; a schema violation raises
-        ReportSchemaError naming the source and key."""
+        ReportSchemaError naming the source and key. A source must be one that
+        ``record`` can build: its removals are counted under rules of ``rules``,
+        the same rules in ``docs_removed`` and ``tokens_removed``, and neither
+        removes more than came in."""
         try:
             report = cls(rules=tuple(get_field(check(data, OBJECT, "report"), "rules", STRINGS, "report ")))
             for name, raw in get_field(data, "sources", OBJECT, "report ").items():
                 where = f"source {name!r}"
                 check(raw, OBJECT, where)
-                report.sources[name] = SourceCounters(
+                counters = report.sources[name] = SourceCounters(
                     docs_in=get_field(raw, "docs_in", COUNT, where + ": "),
                     tokens_in=get_field(raw, "tokens_in", COUNT, where + ": "),
                     docs_removed=dict(get_field(raw, "docs_removed", COUNTS, where + ": ")),
                     tokens_removed=dict(get_field(raw, "tokens_removed", COUNTS, where + ": ")),
                 )
+                if counters.docs_removed.keys() != counters.tokens_removed.keys():
+                    raise ValueError(f"{where}: 'docs_removed' and 'tokens_removed' name different rules")
+                unknown = sorted(counters.docs_removed.keys() - set(report.rules))
+                if unknown:
+                    raise ValueError(f"{where}: removals counted under rules not in 'rules': {unknown}")
+                for kind, kept in (("docs", counters.docs_kept), ("tokens", counters.tokens_kept)):
+                    if kept < 0:
+                        raise ValueError(f"{where}: '{kind}_removed' sums to more than '{kind}_in'")
         except ValueError as exc:
             raise ReportSchemaError(str(exc)) from None
         return report

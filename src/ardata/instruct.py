@@ -574,9 +574,10 @@ def build_dialogues(
 ) -> tuple[list[Dialogue], dict[str, int]]:
     """Chunk documents, prompt the generator, parse, and filter.
 
-    Work is ordered as in ``iter_chunk_outcomes`` so output is deterministic
-    no matter how callers parallelize the generator calls. Returns the kept
-    dialogues (origin tagged) and the per-reason reject counts.
+    The dialogues come in ``iter_chunk_outcomes``' order (template, document
+    id, chunk index), so the same inputs and seed give the same output.
+    Returns the kept dialogues (origin tagged) and the per-reason reject
+    counts.
     """
     return filter_dialogues(
         iter_chunk_outcomes(docs, generator, template, max_chars=max_chars, seed=seed, exemplar=exemplar)

@@ -116,50 +116,6 @@ class FertilityReport:
     average: str = "micro"
 
 
-@dataclass
-class FertilityAccumulator:
-    """Mergeable partial sums, so sharded workers can aggregate in any order."""
-
-    words: int = 0
-    tokens: int = 0
-    doc_ratios_sum: float = 0.0
-    docs_with_words: int = 0
-
-    def add_counts(self, words: int, tokens: int) -> None:
-        """Add one document by its word and token counts, so a caller that scores
-        a document with several tokenizers splits it into words once."""
-        self.words += words
-        self.tokens += tokens
-        if words > 0:
-            self.doc_ratios_sum += tokens / words
-            self.docs_with_words += 1
-
-    def merge(self, other: "FertilityAccumulator") -> "FertilityAccumulator":
-        return FertilityAccumulator(
-            words=self.words + other.words,
-            tokens=self.tokens + other.tokens,
-            doc_ratios_sum=self.doc_ratios_sum + other.doc_ratios_sum,
-            docs_with_words=self.docs_with_words + other.docs_with_words,
-        )
-
-    def report(self, tok_name: str, average: str = "micro") -> FertilityReport:
-        if self.words == 0:
-            raise ValueError("empty corpus: no words to score")
-        if average == "micro":
-            score = self.tokens / self.words
-        elif average == "macro":
-            score = self.doc_ratios_sum / self.docs_with_words
-        else:
-            raise ValueError(f"unknown average {average!r} (expected 'micro' or 'macro')")
-        return FertilityReport(
-            tokenizer_name=tok_name,
-            total_words=self.words,
-            total_tokens=self.tokens,
-            fertility=score,
-            average=average,
-        )
-
-
 def fertility_reports(
     corpus: Iterable[Document | str],
     toks: Sequence[TokenizerAdapter],
@@ -170,15 +126,31 @@ def fertility_reports(
 
     Micro average (the default): sum tokens over all documents, divide by the
     summed word count once. ``average="macro"`` instead takes the mean of
-    per-document ratios. Raises ValueError on a corpus with no words.
+    per-document ratios over the documents that have words. ``average`` is
+    checked before ``corpus`` is read. Raises ValueError on a corpus with no
+    words.
     """
-    accs = [FertilityAccumulator() for _ in toks]
+    if average not in ("micro", "macro"):
+        raise ValueError(f"unknown average {average!r} (expected 'micro' or 'macro')")
+    words = docs_with_words = 0
+    tokens = [0] * len(toks)
+    ratio_sums = [0.0] * len(toks)
     for doc in corpus:
         text = doc if isinstance(doc, str) else doc.text
-        words = len(segment_words(text))
-        for tok, acc in zip(toks, accs):
-            acc.add_counts(words, tok.count_tokens(text))
-    return [acc.report(tok.name, average=average) for tok, acc in zip(toks, accs)]
+        doc_words = len(segment_words(text))
+        words += doc_words
+        docs_with_words += doc_words > 0
+        for i, tok in enumerate(toks):
+            doc_tokens = tok.count_tokens(text)
+            tokens[i] += doc_tokens
+            if doc_words:
+                ratio_sums[i] += doc_tokens / doc_words
+    if words == 0:
+        raise ValueError("empty corpus: no words to score")
+    return [
+        FertilityReport(tok.name, words, t, t / words if average == "micro" else ratio_sum / docs_with_words, average)
+        for tok, t, ratio_sum in zip(toks, tokens, ratio_sums)
+    ]
 
 
 def fertility(

@@ -1180,6 +1180,20 @@ def test_eval_diff_csv(bench_files, capsys):
     assert float(by_model["oracle"][1]) == 1.0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cf", "--scorer", "bogus"], "argument --scorer: invalid choice: 'bogus'"),
+    (["mcf", "--scorer", "bogus"], "argument --scorer: invalid choice: 'bogus'"),
+    (["diff", "--scorers", "oracle,oracle"], "scorer 'oracle' is named more than once"),
+    (["diff", "--scorers", "oracle,bogus"], "unknown scorer 'bogus'"),
+    (["diff", "--scorers", ","], "unknown scorer ''"),
+], ids=["cf-unknown", "mcf-unknown", "diff-repeated", "diff-unknown", "diff-empty"])
+def test_bad_scorer_is_usage_error_before_the_items_are_read(tmp_path, capsys, argv, message):
+    missing = tmp_path / "missing.json"
+    assert dispatch(["eval", *argv, "--items", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "missing.json" not in err
+
+
 # --- config -----------------------------------------------------------------------
 
 
@@ -1254,6 +1268,20 @@ def test_report_merge_malformed_report_is_validation_error(tmp_path, capsys, rep
     assert dispatch(["report", "merge", str(path)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert message in err["error"] and err["command"] == "report"
+
+
+def test_report_merge_of_a_report_clean_cannot_write_leaves_no_output(tmp_path, capsys):
+    # Merged with itself, this report was written with "docs_kept": -8.
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({
+        "rules": ["safety", "ads", "lines", "chars", "gopher"],
+        "sources": {"sanad": {"docs_in": 1, "tokens_in": 3, "docs_removed": {"bogus": 5}, "tokens_removed": {"safety": 9}}},
+    }), encoding="utf-8")
+    merged = tmp_path / "merged.json"
+    assert dispatch(["report", "merge", str(path), str(path), "--out", str(merged)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert "source 'sanad': 'docs_removed' and 'tokens_removed' name different rules" in err["error"]
+    assert not merged.exists()
 
 
 # --- docs -------------------------------------------------------------------------------

@@ -89,6 +89,15 @@ def test_ingest_invalid_utf8_rejected():
     assert rejects[0].reason == "invalid utf-8"
 
 
+def test_ingest_str_line_with_a_lone_surrogate_is_invalid_utf8():
+    # The parsed Document could not be written: UTF-8 cannot encode U+D800.
+    rejects = []
+    docs = list(ingest_jsonl(['{"id":"a","text":"x\ud800 y"}', '{"id":"b","text":"كتب"}'],
+                             on_reject=rejects.append))
+    assert [d.id for d in docs] == ["b"]
+    assert [(r.line, r.reason) for r in rejects] == [(1, "invalid utf-8")]
+
+
 def test_ingest_strips_one_bom_on_first_line_only():
     stream = io.BytesIO(
         b'\xef\xbb\xbf{"id":"a","text":"x"}\n'

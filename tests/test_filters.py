@@ -340,6 +340,19 @@ def _report_with(**source_keys):
     (_report_with(tokens_removed=None), "source 'culturax': 'tokens_removed' must be an object of integer"),
     (_report_with(tokens_in=-1), "source 'culturax': 'tokens_in' must be an integer >= 0"),
     (_report_with(docs_removed={"ads": -1}), "source 'culturax': 'docs_removed' must be an object of integer"),
+    (
+        _report_with(docs_removed={"gopher": 1}, tokens_removed={"gopher": 4}),
+        "source 'culturax': removals counted under rules not in 'rules': ['gopher']",
+    ),
+    (
+        _report_with(tokens_removed={"safety": 4}),
+        "source 'culturax': 'docs_removed' and 'tokens_removed' name different rules",
+    ),
+    (
+        _report_with(docs_removed={"ads": 2, "safety": 2}, tokens_removed={"ads": 4, "safety": 0}),
+        "source 'culturax': 'docs_removed' sums to more than 'docs_in'",
+    ),
+    (_report_with(tokens_removed={"ads": 10}), "source 'culturax': 'tokens_removed' sums to more than 'tokens_in'"),
 ])
 def test_report_from_dict_names_bad_key(data, message):
     with pytest.raises(ReportSchemaError) as info:

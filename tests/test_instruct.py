@@ -595,6 +595,12 @@ def test_load_wrongly_typed_field_is_bad_record():
     assert outcomes[1] == Rejection("bad_record", "line 3: 'output' must be a string, got 5")
 
 
+def test_load_str_line_with_a_lone_surrogate_is_bad_record():
+    # The parsed Dialogue could not be written: UTF-8 cannot encode U+D800.
+    outcomes = list(load_instruction_records(['{"instruction":"\ud800","output":"b"}'], origin="x"))
+    assert outcomes == [Rejection("bad_record", "line 1: invalid utf-8")]
+
+
 _READER_REJECT = re.compile(r"line (\d+): (?:invalid utf-8|invalid json)")
 
 

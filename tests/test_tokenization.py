@@ -1,12 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ardata.corpus import Document
 from ardata.tokenization import (
     CharacterTokenizer,
-    FertilityAccumulator,
     VocabTokenizer,
     WhitespaceTokenizer,
     fertility,
@@ -140,21 +139,35 @@ def test_fertility_reports_are_each_tokenizers_fertility_from_one_pass(average):
     assert fertility_reports(one_pass, toks, average) == [fertility(docs(*texts), tok, average) for tok in toks]
 
 
-def test_fertility_invariant_under_sharding_and_order():
-    rng = random.Random(3)
-    texts = random_corpus(rng, n_docs=16)
+_WORD = st.text(alphabet="ابتab", min_size=1, max_size=6)
+_TEXT = st.lists(_WORD, max_size=8).map(" ".join)
+
+
+@given(st.lists(_TEXT, min_size=2, max_size=12), st.data())
+@settings(max_examples=100)
+def test_fertility_invariant_under_sharding_and_order(texts, data):
+    """The report of ``a + b`` sums the counts of the parts' reports, for any
+    split point, and no document order changes it."""
+    cut = data.draw(st.integers(min_value=1, max_value=len(texts) - 1), label="cut")
+    a, b = texts[:cut], texts[cut:]
+    assume(all(segment_words(" ".join(part)) for part in (a, b)))
     tok = CharacterTokenizer()
-    whole = fertility(docs(*texts), tok)
-    acc = FertilityAccumulator()
-    for shard in (texts[::2], texts[1::2]):
-        partial = FertilityAccumulator()
-        for t in shard:
-            partial.add_counts(len(segment_words(t)), tok.count_tokens(t))
-        acc = acc.merge(partial)
-    assert acc.report(tok.name).fertility == whole.fertility
-    shuffled = list(texts)
-    rng.shuffle(shuffled)
-    assert fertility(docs(*shuffled), tok).fertility == whole.fertility
+    ra, rb = fertility(a, tok), fertility(b, tok)
+    whole = fertility(a + b, tok)
+    assert whole.total_words == ra.total_words + rb.total_words
+    assert whole.total_tokens == ra.total_tokens + rb.total_tokens
+    assert whole.fertility == (ra.total_tokens + rb.total_tokens) / (ra.total_words + rb.total_words)
+    shuffled = data.draw(st.permutations(texts), label="shuffled")
+    assert fertility(shuffled, tok).fertility == whole.fertility
+
+
+def test_unknown_average_raises_before_the_corpus_is_read():
+    def unread():
+        raise AssertionError("the corpus was read")
+        yield
+
+    with pytest.raises(ValueError, match="unknown average 'bogus'"):
+        fertility_reports(unread(), [WhitespaceTokenizer()], average="bogus")
 
 
 def test_finer_tokenizer_never_lower_fertility():
