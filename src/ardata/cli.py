@@ -139,6 +139,11 @@ def cmd_fertility(args) -> None:
     from . import corpus, tokenization
 
     toks = [make_tokenizer(spec) for spec in args.tokenizer]
+    # A row is named by its tokenizer and its input's stem, so neither may repeat.
+    for what, names in (("--in stem", [Path(path).stem for path in args.input]), ("tokenizer", [t.name for t in toks])):
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"{what} {name!r} is named more than once")
 
     def reports(path: str) -> list[tokenization.FertilityReport]:  # one read of the file for every tokenizer
         with open(path, "rb") as stream:

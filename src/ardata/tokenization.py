@@ -75,10 +75,10 @@ class VocabTokenizer:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "VocabTokenizer":
-        """One entry per line; the tokenizer is named after the file's stem."""
+        """One entry per line, a leading byte-order mark dropped; the tokenizer
+        is named after the file's stem."""
         p = Path(path)
-        entries = [line.rstrip("\n") for line in p.read_text(encoding="utf-8").splitlines()]
-        return cls(entries, name=p.stem)
+        return cls(p.read_text(encoding="utf-8-sig").splitlines(), name=p.stem)
 
     def tokenize_word(self, word: str) -> list[str]:
         tokens: list[str] = []

@@ -19,6 +19,7 @@ import pytest
 
 from ardata.cli import build_parser, dispatch
 from ardata.corpus import document_to_record
+from ardata.filters import FilterConfig
 from ardata.instruct import Rejection, load_instruction_records, parse_chatml
 
 from planted import AD_PHRASES, UNSAFE_PHRASES, clean_doc, planted_corpus
@@ -756,6 +757,34 @@ def test_fertility_csv(tmp_path, capsys):
     assert values == {"whitespace": 1.0, "character": 2.5}
 
 
+def test_fertility_repeated_input_stem_is_validation_error(tmp_path, capsys):
+    # a/docs.jsonl and b/docs.jsonl would both be rows named "docs".
+    paths = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        paths += ["--in", str(tmp_path / folder / "docs.jsonl")]
+        (tmp_path / folder / "docs.jsonl").write_text('{"id":"a","text":"ab cde"}\n', encoding="utf-8")
+    assert dispatch(["fertility", *paths, "--tokenizer", "whitespace"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "--in stem 'docs' is named more than once"
+
+
+@pytest.mark.parametrize("specs, name", [
+    (["whitespace", "whitespace", "character"], "whitespace"),
+    (["vocab:{tmp}/a/v.txt", "vocab:{tmp}/b/v.txt"], "v"),  # a vocab tokenizer is named after its file's stem
+])
+def test_fertility_repeated_tokenizer_is_validation_error_before_the_corpus_is_read(tmp_path, capsys, specs, name):
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "v.txt").write_text("ab\n", encoding="utf-8")
+    argv = ["fertility", "--in", str(tmp_path / "missing.jsonl")]
+    for spec in specs:
+        argv += ["--tokenizer", spec.format(tmp=tmp_path)]
+    assert dispatch(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == f"tokenizer {name!r} is named more than once"
+
+
 # --- instruct -----------------------------------------------------------------------
 
 
@@ -1250,24 +1279,30 @@ def test_report_merge_equals_single_run(corpus_files, tmp_path, capsys):
 @pytest.mark.parametrize("report, message", [
     ([1], "report must be an object, got list"),
     (
-        {"rules": ["safety"], "sources": {"culturax": {
+        {"rules": ["safety", "ads", "lines", "chars", "gopher"], "sources": {"culturax": {
             "docs_in": "3", "tokens_in": 9, "docs_removed": {}, "tokens_removed": {},
         }}},
         "source 'culturax': 'docs_in' must be an integer",
     ),
     (
-        {"rules": ["safety"], "sources": {"culturax": {
+        {"rules": ["safety", "ads", "lines", "chars", "gopher"], "sources": {"culturax": {
             "docs_in": -3, "tokens_in": 9, "docs_removed": {}, "tokens_removed": {},
         }}},
         "source 'culturax': 'docs_in' must be an integer >= 0, got -3",
+    ),
+    (
+        {"rules": ["bogus", "bogus"], "sources": {}},
+        "report 'rules' must be ['safety', 'ads', 'lines', 'chars', 'gopher'], got ['bogus', 'bogus']",
     ),
 ])
 def test_report_merge_malformed_report_is_validation_error(tmp_path, capsys, report, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report), encoding="utf-8")
-    assert dispatch(["report", "merge", str(path)]) == 1
+    merged = tmp_path / "merged.json"
+    assert dispatch(["report", "merge", str(path), str(path), "--out", str(merged)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert message in err["error"] and err["command"] == "report"
+    assert not merged.exists()
 
 
 def test_report_merge_of_a_report_clean_cannot_write_leaves_no_output(tmp_path, capsys):
@@ -1286,6 +1321,7 @@ def test_report_merge_of_a_report_clean_cannot_write_leaves_no_output(tmp_path, 
 
 # --- docs -------------------------------------------------------------------------------
 
+_JSON_BLOCK = re.compile(r"^```json\n(.*?)^```", re.DOTALL | re.MULTILINE)
 _BASH_BLOCK = re.compile(r"^[ \t]*```bash\n(.*?)^[ \t]*```", re.DOTALL | re.MULTILINE)
 _SHELL_OPERATOR = re.compile(r"^\d*[<>|&;]")
 
@@ -1302,6 +1338,12 @@ def _readme_commands() -> list[list[str]]:
                 cut = next((i for i, word in enumerate(words) if _SHELL_OPERATOR.match(word)), len(words))
                 commands.append(words[1:cut])
     return commands
+
+
+def test_readme_filters_json_example_is_a_filter_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    [example] = _JSON_BLOCK.findall(readme)
+    FilterConfig.from_dict(json.loads(example))
 
 
 def test_every_readme_command_parses():

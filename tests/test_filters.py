@@ -303,13 +303,6 @@ def test_merge_laws(entries_a, entries_b, entries_c):
     assert merge_reports(CleaningReport(), a).to_dict() == a.to_dict()
 
 
-def test_merge_schema_mismatch_raises():
-    a = CleaningReport()
-    b = CleaningReport(rules=("safety", "ads"))
-    with pytest.raises(ReportSchemaError):
-        merge_reports(a, b)
-
-
 def test_report_json_round_trip(cfg):
     docs, _ = planted_corpus(n_clean=5, n_ads=2)
     _, report = run_pipeline(docs, cfg, TOK)
@@ -318,7 +311,7 @@ def test_report_json_round_trip(cfg):
 
 
 _REPORT = {
-    "rules": ["safety", "ads"],
+    "rules": ["safety", "ads", "lines", "chars", "gopher"],
     "sources": {"culturax": {"docs_in": 3, "tokens_in": 9, "docs_removed": {"ads": 1}, "tokens_removed": {"ads": 4}}},
 }
 
@@ -331,7 +324,7 @@ def _report_with(**source_keys):
     ([1], "report must be an object, got list"),
     ({**_REPORT, "rules": "safety"}, "report 'rules' must be a list of strings"),
     ({**_REPORT, "rules": ["safety", 1]}, "report 'rules' must be a list of strings"),
-    ({"rules": ["safety"]}, "report 'sources' must be an object"),
+    ({"rules": _REPORT["rules"]}, "report 'sources' must be an object"),
     ({**_REPORT, "sources": [1]}, "report 'sources' must be an object"),
     ({**_REPORT, "sources": {"culturax": [1]}}, "source 'culturax' must be an object"),
     (_report_with(docs_in="3"), "source 'culturax': 'docs_in' must be an integer"),
@@ -341,8 +334,8 @@ def _report_with(**source_keys):
     (_report_with(tokens_in=-1), "source 'culturax': 'tokens_in' must be an integer >= 0"),
     (_report_with(docs_removed={"ads": -1}), "source 'culturax': 'docs_removed' must be an object of integer"),
     (
-        _report_with(docs_removed={"gopher": 1}, tokens_removed={"gopher": 4}),
-        "source 'culturax': removals counted under rules not in 'rules': ['gopher']",
+        _report_with(docs_removed={"none": 1}, tokens_removed={"none": 4}),
+        "source 'culturax': removals counted under rules not in 'rules': ['none']",
     ),
     (
         _report_with(tokens_removed={"safety": 4}),
@@ -353,6 +346,11 @@ def _report_with(**source_keys):
         "source 'culturax': 'docs_removed' sums to more than 'docs_in'",
     ),
     (_report_with(tokens_removed={"ads": 10}), "source 'culturax': 'tokens_removed' sums to more than 'tokens_in'"),
+    (
+        {**_REPORT, "rules": ["bogus", "bogus"]},
+        "report 'rules' must be ['safety', 'ads', 'lines', 'chars', 'gopher'], got ['bogus', 'bogus']",
+    ),
+    ({**_REPORT, "rules": ["ads", "safety", "lines", "chars", "gopher"]}, "report 'rules' must be ['safety', 'ads'"),
 ])
 def test_report_from_dict_names_bad_key(data, message):
     with pytest.raises(ReportSchemaError) as info:
@@ -413,6 +411,16 @@ def test_config_validation():
     ({"gopher": {"min_alpha_word_frac": math.nan}}, "'gopher.min_alpha_word_frac' must be a finite number"),
     ({"short_line_frac_max": math.inf}, "'short_line_frac_max' must be a finite number"),
     ({"permissible_char_min_frac": -math.inf}, "'permissible_char_min_frac' must be a finite number"),
+    # Safety counts distinct phrases and ads total occurrences; neither is a key.
+    ({"safety_count_mode": "distinct"}, "unknown filter config key 'safety_count_mode'"),
+    ({"ads_count_mode": "total"}, "unknown filter config key 'ads_count_mode'"),
+    # 5.0 would remove every document with words.
+    ({"gopher": {"min_alpha_word_frac": 5.0}}, r"min_alpha_word_frac must be in \[0, 1\], got 5.0"),
+    ({"gopher": {"max_punct_char_frac": -1.0}}, r"max_punct_char_frac must be in \[0, 1\], got -1.0"),
+    ({"gopher": {"min_words": -3}}, "min_words must be >= 0, got -3"),
+    ({"gopher": {"min_stop_words": -1}}, "min_stop_words must be >= 0, got -1"),
+    ({"gopher": {"min_mean_word_len": -0.5}}, "min_mean_word_len must be >= 0, got -0.5"),
+    ({"gopher": {"max_symbol_to_word_ratio": -0.1}}, "max_symbol_to_word_ratio must be >= 0, got -0.1"),
 ])
 def test_config_from_dict_names_bad_key(data, key):
     with pytest.raises(ValueError, match=key):
@@ -427,7 +435,7 @@ def test_config_from_dict_rejects_non_object():
 def test_config_from_dict_accepts_int_for_fraction():
     assert FilterConfig.from_dict({"permissible_char_min_frac": 1}).permissible_char_min_frac == 1
     # An int of any size is finite; math.isfinite would overflow on this one.
-    assert FilterConfig.from_dict({"gopher": {"max_punct_char_frac": 10**400}}).gopher.max_punct_char_frac == 10**400
+    assert FilterConfig.from_dict({"gopher": {"max_mean_word_len": 10**400}}).gopher.max_mean_word_len == 10**400
 
 
 def test_latin_phrase_matching_case_insensitive():
@@ -436,12 +444,10 @@ def test_latin_phrase_matching_case_insensitive():
     assert not apply_filter(doc, Rule.SAFETY, cfg).keep
 
 
-def test_counting_modes_are_configurable():
-    # Ads count total occurrences by default; distinct mode counts each phrase once.
-    distinct_cfg = FilterConfig(ad_phrases=AD_PHRASES, ads_count_mode="distinct")
-    doc = culturax(base_text() + "\n" + " ".join([AD_PHRASES[0]] * 6))
-    assert apply_filter(doc, Rule.ADS, distinct_cfg).keep
-    # Safety counts distinct phrases by default; total mode counts repeats.
-    total_cfg = FilterConfig(unsafe_phrases=UNSAFE_PHRASES, safety_count_mode="total")
-    repeat = culturax(base_text() + "\n" + " ".join([UNSAFE_PHRASES[0]] * 3))
-    assert not apply_filter(repeat, Rule.SAFETY, total_cfg).keep
+def test_ads_count_occurrences_and_safety_counts_distinct_phrases():
+    cfg = FilterConfig(unsafe_phrases=UNSAFE_PHRASES, ad_phrases=AD_PHRASES)
+    # Six occurrences of one ad phrase are six hits, above ad_max_hits 5.
+    ads = apply_filter(culturax(base_text() + "\n" + " ".join([AD_PHRASES[0]] * 6)), Rule.ADS, cfg)
+    assert ads.rule is Rule.ADS and ads.detail == "6 ad phrase hits (> 5)"
+    # Three occurrences of one unsafe phrase are one hit, below unsafe_min_hits 3.
+    assert apply_filter(culturax(base_text() + "\n" + " ".join([UNSAFE_PHRASES[0]] * 3)), Rule.SAFETY, cfg).keep

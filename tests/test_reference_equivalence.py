@@ -180,18 +180,18 @@ def test_check_gopher_equals_reference(text, gopher):
 @given(st.lists(st.text(_chars, max_size=8), max_size=40), st.lists(st.sampled_from(_WHITESPACE), min_size=1))
 @settings(max_examples=200, deadline=None)
 def test_alphabetic_word_count_equals_reference(words, separators):
-    # Only the alphabetic-word bound can fail, so the detail carries the count.
-    text = "".join(w + separators[i % len(separators)] for i, w in enumerate(words))
+    # Only the alphabetic-word bound can fail, and the last word, "1", has no
+    # letter, so the fraction is below 1 and the detail carries the count.
+    text = "".join(w + separators[i % len(separators)] for i, w in enumerate(words)) + "1"
     n = len(segment_words(text))
     cfg = FilterConfig(gopher=GopherConfig(
         min_words=1, min_mean_word_len=0.0, max_mean_word_len=1e9, max_symbol_to_word_ratio=1e9,
-        min_alpha_word_frac=1.1, min_stop_words=0, max_punct_char_frac=1.0,
+        min_alpha_word_frac=1.0, min_stop_words=0, max_punct_char_frac=1.0,
     ))
     expected = reference_check_gopher(Document(id="d", text=text), cfg)
     assert _check_gopher(Document(id="d", text=text), cfg, _Features(text)) == expected
-    if n:
-        alpha = sum(1 for w in segment_words(text) if reference_word_has_letter(w))
-        assert expected == f"alphabetic word fraction {alpha}/{n} < 1.1"
+    alpha = sum(1 for w in segment_words(text) if reference_word_has_letter(w))
+    assert expected == f"alphabetic word fraction {alpha}/{n} < 1.0"
 
 
 # --- phrase, line, scorer oracles ----------------------------------------------------
@@ -210,7 +210,7 @@ def reference_check_safety(doc: Document, cfg: FilterConfig) -> str | None:
     if cfg.require_url and not doc.url:
         return "missing url"
     if cfg.unsafe_phrases:
-        hits = reference_phrase_hits(doc.text, cfg.unsafe_phrases, cfg.safety_count_mode)
+        hits = reference_phrase_hits(doc.text, cfg.unsafe_phrases, "distinct")
         if hits >= cfg.unsafe_min_hits:
             return f"{hits} unsafe phrase hits (>= {cfg.unsafe_min_hits})"
     return None
@@ -219,7 +219,7 @@ def reference_check_safety(doc: Document, cfg: FilterConfig) -> str | None:
 def reference_check_ads(doc: Document, cfg: FilterConfig) -> str | None:
     if not cfg.ad_phrases:
         return None
-    hits = reference_phrase_hits(doc.text, cfg.ad_phrases, cfg.ads_count_mode)
+    hits = reference_phrase_hits(doc.text, cfg.ad_phrases, "total")
     if hits > cfg.ad_max_hits:
         return f"{hits} ad phrase hits (> {cfg.ad_max_hits})"
     return None
@@ -270,7 +270,6 @@ def reference_ngram_loglikelihood(scorer: CharNgramScorer, context: str, continu
 _PHRASE_ALPHABET = "abAB ßSsİiıﬁ" + "بتلا" + "\n"
 _phrase_text = st.text(_PHRASE_ALPHABET, max_size=60)
 _phrases = st.lists(st.text(_PHRASE_ALPHABET, min_size=1, max_size=3), max_size=5).map(tuple)
-_count_modes = st.sampled_from(["distinct", "total"])
 _sources = st.sampled_from(list(Source))
 _urls = st.one_of(st.none(), st.just(""), st.just("https://example.org/x"))
 
@@ -294,8 +293,6 @@ _filter_configs = st.builds(
     permissible_punctuation=st.text(_chars, max_size=6),
     gopher=_gopher,
     safety_sources=st.lists(_sources, max_size=2).map(tuple),
-    safety_count_mode=_count_modes,
-    ads_count_mode=_count_modes,
 )
 
 
@@ -316,15 +313,12 @@ def test_phrase_and_line_rules_equal_reference(doc, cfg):
     assert _check_lines(doc, cfg, _Features(doc.text)) == expected
 
 
-@given(_phrase_text, _phrases, _count_modes)
+@given(_phrase_text, _phrases)
 @settings(max_examples=200, deadline=None)
-def test_phrase_hit_counts_equal_reference(text, phrases, mode):
+def test_phrase_hit_counts_equal_reference(text, phrases):
     # unsafe_min_hits 0 and ad_max_hits 0 put every non-zero count in the detail.
     doc = Document(id="d", text=text, url="https://example.org/x", source=Source.CULTURAX)
-    cfg = FilterConfig(
-        unsafe_phrases=phrases, unsafe_min_hits=0, safety_count_mode=mode,
-        ad_phrases=phrases, ad_max_hits=0, ads_count_mode=mode,
-    )
+    cfg = FilterConfig(unsafe_phrases=phrases, unsafe_min_hits=0, ad_phrases=phrases, ad_max_hits=0)
     assert _check_safety(doc, cfg, _Features(doc.text)) == reference_check_safety(doc, cfg)
     assert _check_ads(doc, cfg, _Features(doc.text)) == reference_check_ads(doc, cfg)
 

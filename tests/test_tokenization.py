@@ -86,6 +86,12 @@ def test_vocab_tokenizer_from_file(tmp_path):
     assert tok.tokenize_word("الكتاب") == ["ال", "كتاب"]
 
 
+def test_vocab_file_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(b"\xef\xbb\xbfab\ncd\n")
+    assert VocabTokenizer.from_file(path).count_tokens("ab cd") == 2
+
+
 # --- fertility -------------------------------------------------------------------
 
 
