@@ -333,8 +333,13 @@ def cmd_eval_diff(args) -> None:
 def cmd_report_merge(args) -> None:
     from . import filters
 
-    reports = (filters.CleaningReport.from_dict(read_json(path)) for path in args.reports)
-    _write_json(args.out, reduce(filters.merge_reports, reports).to_dict())
+    def load(path: str) -> filters.CleaningReport:  # a schema error names the file, as read_json's errors do
+        try:
+            return filters.CleaningReport.from_dict(read_json(path))
+        except filters.ReportSchemaError as exc:
+            raise filters.ReportSchemaError(f"{path}: {exc}") from None
+
+    _write_json(args.out, reduce(filters.merge_reports, map(load, args.reports)).to_dict())
 
 
 # --- parser -----------------------------------------------------------------------

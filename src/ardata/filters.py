@@ -39,7 +39,7 @@ from typing import Iterable, Iterator
 
 from ._schema import BOOLEAN, COUNT, COUNTS, INTEGER, NUMBER, OBJECT, STRING, STRINGS, check, get_field
 from .corpus import Document, Source, char_class, normalize_chars, strip_title_date
-from .tokenization import TokenizerAdapter, segment_words
+from .tokenization import TokenizerAdapter, count_document, segment_words
 
 
 class Rule(str, Enum):
@@ -358,7 +358,10 @@ def first_failure(doc: Document, cfg: FilterConfig) -> FilterDecision:
     The rules share one ``_Features`` of the document, so each fact about
     its text is computed at most once.
     """
-    features = _Features(doc.text)
+    return _first_failure(doc, cfg, _Features(doc.text))
+
+
+def _first_failure(doc: Document, cfg: FilterConfig, features: _Features) -> FilterDecision:
     for rule in RULE_ORDER:
         detail = _CHECKS[rule](doc, cfg, features)
         if detail is not None:
@@ -526,12 +529,14 @@ def iter_pipeline(
 
     Kept documents are yielded with the cleanup applied; ``report`` is
     updated in place as documents flow through. Token counts use ``tok`` on
-    the cleaned text, so sharded runs merge to identical numbers.
+    the cleaned text, so sharded runs merge to identical numbers; they come
+    from the words ``gopher`` split, when ``tok`` has ``count_words``.
     """
     for doc in docs:
         cleaned = strip_title_date(replace(doc, text=normalize_chars(doc.text)))
-        decision = first_failure(cleaned, cfg)
-        report.record(cleaned.source, tok.count_tokens(cleaned.text), decision)
+        features = _Features(cleaned.text)
+        decision = _first_failure(cleaned, cfg, features)
+        report.record(cleaned.source, count_document(tok, cleaned.text, features.words), decision)
         if decision.keep:
             yield cleaned
 

@@ -25,6 +25,14 @@ class TokenizerAdapter(Protocol):
     Implementations must be deterministic and return 0 for the empty string.
     ``count_tokens`` must be a pure function of the text, so a result may be
     memoized per distinct text (``VocabTokenizer`` does so per word).
+
+    A tokenizer whose tokens never span whitespace may also define
+    ``count_words(words)``, returning ``count_tokens(" ".join(words))`` for
+    the ``segment_words`` of a text. ``fertility_reports`` and
+    ``filters.iter_pipeline`` split each document once and call it when it
+    is there (see ``count_document``); a subclass that overrides
+    ``count_tokens`` overrides ``count_words`` to match. The built-in
+    tokenizers define both.
     """
 
     name: str
@@ -37,13 +45,24 @@ def segment_words(text: str) -> list[str]:
     return text.split()
 
 
+def count_document(tok: TokenizerAdapter, text: str, words: list[str]) -> int:
+    """``tok``'s token count of ``text``, whose ``segment_words`` are ``words``:
+    ``tok.count_words(words)``, or ``tok.count_tokens(text)`` for a tokenizer
+    that has only that method."""
+    count_words = getattr(tok, "count_words", None)
+    return tok.count_tokens(text) if count_words is None else count_words(words)
+
+
 class WhitespaceTokenizer:
     """Identity tokenizer: one token per whitespace word (fertility 1.0)."""
 
     name = "whitespace"
 
     def count_tokens(self, text: str) -> int:
-        return len(segment_words(text))
+        return self.count_words(segment_words(text))
+
+    def count_words(self, words: list[str]) -> int:
+        return len(words)
 
 
 class CharacterTokenizer:
@@ -52,7 +71,10 @@ class CharacterTokenizer:
     name = "character"
 
     def count_tokens(self, text: str) -> int:
-        return len("".join(segment_words(text)))
+        return self.count_words(segment_words(text))
+
+    def count_words(self, words: list[str]) -> int:
+        return sum(map(len, words))
 
 
 class VocabTokenizer:
@@ -62,9 +84,11 @@ class VocabTokenizer:
     prefixes the remainder, falling back to a single character. Tokens never
     span whitespace, so fertility is always >= 1.
 
-    ``count_tokens`` tokenizes each distinct word once: a memo maps word to
+    ``count_words`` tokenizes each distinct word once: a memo maps word to
     token count and is cleared when it holds ``_WORD_MEMO_CAP`` (65,536)
-    words, so a long-tail corpus keeps flat memory.
+    words, so a long-tail corpus keeps flat memory. When every word is in
+    the memo the counts are summed in C; a miss falls back to the loop that
+    fills the memo.
     """
 
     def __init__(self, vocab: Iterable[str], name: str = "vocab"):
@@ -95,9 +119,16 @@ class VocabTokenizer:
         return tokens
 
     def count_tokens(self, text: str) -> int:
+        return self.count_words(segment_words(text))
+
+    def count_words(self, words: list[str]) -> int:
         memo = self._word_counts
+        try:
+            return sum(map(memo.__getitem__, words))  # every word seen before: the sum runs in C
+        except KeyError:
+            pass
         total = 0
-        for word in segment_words(text):
+        for word in words:
             count = memo.get(word)
             if count is None:
                 if len(memo) >= _WORD_MEMO_CAP:
@@ -122,7 +153,8 @@ def fertility_reports(
     average: str = "micro",
 ) -> list[FertilityReport]:
     """Corpus fertility for each tokenizer of ``toks``, in its order, from one
-    pass over ``corpus`` that splits each document into words once.
+    pass over ``corpus`` that splits each document into words once: the word
+    count and every tokenizer with ``count_words`` share that split.
 
     Micro average (the default): sum tokens over all documents, divide by the
     summed word count once. ``average="macro"`` instead takes the mean of
@@ -137,11 +169,12 @@ def fertility_reports(
     ratio_sums = [0.0] * len(toks)
     for doc in corpus:
         text = doc if isinstance(doc, str) else doc.text
-        doc_words = len(segment_words(text))
+        word_list = segment_words(text)
+        doc_words = len(word_list)
         words += doc_words
         docs_with_words += doc_words > 0
         for i, tok in enumerate(toks):
-            doc_tokens = tok.count_tokens(text)
+            doc_tokens = count_document(tok, text, word_list)
             tokens[i] += doc_tokens
             if doc_words:
                 ratio_sums[i] += doc_tokens / doc_words

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import ardata.cli
 from ardata.cli import build_parser, dispatch
 from ardata.corpus import document_to_record
 from ardata.filters import FilterConfig
@@ -785,6 +786,39 @@ def test_fertility_repeated_tokenizer_is_validation_error_before_the_corpus_is_r
     assert out == "" and json.loads(err)["error"] == f"tokenizer {name!r} is named more than once"
 
 
+class _CountTokensOnly:
+    """A built-in tokenizer behind ``count_tokens`` alone, as a plug-in tokenizer may be."""
+
+    def __init__(self, tok):
+        self.name, self.count_tokens = tok.name, tok.count_tokens
+
+
+def test_tokenizer_with_only_count_tokens_gives_the_builtins_outputs(corpus_files, monkeypatch):
+    tmp_path, in_path, config_path, _, _ = corpus_files
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("ال\nت\nالش\nمس\n", encoding="utf-8")
+    specs = ["whitespace", "character", f"vocab:{vocab}"]
+
+    def outputs(label: str) -> dict[str, bytes]:
+        out = tmp_path / label
+        out.mkdir()
+        argv = ["fertility", "--in", str(in_path), "--out", str(out / "fertility.csv")]
+        for spec in specs:
+            argv += ["--tokenizer", spec]
+        assert dispatch(argv) == 0
+        for i, spec in enumerate(specs):
+            assert dispatch([
+                "clean", "--in", str(in_path), "--out", str(out / "kept.jsonl"), "--config", str(config_path),
+                "--tokenizer", spec, "--report", str(out / f"report{i}.json"), "--report-csv", str(out / f"report{i}.csv"),
+            ]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    builtin = outputs("builtin")
+    make_tokenizer = ardata.cli.make_tokenizer
+    monkeypatch.setattr(ardata.cli, "make_tokenizer", lambda spec: _CountTokensOnly(make_tokenizer(spec)))
+    assert outputs("count_tokens_only") == builtin
+
+
 # --- instruct -----------------------------------------------------------------------
 
 
@@ -1302,6 +1336,20 @@ def test_report_merge_malformed_report_is_validation_error(tmp_path, capsys, rep
     assert dispatch(["report", "merge", str(path), str(path), "--out", str(merged)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert message in err["error"] and err["command"] == "report"
+    assert not merged.exists()
+
+
+def test_report_merge_names_the_file_whose_report_is_malformed(corpus_files, tmp_path, capsys):
+    _, in_path, config_path, _, _ = corpus_files
+    good, bad, merged = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "merged.json"
+    assert dispatch([
+        "clean", "--in", str(in_path), "--out", str(tmp_path / "k.jsonl"), "--report", str(good), "--config", str(config_path),
+    ]) == 0
+    bad.write_text(json.dumps({"rules": ["bogus"], "sources": {}}), encoding="utf-8")
+    capsys.readouterr()
+    assert dispatch(["report", "merge", str(good), str(bad), "--out", str(merged)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == f"{bad}: report 'rules' must be ['safety', 'ads', 'lines', 'chars', 'gopher'], got ['bogus']"
     assert not merged.exists()
 
 

@@ -2,11 +2,13 @@ import functools
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ardata.corpus import Document, Source
+from ardata import filters, tokenization
+from ardata.corpus import Document, Source, normalize_chars, strip_title_date
 from ardata.filters import (
     CleaningReport,
     FilterConfig,
@@ -19,7 +21,7 @@ from ardata.filters import (
     merge_reports,
     run_pipeline,
 )
-from ardata.tokenization import WhitespaceTokenizer
+from ardata.tokenization import WhitespaceTokenizer, segment_words
 
 from planted import (
     AD_PHRASES,
@@ -203,6 +205,23 @@ def test_pipeline_sharding_equivalence(cfg):
         merged = report if merged is None else merge_reports(merged, report)
     assert merged.to_json() == report_all.to_json()
     assert sorted(d.id for d in kept_sharded) == sorted(d.id for d in kept_all)
+
+
+def test_pipeline_splits_each_document_once(cfg):
+    """The report's token count reuses the words ``gopher`` split, and a
+    document removed before ``gopher`` is split once, for the count."""
+    docs, expected = planted_corpus(
+        n_clean=10, n_safety=2, n_url=2, n_ads=2, n_lines=2, n_short=2, n_chars=2, n_gopher=2,
+    )
+    cleaned = [strip_title_date(replace(d, text=normalize_chars(d.text))).text for d in docs]
+    with (
+        mock.patch.object(tokenization, "segment_words", wraps=segment_words) as tokenization_spy,
+        mock.patch.object(filters, "segment_words", wraps=segment_words) as filters_spy,
+    ):
+        kept, report = run_pipeline(docs, cfg, TOK)
+    assert len(kept) == 10 and report.totals().docs_removed == {k: v for k, v in expected.items() if v}
+    assert tokenization_spy.call_count == 0
+    assert sorted(call.args[0] for call in filters_spy.call_args_list) == sorted(cleaned)
 
 
 def _planted_doc(build, i, source, header, presentation_form):

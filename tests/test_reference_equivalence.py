@@ -41,7 +41,7 @@ from ardata.filters import (
     _check_ads, _check_chars, _check_gopher, _check_lines, _check_safety, _is_permissible, apply_filter, first_failure,
 )
 from ardata.mixture import MixturePlan, PlanEntry, StreamExhaustedError, sample_stream
-from ardata.tokenization import VocabTokenizer, WhitespaceTokenizer, fertility, segment_words
+from ardata.tokenization import CharacterTokenizer, VocabTokenizer, WhitespaceTokenizer, fertility, segment_words
 
 # --- reference oracles -----------------------------------------------------------
 
@@ -728,6 +728,27 @@ def test_vocab_count_tokens_equals_sum_over_words(vocab, texts, cap):
         for text in texts:
             assert tok.count_tokens(text) == sum(len(tok.tokenize_word(w)) for w in segment_words(text))
             assert len(tok._word_counts) <= tokenization._WORD_MEMO_CAP
+
+
+@given(
+    st.lists(_small_words, max_size=10),
+    st.lists(st.text("abcاب \t\n\u00a0\u2003", max_size=40), max_size=6),
+    _memo_caps,
+)
+@settings(max_examples=200, deadline=None)
+def test_count_words_of_the_split_equals_count_tokens(vocab, texts, cap):
+    """Each built-in's ``count_words`` of a text's words equals its ``count_tokens``
+    of the text and the unmemoized count; a vocab tokenizer fed words and one fed
+    texts keep the same memo."""
+    pairs = [(make(), make()) for make in (WhitespaceTokenizer, CharacterTokenizer, lambda: VocabTokenizer(vocab))]
+    unmemoized = (len, lambda words: len("".join(words)), lambda words: sum(len(pairs[2][0].tokenize_word(w)) for w in words))
+    with mock.patch.object(tokenization, "_WORD_MEMO_CAP", cap or tokenization._WORD_MEMO_CAP):
+        for text in texts:
+            for (by_words, by_text), reference in zip(pairs, unmemoized):
+                assert by_words.count_words(segment_words(text)) == by_text.count_tokens(text) == reference(text.split())
+            for tok in pairs[2]:
+                assert len(tok._word_counts) <= tokenization._WORD_MEMO_CAP
+            assert pairs[2][0]._word_counts == pairs[2][1]._word_counts
 
 
 def test_vocab_count_tokens_tokenizes_each_distinct_word_once():

@@ -1,8 +1,10 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ardata import tokenization
 from ardata.corpus import Document
 from ardata.tokenization import (
     CharacterTokenizer,
@@ -143,6 +145,14 @@ def test_fertility_reports_are_each_tokenizers_fertility_from_one_pass(average):
     toks = [WhitespaceTokenizer(), CharacterTokenizer(), VocabTokenizer(["ab", "ال", "ب"])]
     one_pass = (doc for doc in docs(*texts))  # a generator: it can be read only once
     assert fertility_reports(one_pass, toks, average) == [fertility(docs(*texts), tok, average) for tok in toks]
+
+
+def test_fertility_reports_split_each_document_once_for_every_tokenizer():
+    texts = random_corpus(random.Random(5))
+    toks = [WhitespaceTokenizer(), CharacterTokenizer(), VocabTokenizer(["ab", "ال", "ب"])]
+    with mock.patch.object(tokenization, "segment_words", wraps=segment_words) as spy:
+        fertility_reports(docs(*texts), toks)
+    assert sorted(call.args[0] for call in spy.call_args_list) == sorted(texts)
 
 
 _WORD = st.text(alphabet="ابتab", min_size=1, max_size=6)
