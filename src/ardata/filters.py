@@ -39,7 +39,7 @@ from typing import Iterable, Iterator
 
 from ._schema import BOOLEAN, COUNT, COUNTS, INTEGER, NUMBER, OBJECT, STRING, STRINGS, check, get_field
 from .corpus import Document, Source, char_class, normalize_chars, strip_title_date
-from .tokenization import TokenizerAdapter, count_document, segment_words
+from .tokenization import TokenizerAdapter, document_counter, segment_words
 
 
 class Rule(str, Enum):
@@ -530,13 +530,15 @@ def iter_pipeline(
     Kept documents are yielded with the cleanup applied; ``report`` is
     updated in place as documents flow through. Token counts use ``tok`` on
     the cleaned text, so sharded runs merge to identical numbers; they come
-    from the words ``gopher`` split, when ``tok`` has ``count_words``.
+    from the words ``gopher`` split when ``document_counter`` counts ``tok``
+    by ``count_words``.
     """
+    count = document_counter(tok)
     for doc in docs:
         cleaned = strip_title_date(replace(doc, text=normalize_chars(doc.text)))
         features = _Features(cleaned.text)
         decision = _first_failure(cleaned, cfg, features)
-        report.record(cleaned.source, count_document(tok, cleaned.text, features.words), decision)
+        report.record(cleaned.source, count(cleaned.text, features.words), decision)
         if decision.keep:
             yield cleaned
 

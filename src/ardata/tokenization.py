@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 if TYPE_CHECKING:
     from .corpus import Document
@@ -29,9 +29,8 @@ class TokenizerAdapter(Protocol):
     A tokenizer whose tokens never span whitespace may also define
     ``count_words(words)``, returning ``count_tokens(" ".join(words))`` for
     the ``segment_words`` of a text. ``fertility_reports`` and
-    ``filters.iter_pipeline`` split each document once and call it when it
-    is there (see ``count_document``); a subclass that overrides
-    ``count_tokens`` overrides ``count_words`` to match. The built-in
+    ``filters.iter_pipeline`` split each document once and call it where
+    ``document_counter`` finds it next to ``count_tokens``. The built-in
     tokenizers define both.
     """
 
@@ -45,12 +44,22 @@ def segment_words(text: str) -> list[str]:
     return text.split()
 
 
-def count_document(tok: TokenizerAdapter, text: str, words: list[str]) -> int:
-    """``tok``'s token count of ``text``, whose ``segment_words`` are ``words``:
-    ``tok.count_words(words)``, or ``tok.count_tokens(text)`` for a tokenizer
-    that has only that method."""
-    count_words = getattr(tok, "count_words", None)
-    return tok.count_tokens(text) if count_words is None else count_words(words)
+def document_counter(tok: TokenizerAdapter) -> Callable[[str, list[str]], int]:
+    """``tok``'s token count of a text, called with the text and its
+    ``segment_words``.
+
+    It is ``tok.count_words(words)`` when the class that defines ``tok``'s
+    ``count_tokens`` also defines ``count_words`` and the instance does not
+    set ``count_tokens`` itself; otherwise ``tok.count_tokens(text)``. So a
+    tokenizer with only ``count_tokens``, or a subclass or instance that
+    overrides only ``count_tokens``, is counted by that method.
+    """
+    owner = next((cls for cls in type(tok).__mro__ if "count_tokens" in vars(cls)), None)
+    if owner is not None and "count_words" in vars(owner) and "count_tokens" not in getattr(tok, "__dict__", ()):
+        count_words = tok.count_words
+        return lambda text, words: count_words(words)
+    count_tokens = tok.count_tokens
+    return lambda text, words: count_tokens(text)
 
 
 class WhitespaceTokenizer:
@@ -86,16 +95,16 @@ class VocabTokenizer:
 
     ``count_words`` tokenizes each distinct word once: a memo maps word to
     token count and is cleared when it holds ``_WORD_MEMO_CAP`` (65,536)
-    words, so a long-tail corpus keeps flat memory. When every word is in
-    the memo the counts are summed in C; a miss falls back to the loop that
-    fills the memo.
+    words, so a long-tail corpus keeps flat memory. The counts are summed in
+    C over the memo's lookups; only a missing word runs Python code (see
+    ``_WordMemo``).
     """
 
     def __init__(self, vocab: Iterable[str], name: str = "vocab"):
         self.name = name
         self._vocab = {entry for entry in vocab if entry}
         self._max_len = max((len(v) for v in self._vocab), default=1)
-        self._word_counts: dict[str, int] = {}
+        self._word_counts = _WordMemo(self)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "VocabTokenizer":
@@ -122,20 +131,25 @@ class VocabTokenizer:
         return self.count_words(segment_words(text))
 
     def count_words(self, words: list[str]) -> int:
-        memo = self._word_counts
-        try:
-            return sum(map(memo.__getitem__, words))  # every word seen before: the sum runs in C
-        except KeyError:
-            pass
-        total = 0
-        for word in words:
-            count = memo.get(word)
-            if count is None:
-                if len(memo) >= _WORD_MEMO_CAP:
-                    memo.clear()
-                count = memo[word] = len(self.tokenize_word(word))
-            total += count
-        return total
+        return sum(map(self._word_counts.__getitem__, words))
+
+
+class _WordMemo(dict):
+    """Word -> token count for one ``VocabTokenizer``: looking up a missing
+    word tokenizes and stores it, clearing the memo first when it holds
+    ``_WORD_MEMO_CAP`` words."""
+
+    __slots__ = ("tok",)
+
+    def __init__(self, tok: VocabTokenizer):
+        super().__init__()
+        self.tok = tok
+
+    def __missing__(self, word: str) -> int:
+        if len(self) >= _WORD_MEMO_CAP:
+            self.clear()
+        count = self[word] = len(self.tok.tokenize_word(word))
+        return count
 
 
 @dataclass(frozen=True)
@@ -154,7 +168,8 @@ def fertility_reports(
 ) -> list[FertilityReport]:
     """Corpus fertility for each tokenizer of ``toks``, in its order, from one
     pass over ``corpus`` that splits each document into words once: the word
-    count and every tokenizer with ``count_words`` share that split.
+    count and every tokenizer that ``document_counter`` counts by
+    ``count_words`` share that split.
 
     Micro average (the default): sum tokens over all documents, divide by the
     summed word count once. ``average="macro"`` instead takes the mean of
@@ -164,6 +179,7 @@ def fertility_reports(
     """
     if average not in ("micro", "macro"):
         raise ValueError(f"unknown average {average!r} (expected 'micro' or 'macro')")
+    counters = [document_counter(tok) for tok in toks]
     words = docs_with_words = 0
     tokens = [0] * len(toks)
     ratio_sums = [0.0] * len(toks)
@@ -173,8 +189,8 @@ def fertility_reports(
         doc_words = len(word_list)
         words += doc_words
         docs_with_words += doc_words > 0
-        for i, tok in enumerate(toks):
-            doc_tokens = count_document(tok, text, word_list)
+        for i, count in enumerate(counters):
+            doc_tokens = count(text, word_list)
             tokens[i] += doc_tokens
             if doc_words:
                 ratio_sums[i] += doc_tokens / doc_words

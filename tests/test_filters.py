@@ -224,6 +224,29 @@ def test_pipeline_splits_each_document_once(cfg):
     assert sorted(call.args[0] for call in filters_spy.call_args_list) == sorted(cleaned)
 
 
+class _DoubledWhitespace(WhitespaceTokenizer):
+    def count_tokens(self, text):
+        return 2 * len(text.split())
+
+
+def _doubled_instance():
+    tok = WhitespaceTokenizer()
+    tok.count_tokens = _DoubledWhitespace().count_tokens
+    return tok
+
+
+@pytest.mark.parametrize("make", [_DoubledWhitespace, _doubled_instance])
+def test_pipeline_counts_by_an_override_of_only_count_tokens(cfg, make):
+    """A tokenizer that overrides only ``count_tokens`` of a built-in gives the
+    report its own counts, not the built-in's ``count_words``."""
+    docs, _ = planted_corpus(n_clean=5, n_ads=2, n_gopher=2)
+    _, plain = run_pipeline(docs, cfg, TOK)
+    _, doubled = run_pipeline(docs, cfg, make())
+    assert plain.totals().tokens_in > 0
+    assert doubled.totals().tokens_in == 2 * plain.totals().tokens_in
+    assert doubled.totals().tokens_removed == {rule: 2 * n for rule, n in plain.totals().tokens_removed.items()}
+
+
 def _planted_doc(build, i, source, header, presentation_form):
     """A planted document (one defect or none) under ``source``, optionally with
     a title/date header and a presentation-form alef for the cleanup to undo."""

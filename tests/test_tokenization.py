@@ -155,6 +155,26 @@ def test_fertility_reports_split_each_document_once_for_every_tokenizer():
     assert sorted(call.args[0] for call in spy.call_args_list) == sorted(texts)
 
 
+class DoubledWhitespace(WhitespaceTokenizer):
+    """A built-in's subclass that overrides only ``count_tokens``."""
+
+    def count_tokens(self, text):
+        return 2 * len(text.split())
+
+
+def doubled_instance():
+    """A built-in instance whose ``count_tokens`` alone is replaced."""
+    tok = WhitespaceTokenizer()
+    tok.count_tokens = DoubledWhitespace().count_tokens
+    return tok
+
+
+@pytest.mark.parametrize("make", [DoubledWhitespace, doubled_instance])
+def test_fertility_counts_by_an_override_of_only_count_tokens(make):
+    (report,) = fertility_reports(docs("a b c", "d"), [make(), WhitespaceTokenizer()])[:1]
+    assert (report.total_words, report.total_tokens, report.fertility) == (4, 8, 2.0)
+
+
 _WORD = st.text(alphabet="ابتab", min_size=1, max_size=6)
 _TEXT = st.lists(_WORD, max_size=8).map(" ".join)
 
