@@ -465,7 +465,7 @@ def dispatch(argv: list[str]) -> int:
                 setattr(args, dest, open_output(getattr(args, dest)))
             args.func(args)
     except (ValueError, KeyError, OSError, OverflowError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}) + "\n")
+        sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}, ensure_ascii=False) + "\n")
         return 1
     except KeyboardInterrupt:
         sys.stderr.write(json.dumps({"error": "interrupted", "command": args.command}) + "\n")

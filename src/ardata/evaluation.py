@@ -50,6 +50,8 @@ class BenchmarkItem:
             raise ValueError(f"item {self.id!r}: need 2..5 choices, got {len(self.choices)}")
         if any(not c for c in self.choices):
             raise ValueError(f"item {self.id!r}: choices must be non-empty strings")
+        if len(set(self.choices)) != len(self.choices):
+            raise ValueError(f"item {self.id!r}: choices must be distinct")
         if not 0 <= self.gold_index < len(self.choices):
             raise ValueError(f"item {self.id!r}: gold_index {self.gold_index} out of range")
 

@@ -6,7 +6,7 @@ arithmetic exact: docs_in == kept + sum of per-rule removals. All rules are
 pure functions of (document, config), so shards can be filtered in parallel
 and their reports merged in any order.
 
-The facts several rules read (casefolded text, non-empty lines, words, the
+The facts several rules read (casefolded text, non-empty lines, the
 characters outside the always-permissible set) are computed at most once per
 document, on first use, and shared by the rules ``first_failure`` runs; a
 document removed by an early rule never pays for a later rule's facts.
@@ -39,7 +39,7 @@ from typing import Iterable, Iterator
 
 from ._schema import BOOLEAN, COUNT, COUNTS, INTEGER, NUMBER, OBJECT, STRING, STRINGS, check, get_field
 from .corpus import Document, Source, char_class, normalize_chars, strip_title_date
-from .tokenization import TokenizerAdapter, document_counter, segment_words
+from .tokenization import TokenizerAdapter, shared_words
 
 
 class Rule(str, Enum):
@@ -245,10 +245,6 @@ class _Features:
         return [line for line in (raw.strip() for raw in self.text.split("\n")) if line]
 
     @cached_property
-    def words(self) -> list[str]:
-        return segment_words(self.text)
-
-    @cached_property
     def not_plain(self) -> Counter[str]:
         """Occurrences of each character ``_NOT_PLAIN`` matches: the only
         candidates for a non-permissible or a punctuation character."""
@@ -306,7 +302,7 @@ def _check_chars(doc: Document, cfg: FilterConfig, features: _Features) -> str |
 
 def _check_gopher(doc: Document, cfg: FilterConfig, features: _Features) -> str | None:
     g = cfg.gopher
-    words = features.words
+    words = shared_words(doc.text)
     n = len(words)
     if n < g.min_words:
         return f"word count {n} < {g.min_words}"
@@ -528,17 +524,16 @@ def iter_pipeline(
     map and patterns), filter, account.
 
     Kept documents are yielded with the cleanup applied; ``report`` is
-    updated in place as documents flow through. Token counts use ``tok`` on
-    the cleaned text, so sharded runs merge to identical numbers; they come
-    from the words ``gopher`` split when ``document_counter`` counts ``tok``
-    by ``count_words``.
+    updated in place as documents flow through. Token counts are
+    ``tok.count_tokens`` of the cleaned text, so sharded runs merge to
+    identical numbers; a built-in tokenizer reuses the words ``gopher``
+    split (``tokenization.shared_words``).
     """
-    count = document_counter(tok)
     for doc in docs:
         cleaned = strip_title_date(replace(doc, text=normalize_chars(doc.text)))
         features = _Features(cleaned.text)
         decision = _first_failure(cleaned, cfg, features)
-        report.record(cleaned.source, count(cleaned.text, features.words), decision)
+        report.record(cleaned.source, tok.count_tokens(cleaned.text), decision)
         if decision.keep:
             yield cleaned
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 if TYPE_CHECKING:
     from .corpus import Document
@@ -25,13 +25,6 @@ class TokenizerAdapter(Protocol):
     Implementations must be deterministic and return 0 for the empty string.
     ``count_tokens`` must be a pure function of the text, so a result may be
     memoized per distinct text (``VocabTokenizer`` does so per word).
-
-    A tokenizer whose tokens never span whitespace may also define
-    ``count_words(words)``, returning ``count_tokens(" ".join(words))`` for
-    the ``segment_words`` of a text. ``fertility_reports`` and
-    ``filters.iter_pipeline`` split each document once and call it where
-    ``document_counter`` finds it next to ``count_tokens``. The built-in
-    tokenizers define both.
     """
 
     name: str
@@ -44,22 +37,22 @@ def segment_words(text: str) -> list[str]:
     return text.split()
 
 
-def document_counter(tok: TokenizerAdapter) -> Callable[[str, list[str]], int]:
-    """``tok``'s token count of a text, called with the text and its
-    ``segment_words``.
+# (text, its segment_words): one tuple, replaced whole, so a concurrent caller
+# never pairs one text with another's words.
+_last_split: tuple[str | None, list[str]] = (None, [])
 
-    It is ``tok.count_words(words)`` when the class that defines ``tok``'s
-    ``count_tokens`` also defines ``count_words`` and the instance does not
-    set ``count_tokens`` itself; otherwise ``tok.count_tokens(text)``. So a
-    tokenizer with only ``count_tokens``, or a subclass or instance that
-    overrides only ``count_tokens``, is counted by that method.
-    """
-    owner = next((cls for cls in type(tok).__mro__ if "count_tokens" in vars(cls)), None)
-    if owner is not None and "count_words" in vars(owner) and "count_tokens" not in getattr(tok, "__dict__", ()):
-        count_words = tok.count_words
-        return lambda text, words: count_words(words)
-    count_tokens = tok.count_tokens
-    return lambda text, words: count_tokens(text)
+
+def shared_words(text: str) -> list[str]:
+    """``segment_words(text)``, split once for consecutive calls with the same
+    ``str`` object, so the callers that read one document's words in turn
+    (``fertility_reports``, the ``gopher`` rule, the built-in tokenizers)
+    share one split. Callers must not change the list."""
+    global _last_split
+    last_text, words = _last_split
+    if last_text is not text:
+        words = segment_words(text)
+        _last_split = (text, words)
+    return words
 
 
 class WhitespaceTokenizer:
@@ -68,10 +61,7 @@ class WhitespaceTokenizer:
     name = "whitespace"
 
     def count_tokens(self, text: str) -> int:
-        return self.count_words(segment_words(text))
-
-    def count_words(self, words: list[str]) -> int:
-        return len(words)
+        return len(shared_words(text))
 
 
 class CharacterTokenizer:
@@ -80,10 +70,7 @@ class CharacterTokenizer:
     name = "character"
 
     def count_tokens(self, text: str) -> int:
-        return self.count_words(segment_words(text))
-
-    def count_words(self, words: list[str]) -> int:
-        return sum(map(len, words))
+        return sum(map(len, shared_words(text)))
 
 
 class VocabTokenizer:
@@ -93,7 +80,7 @@ class VocabTokenizer:
     prefixes the remainder, falling back to a single character. Tokens never
     span whitespace, so fertility is always >= 1.
 
-    ``count_words`` tokenizes each distinct word once: a memo maps word to
+    ``count_tokens`` tokenizes each distinct word once: a memo maps word to
     token count and is cleared when it holds ``_WORD_MEMO_CAP`` (65,536)
     words, so a long-tail corpus keeps flat memory. The counts are summed in
     C over the memo's lookups; only a missing word runs Python code (see
@@ -128,10 +115,7 @@ class VocabTokenizer:
         return tokens
 
     def count_tokens(self, text: str) -> int:
-        return self.count_words(segment_words(text))
-
-    def count_words(self, words: list[str]) -> int:
-        return sum(map(self._word_counts.__getitem__, words))
+        return sum(map(self._word_counts.__getitem__, shared_words(text)))
 
 
 class _WordMemo(dict):
@@ -168,8 +152,8 @@ def fertility_reports(
 ) -> list[FertilityReport]:
     """Corpus fertility for each tokenizer of ``toks``, in its order, from one
     pass over ``corpus`` that splits each document into words once: the word
-    count and every tokenizer that ``document_counter`` counts by
-    ``count_words`` share that split.
+    count comes from ``shared_words``, so each built-in tokenizer's
+    ``count_tokens`` of the same text reuses that split.
 
     Micro average (the default): sum tokens over all documents, divide by the
     summed word count once. ``average="macro"`` instead takes the mean of
@@ -179,18 +163,16 @@ def fertility_reports(
     """
     if average not in ("micro", "macro"):
         raise ValueError(f"unknown average {average!r} (expected 'micro' or 'macro')")
-    counters = [document_counter(tok) for tok in toks]
     words = docs_with_words = 0
     tokens = [0] * len(toks)
     ratio_sums = [0.0] * len(toks)
     for doc in corpus:
         text = doc if isinstance(doc, str) else doc.text
-        word_list = segment_words(text)
-        doc_words = len(word_list)
+        doc_words = len(shared_words(text))
         words += doc_words
         docs_with_words += doc_words > 0
-        for i, count in enumerate(counters):
-            doc_tokens = count(text, word_list)
+        for i, tok in enumerate(toks):
+            doc_tokens = tok.count_tokens(text)
             tokens[i] += doc_tokens
             if doc_words:
                 ratio_sums[i] += doc_tokens / doc_words

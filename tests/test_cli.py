@@ -23,7 +23,7 @@ from ardata.corpus import document_to_record
 from ardata.filters import FilterConfig
 from ardata.instruct import Rejection, load_instruction_records, parse_chatml
 
-from planted import AD_PHRASES, UNSAFE_PHRASES, clean_doc, planted_corpus
+from planted import AD_PHRASES, UNSAFE_PHRASES, clean_doc, planted_corpus, safety_url_doc
 
 CONFIG = {
     "unsafe_phrases": list(UNSAFE_PHRASES),
@@ -238,6 +238,31 @@ def test_clean_bad_config_key_is_validation_error(corpus_files, capsys, config, 
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["command"] == "clean" and key in err["error"]
+
+
+def _clean_argv_with_arabic_config_key(tmp_path, in_path, config_path):
+    config_path.write_text(json.dumps({"مفتاح": 1}, ensure_ascii=False), encoding="utf-8")
+    return ["clean", "--in", str(in_path), "--out", str(tmp_path / "kept.jsonl"), "--report", str(tmp_path / "report.json"),
+            "--config", str(config_path)]
+
+
+def test_validation_error_writes_arabic_verbatim(corpus_files, capsys):
+    tmp_path, in_path, config_path, *_ = corpus_files
+    assert dispatch(_clean_argv_with_arabic_config_key(tmp_path, in_path, config_path)) == 1
+    err = capsys.readouterr().err
+    assert "unknown filter config key 'مفتاح'" in err
+    assert json.loads(err) == {"error": "unknown filter config key 'مفتاح'", "command": "clean"}
+
+
+def test_validation_error_on_an_ascii_stderr_is_one_json_line(corpus_files):
+    tmp_path, in_path, config_path, *_ = corpus_files
+    result = subprocess.run(
+        [sys.executable, "-m", "ardata.cli", *_clean_argv_with_arabic_config_key(tmp_path, in_path, config_path)],
+        capture_output=True, env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    assert result.returncode == 1
+    [line] = result.stderr.decode("ascii").splitlines()
+    assert json.loads(line) == {"error": "unknown filter config key 'مفتاح'", "command": "clean"}
 
 
 def test_clean_failure_leaves_no_partial_output(corpus_files, capsys):
@@ -1198,6 +1223,8 @@ def test_eval_cf_oracle(bench_files, capsys):
     # An empty question was the oracle's key for every context: `eval cf --scorer oracle` scored 0.5 on this file.
     ([{"question": "", "choices": ["a", "b"], "gold_index": 0}, {"question": "q", "choices": ["a", "b"], "gold_index": 1}],
      "item '0': question must have a non-whitespace character"),
+    # No scorer can tell equal choices apart: `eval cf --scorer oracle` scored this item 0.0 with a tie.
+    ([{"question": "q", "choices": ["x", "x"], "gold_index": 1}], "item '0': choices must be distinct"),
 ])
 def test_eval_malformed_items_are_validation_errors(tmp_path, capsys, items, message):
     items_path = tmp_path / "items.json"
@@ -1370,6 +1397,7 @@ def test_report_merge_of_a_report_clean_cannot_write_leaves_no_output(tmp_path, 
 # --- docs -------------------------------------------------------------------------------
 
 _JSON_BLOCK = re.compile(r"^```json\n(.*?)^```", re.DOTALL | re.MULTILINE)
+_PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
 _BASH_BLOCK = re.compile(r"^[ \t]*```bash\n(.*?)^[ \t]*```", re.DOTALL | re.MULTILINE)
 _SHELL_OPERATOR = re.compile(r"^\d*[<>|&;]")
 
@@ -1392,6 +1420,22 @@ def test_readme_filters_json_example_is_a_filter_config():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     [example] = _JSON_BLOCK.findall(readme)
     FilterConfig.from_dict(json.loads(example))
+
+
+def test_readme_library_use_block_runs(capsys):
+    """README's ``## Library use`` block, run with planted documents in place of
+    its ``docs = [...]`` placeholder."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use\n", 1)[1]
+    [block] = _PYTHON_BLOCK.findall(section.split("\n## ", 1)[0])
+    code, n = re.subn(r"^docs = \[\.\.\.\].*$", "docs = planted_docs", block, flags=re.MULTILINE)
+    assert n == 1
+    docs = [clean_doc(i) for i in range(3)] + [safety_url_doc(0)]
+    namespace = {"planted_docs": docs}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert [d.id for d in namespace["kept"]] == [d.id for d in docs[:3]]
+    assert json.loads(capsys.readouterr().out) == namespace["report"].to_dict()
+    assert namespace["dialogues"]
 
 
 def test_every_readme_command_parses():

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ardata import filters, tokenization
+from ardata import tokenization
 from ardata.corpus import Document, Source, normalize_chars, strip_title_date
 from ardata.filters import (
     CleaningReport,
@@ -214,14 +214,30 @@ def test_pipeline_splits_each_document_once(cfg):
         n_clean=10, n_safety=2, n_url=2, n_ads=2, n_lines=2, n_short=2, n_chars=2, n_gopher=2,
     )
     cleaned = [strip_title_date(replace(d, text=normalize_chars(d.text))).text for d in docs]
-    with (
-        mock.patch.object(tokenization, "segment_words", wraps=segment_words) as tokenization_spy,
-        mock.patch.object(filters, "segment_words", wraps=segment_words) as filters_spy,
-    ):
+    with mock.patch.object(tokenization, "segment_words", wraps=segment_words) as spy:
         kept, report = run_pipeline(docs, cfg, TOK)
     assert len(kept) == 10 and report.totals().docs_removed == {k: v for k, v in expected.items() if v}
-    assert tokenization_spy.call_count == 0
-    assert sorted(call.args[0] for call in filters_spy.call_args_list) == sorted(cleaned)
+    assert sorted(call.args[0] for call in spy.call_args_list) == sorted(cleaned)
+
+
+class _CharsOfText:
+    """A tokenizer with only ``count_tokens``, which splits nothing."""
+
+    name = "chars-of-text"
+
+    def count_tokens(self, text):
+        return len(text)
+
+
+def test_pipeline_splits_only_documents_that_reach_gopher_for_a_tokenizer_that_splits_nothing(cfg):
+    docs, _ = planted_corpus(n_clean=5, n_safety=2, n_url=2, n_ads=2, n_lines=2, n_short=2, n_chars=2, n_gopher=2)
+    cleaned = [strip_title_date(replace(d, text=normalize_chars(d.text))) for d in docs]
+    reach_gopher = [d.text for d in cleaned if first_failure(d, cfg).rule in (Rule.GOPHER, Rule.NONE)]
+    assert 0 < len(reach_gopher) < len(docs)
+    with mock.patch.object(tokenization, "segment_words", wraps=segment_words) as spy:
+        kept, report = run_pipeline(docs, cfg, _CharsOfText())
+    assert report.totals().tokens_in == sum(len(d.text) for d in cleaned)
+    assert sorted(call.args[0] for call in spy.call_args_list) == sorted(reach_gopher)
 
 
 class _DoubledWhitespace(WhitespaceTokenizer):
@@ -238,7 +254,7 @@ def _doubled_instance():
 @pytest.mark.parametrize("make", [_DoubledWhitespace, _doubled_instance])
 def test_pipeline_counts_by_an_override_of_only_count_tokens(cfg, make):
     """A tokenizer that overrides only ``count_tokens`` of a built-in gives the
-    report its own counts, not the built-in's ``count_words``."""
+    report its own counts."""
     docs, _ = planted_corpus(n_clean=5, n_ads=2, n_gopher=2)
     _, plain = run_pipeline(docs, cfg, TOK)
     _, doubled = run_pipeline(docs, cfg, make())

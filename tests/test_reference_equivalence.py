@@ -548,7 +548,7 @@ def _eval_items(draw, prefix, two_choices=False):
         items.append(BenchmarkItem(
             id=f"{prefix}{k}",
             question=draw(st.text(_EVAL_ALPHABET, min_size=1, max_size=8).filter(str.strip)),  # no blank question
-            choices=draw(st.lists(_eval_texts, min_size=n_choices, max_size=n_choices)),
+            choices=draw(st.lists(_eval_texts, min_size=n_choices, max_size=n_choices, unique=True)),
             gold_index=draw(st.integers(0, n_choices - 1)),
             category=draw(st.one_of(st.none(), st.sampled_from(["", "stem", "lang"]))),
             context=draw(st.one_of(st.none(), st.text(_EVAL_ALPHABET, max_size=6))),
@@ -606,7 +606,7 @@ def previous_check_gopher(doc: Document, cfg: FilterConfig) -> str | None:
     """``_check_gopher`` before it stopped building the list of alphabetic words."""
     g = cfg.gopher
     features = _Features(doc.text)
-    words = features.words
+    words = segment_words(doc.text)
     n = len(words)
     if n < g.min_words:
         return f"word count {n} < {g.min_words}"
@@ -736,19 +736,16 @@ def test_vocab_count_tokens_equals_sum_over_words(vocab, texts, cap):
     _memo_caps,
 )
 @settings(max_examples=200, deadline=None)
-def test_count_words_of_the_split_equals_count_tokens(vocab, texts, cap):
-    """Each built-in's ``count_words`` of a text's words equals its ``count_tokens``
-    of the text and the unmemoized count; a vocab tokenizer fed words and one fed
-    texts keep the same memo."""
-    pairs = [(make(), make()) for make in (WhitespaceTokenizer, CharacterTokenizer, lambda: VocabTokenizer(vocab))]
-    unmemoized = (len, lambda words: len("".join(words)), lambda words: sum(len(pairs[2][0].tokenize_word(w)) for w in words))
+def test_count_tokens_equals_the_unmemoized_count(vocab, texts, cap):
+    """Each built-in's ``count_tokens`` of a text equals the unmemoized count of
+    its words, and the vocab memo stays within its cap."""
+    toks = (WhitespaceTokenizer(), CharacterTokenizer(), VocabTokenizer(vocab))
+    unmemoized = (len, lambda words: len("".join(words)), lambda words: sum(len(toks[2].tokenize_word(w)) for w in words))
     with mock.patch.object(tokenization, "_WORD_MEMO_CAP", cap or tokenization._WORD_MEMO_CAP):
         for text in texts:
-            for (by_words, by_text), reference in zip(pairs, unmemoized):
-                assert by_words.count_words(segment_words(text)) == by_text.count_tokens(text) == reference(text.split())
-            for tok in pairs[2]:
-                assert len(tok._word_counts) <= tokenization._WORD_MEMO_CAP
-            assert pairs[2][0]._word_counts == pairs[2][1]._word_counts
+            for tok, reference in zip(toks, unmemoized):
+                assert tok.count_tokens(text) == reference(text.split())
+            assert len(toks[2]._word_counts) <= tokenization._WORD_MEMO_CAP
 
 
 def test_vocab_count_tokens_tokenizes_each_distinct_word_once():

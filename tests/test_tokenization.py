@@ -62,6 +62,18 @@ def test_segment_whitespace_flavours_equivalent(words):
     assert segment_words(messy) == segment_words(spaced)
 
 
+def test_shared_words_is_one_split_per_str_object():
+    text = "".join(["ab ", "cde"])  # built at run time: a new object
+    twin = "".join(["ab", " cde"])
+    assert twin == text and twin is not text
+    with mock.patch.object(tokenization, "segment_words", wraps=segment_words) as spy:
+        words = tokenization.shared_words(text)
+        assert tokenization.shared_words(text) is words
+        twin_words = tokenization.shared_words(twin)
+    assert words == twin_words == ["ab", "cde"] and twin_words is not words
+    assert [call.args[0] is text for call in spy.call_args_list] == [True, False]
+
+
 # --- reference tokenizers -------------------------------------------------------
 
 
