@@ -196,20 +196,10 @@ def cmd_mix_plan(args) -> None:
 # --- lr-curve --------------------------------------------------------------------
 
 
-def _composition(value: str) -> str:
-    """argparse type for --composition, so an unknown mode is a usage error."""
-    from .schedule import MAIN_PHASE_MODES
-
-    if value not in MAIN_PHASE_MODES:
-        choices = ", ".join(map(repr, MAIN_PHASE_MODES))
-        raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from {choices})")
-    return value
-
-
 def cmd_lr_curve(args) -> None:
     from . import schedule
 
-    names = ("total_steps", "warmup_steps", "cooldown_start", "max_lr", "min_lr", "main_phase")
+    names = ("total_steps", "warmup_steps", "cooldown_start", "max_lr", "min_lr")
     overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     spec = (schedule.early_cooldown if args.variant == "early" else schedule.late_cooldown)(**overrides)
     _write_csv(args.out, ([step, repr(lr)] for step, lr in schedule.emit_curve(spec, args.stride)))
@@ -386,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cooldown-start", type=int, default=None)
     p.add_argument("--max-lr", type=float, default=None)
     p.add_argument("--min-lr", type=float, default=None)
-    p.add_argument("--composition", dest="main_phase", type=_composition, default=None,
-                   help="main-phase composition mode")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_lr_curve, outputs=("out",))
 

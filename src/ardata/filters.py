@@ -101,6 +101,8 @@ class GopherConfig:
             raise ValueError("min_words must be <= max_words")
         if self.min_mean_word_len > self.max_mean_word_len:
             raise ValueError("min_mean_word_len must be <= max_mean_word_len")
+        if any(not s for s in self.symbols):
+            raise ValueError("symbols must not contain empty strings")
 
 
 @dataclass(frozen=True)
@@ -354,10 +356,7 @@ def first_failure(doc: Document, cfg: FilterConfig) -> FilterDecision:
     The rules share one ``_Features`` of the document, so each fact about
     its text is computed at most once.
     """
-    return _first_failure(doc, cfg, _Features(doc.text))
-
-
-def _first_failure(doc: Document, cfg: FilterConfig, features: _Features) -> FilterDecision:
+    features = _Features(doc.text)
     for rule in RULE_ORDER:
         detail = _CHECKS[rule](doc, cfg, features)
         if detail is not None:
@@ -531,8 +530,7 @@ def iter_pipeline(
     """
     for doc in docs:
         cleaned = strip_title_date(replace(doc, text=normalize_chars(doc.text)))
-        features = _Features(cleaned.text)
-        decision = _first_failure(cleaned, cfg, features)
+        decision = first_failure(cleaned, cfg)
         report.record(cleaned.source, tok.count_tokens(cleaned.text), decision)
         if decision.keep:
             yield cleaned

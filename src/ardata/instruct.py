@@ -650,7 +650,7 @@ def dataset_stats(dialogues: Iterable[Dialogue]) -> DatasetStats:
     origin_counts: Counter[str] = Counter()
     for d in dialogues:
         turn_hist[d.question_turns] += 1
-        origin_counts[d.origin or "unknown"] += 1
+        origin_counts["unknown" if d.origin is None else d.origin] += 1
         for turn in d.turns:
             if turn.role != HUMAN:
                 continue

@@ -1,13 +1,12 @@
 """Learning-rate schedule arithmetic: warmup, cosine/inverse-sqrt main phase,
 linear cooldown, in early and late variants, plus batch-geometry helpers.
 
-The main phase composes a cosine decay (max_lr -> min_lr over the whole
-post-warmup horizon) with an inverse-square-root envelope
-max_lr * sqrt(warmup/step). The default composition is their pointwise
-minimum, which is continuous at the warmup boundary (both equal max_lr
-there) and reproduces each decay in the region where it dominates; the
-composition is pluggable. Cooldown ramps linearly from the main-phase value
-at the cooldown start down to min_lr at the final step.
+The main phase is always the pointwise minimum of a cosine decay
+(max_lr -> min_lr over the whole post-warmup horizon) and an
+inverse-square-root envelope max_lr * sqrt(warmup/step). It is continuous at
+the warmup boundary (both equal max_lr there) and reproduces each decay in
+the region where it dominates. Cooldown ramps linearly from the main-phase
+value at the cooldown start down to min_lr at the final step.
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ from typing import Iterator
 from ._schema import BELOW_2_63, check
 
 
-MAIN_PHASE_MODES = ("min", "product", "cosine", "invsqrt")
 LATE_COOLDOWN_STEPS = 10_000  # the late variant cools down over this many final steps, whatever the total
 
 
@@ -29,7 +27,6 @@ class ScheduleSpec:
     cooldown_start: int = 300_000
     max_lr: float = 5e-4
     min_lr: float = 2.5e-6
-    main_phase: str = "min"
 
     def __post_init__(self):
         for name in ("warmup_steps", "cooldown_start", "total_steps"):
@@ -42,13 +39,9 @@ class ScheduleSpec:
             )
         if not (0 < self.min_lr < self.max_lr < math.inf):
             raise ValueError(f"need 0 < min_lr < max_lr, both finite, got min_lr={self.min_lr}, max_lr={self.max_lr}")
-        if self.main_phase not in MAIN_PHASE_MODES:
-            raise ValueError(f"main_phase must be one of {MAIN_PHASE_MODES}")
-        # Only two intermediates can overflow: max_lr * step, largest at the last
-        # warmup step, and (for "product") cosine * invsqrt, largest at the first
-        # main-phase step. Every other value is at most one of them.
-        peaks = (self.max_lr * (self.warmup_steps - 1), _main_lr(self.warmup_steps, self))
-        if not all(map(math.isfinite, peaks)):
+        # Only max_lr * step can overflow, largest at the last warmup step: every
+        # main-phase and cooldown value is at most max_lr.
+        if not math.isfinite(self.max_lr * (self.warmup_steps - 1)):
             raise ValueError(f"max_lr={self.max_lr} is too large: the learning-rate curve overflows")
 
 
@@ -75,12 +68,6 @@ def _invsqrt(step: int, spec: ScheduleSpec) -> float:
 
 
 def _main_lr(step: int, spec: ScheduleSpec) -> float:
-    if spec.main_phase == "cosine":
-        return _cosine(step, spec)
-    if spec.main_phase == "invsqrt":
-        return _invsqrt(step, spec)
-    if spec.main_phase == "product":
-        return _cosine(step, spec) * _invsqrt(step, spec) / spec.max_lr
     return min(_cosine(step, spec), _invsqrt(step, spec))
 
 

@@ -227,6 +227,7 @@ def test_clean_rejects_ids_and_urls_of_another_kind(tmp_path):
     ({"gopher": {"min_words": "x"}}, "'gopher.min_words'"),
     # json.dumps writes NaN, which json.loads reads back; a NaN bound never fires.
     ({"gopher": {"max_punct_char_frac": math.nan}}, "'gopher.max_punct_char_frac' must be a finite number, got NaN"),
+    ({"gopher": {"min_words": 5, "symbols": [""]}}, "symbols must not contain empty strings"),
 ])
 def test_clean_bad_config_key_is_validation_error(corpus_files, capsys, config, key):
     tmp_path, in_path, config_path, *_ = corpus_files
@@ -589,8 +590,9 @@ def test_lr_curve_writes_each_row_as_it_is_computed(capsys, monkeypatch):
 
 
 def test_lr_curve_unknown_composition_is_usage_error(capsys):
-    assert dispatch(["lr-curve", "--composition", "bogus"]) == 2
-    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    # The main phase has one shape, so lr-curve has no flag to choose it.
+    assert dispatch(["lr-curve", "--composition", "min"]) == 2
+    assert "unrecognized arguments: --composition min" in capsys.readouterr().err
 
 
 def test_lr_curve_infinite_max_lr_is_validation_error(capsys):
@@ -1019,6 +1021,18 @@ def test_instruct_mix_tallies_records_that_are_not_dialogues(tmp_path):
     stats = _mix_stats(tmp_path, path)
     assert stats["rejects_by_reason"] == {"bad_record": 3, "bad_role": 1}
     assert stats["stats"]["per_origin_counts"] == {"dialogues": 1}
+
+
+def test_instruct_mix_counts_an_empty_origin_apart_from_a_null_one(tmp_path):
+    # Only a null origin counts under "unknown"; "" once did too.
+    path = tmp_path / "dialogues.jsonl"
+    records = [{"origin": "", "instruction": "ما هذا؟", "output": "كتاب"},
+               {"origin": None, "instruction": "ما هذا؟", "output": "قلم"}]
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+    stats = _mix_stats(tmp_path, path)
+    written = [json.loads(line)["origin"] for line in (tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert written == ["", None]
+    assert stats["stats"]["per_origin_counts"] == {"": 1, "unknown": 1}
 
 
 # A `conversations` key is read even when its list is empty, like a `turns` key.

@@ -73,7 +73,7 @@ def _argv(command: str, root: Path) -> list[str]:
         "clean -p 1": ["clean", "--in", docs, "--out", out, "--report", out + ".json", "--parallelism", "1"],
         "clean -p 2": ["clean", "--in", docs, "--out", out, "--report", out + ".json", "--parallelism", "2"],
         "fertility": ["fertility", "--in", docs, "--tokenizer", "whitespace", "--out", out],
-        "lr-curve": ["lr-curve", "--composition", "cosine", "--out", out],
+        "lr-curve": ["lr-curve", "--out", out],
         "instruct build": ["instruct", "build", "--in", docs, "--out", out, "--stats", out + ".json"],
     }[command]
 

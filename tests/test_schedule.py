@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ardata.schedule import (
-    MAIN_PHASE_MODES,
     BatchGeometry,
     ScheduleSpec,
     batch_tokens,
@@ -108,21 +107,10 @@ def test_early_late_differ_only_from_early_cooldown_start():
 
 def test_variants_take_spec_overrides():
     assert (EARLY, LATE) == (ScheduleSpec(), ScheduleSpec(cooldown_start=490_000))
-    assert early_cooldown(total_steps=600_000, main_phase="cosine") == ScheduleSpec(total_steps=600_000,
-                                                                                   main_phase="cosine")
+    assert early_cooldown(total_steps=600_000, max_lr=1e-3) == ScheduleSpec(total_steps=600_000, max_lr=1e-3)
     # The late cooldown starts 10k steps before the end, unless its start is given.
     assert late_cooldown(total_steps=200_000) == ScheduleSpec(total_steps=200_000, cooldown_start=190_000)
     assert late_cooldown(cooldown_start=400_000) == ScheduleSpec(cooldown_start=400_000)
-
-
-def test_composition_variants():
-    cosine_only = ScheduleSpec(main_phase="cosine")
-    invsqrt_only = ScheduleSpec(main_phase="invsqrt")
-    product = ScheduleSpec(main_phase="product")
-    step = 100_000
-    assert lr_at(step, cosine_only) == pytest.approx(cosine_closed_form(step, cosine_only), rel=1e-12)
-    assert lr_at(step, invsqrt_only) == pytest.approx(invsqrt_closed_form(step, invsqrt_only), rel=1e-12)
-    assert lr_at(step, product) <= min(lr_at(step, cosine_only), lr_at(step, invsqrt_only))
 
 
 def test_spec_validation():
@@ -134,8 +122,6 @@ def test_spec_validation():
         ScheduleSpec(cooldown_start=500_000)
     with pytest.raises(ValueError):
         ScheduleSpec(min_lr=1e-3, max_lr=5e-4)
-    with pytest.raises(ValueError):
-        ScheduleSpec(main_phase="nope")
     # Step counts meet floats in the curve, so each must be below 2**63.
     ScheduleSpec(warmup_steps=2**63 - 3, cooldown_start=2**63 - 2, total_steps=2**63 - 1)
     with pytest.raises(ValueError, match=r"^warmup_steps must be below 2\*\*63, got 9223372036854775808$"):
@@ -148,17 +134,14 @@ def test_spec_validation():
     st.integers(1, 30),
     st.integers(1, 30),
     st.integers(1, 30),
-    # Near the two places the curve can overflow: max_lr * step in the warmup,
-    # and cosine * invsqrt (about max_lr**2) in the "product" main phase.
-    st.one_of(st.floats(1e153, 1e155), st.floats(1e306, sys.float_info.max)),
-    st.sampled_from(MAIN_PHASE_MODES),
+    # Near the place the curve can overflow: max_lr * step in the warmup.
+    st.floats(1e306, sys.float_info.max),
 )
-@example(2, 1, 1, sys.float_info.max, "min")
-@example(30, 30, 30, 1.34e154, "product")
-def test_spec_refuses_exactly_the_max_lr_whose_curve_overflows(warmup, main_steps, cooldown_steps, max_lr, mode):
+@example(2, 1, 1, sys.float_info.max)
+def test_spec_refuses_exactly_the_max_lr_whose_curve_overflows(warmup, main_steps, cooldown_steps, max_lr):
     fields = dict(
         total_steps=warmup + main_steps + cooldown_steps, warmup_steps=warmup, cooldown_start=warmup + main_steps,
-        max_lr=max_lr, min_lr=1e-3, main_phase=mode,
+        max_lr=max_lr, min_lr=1e-3,
     )
     unchecked = SimpleNamespace(**fields)  # lr_at's own arithmetic, without the spec's checks
     if all(math.isfinite(lr_at(step, unchecked)) for step in range(fields["total_steps"] + 1)):
