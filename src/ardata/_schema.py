@@ -1,4 +1,4 @@
-"""Parsing and type checks for the JSON that ardata reads from files.
+"""The JSON that ardata reads and writes: parsing, type checks and encoding.
 
 Every file input (corpora, filter configs, cleaning reports, MCQ exemplars,
 benchmark items, mixture sources, dialogue and instruction records) is
@@ -8,7 +8,8 @@ decides what a valid value of each kind is, and every bad input is one
 ``ValueError`` worded the same way, naming where the value sits: ``item 3:
 'gold_index' must be an integer, got true``. A kind is a pair: its name in
 messages, and a test. The line reader decides what a bad JSONL line is, so
-``clean`` and ``instruct mix`` reject the same lines.
+``clean`` and ``instruct mix`` reject the same lines. Every record ardata
+writes is one ``json_record`` line, and every JSON file one ``json_document``.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ _MISSING = object()
 _BOM = "\ufeff"  # dropped at the start of a file, kept as text anywhere else
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_string = json.encoder.encode_basestring  # a str as json.dumps(..., ensure_ascii=False) writes it
 
 
 def parse_json(text: str):
@@ -121,3 +123,19 @@ def _show(value) -> str:
         return "nothing"
     text = {dict: "object", list: "list"}.get(type(value)) or json.dumps(value, ensure_ascii=False)
     return text if len(text) <= 40 else text[:37] + "..."
+
+
+def json_record(record: dict) -> str:
+    """``json.dumps(record, sort_keys=True, ensure_ascii=False)``: one line, raw UTF-8. A str value
+    skips the encoder ``json.dumps`` sets up per call, most of the time of a ~1 KB record."""
+    fields = []
+    for key in sorted(record):
+        value = record[key]
+        value = _string(value) if isinstance(value, str) else json.dumps(value, sort_keys=True, ensure_ascii=False)
+        fields.append(f"{_string(key)}: {value}")
+    return "{" + ", ".join(fields) + "}"
+
+
+def json_document(value) -> str:
+    """``value`` as a JSON file's text, keys sorted and indented by two, raw UTF-8."""
+    return json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2)

@@ -23,7 +23,7 @@ from functools import reduce
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
-from ._schema import read_json
+from ._schema import json_document, json_record, read_json
 
 # Each command imports the library modules it runs, so a command does not
 # pay at start-up for the modules of the others.
@@ -31,6 +31,9 @@ if TYPE_CHECKING:
     from . import tokenization
 
 DEFAULT_SEED = 0
+# Line breaks that ``json.dumps(..., ensure_ascii=False)`` leaves raw and
+# ``str.splitlines`` splits on; escaped so an error stays one line.
+_RAW_LINE_BREAKS = str.maketrans({"\x85": "\\u0085", "\u2028": "\\u2028", "\u2029": "\\u2029"})
 
 
 @contextmanager
@@ -94,7 +97,7 @@ def _staged_outputs():
 
 
 def _write_json(out: TextIO, payload) -> None:
-    out.write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
+    out.write(json_document(payload) + "\n")
 
 
 def _write_csv(out: TextIO, rows) -> None:
@@ -126,7 +129,7 @@ def cmd_clean(args) -> None:
         report = filters.CleaningReport()
         kept = filters.iter_pipeline(corpus.ingest_jsonl(stream, on_reject=on_reject), cfg, tok, report)
         for record in map(corpus.document_to_record, kept):
-            args.output.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+            args.output.write(json_record(record) + "\n")
     _write_json(args.report, report.to_dict())
     if args.report_csv:
         _write_csv(args.report_csv, report.csv_rows())
@@ -453,7 +456,8 @@ def dispatch(argv: list[str]) -> int:
                 setattr(args, dest, open_output(getattr(args, dest)))
             args.func(args)
     except (ValueError, KeyError, OSError, OverflowError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}, ensure_ascii=False) + "\n")
+        error = json.dumps({"error": str(exc), "command": args.command}, ensure_ascii=False)
+        sys.stderr.write(error.translate(_RAW_LINE_BREAKS) + "\n")
         return 1
     except KeyboardInterrupt:
         sys.stderr.write(json.dumps({"error": "interrupted", "command": args.command}) + "\n")

@@ -7,14 +7,13 @@ aborting the run.
 """
 from __future__ import annotations
 
-import json
 import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-from ._schema import STRING_OR_INTEGER, STRING_OR_NULL, iter_json_lines
+from ._schema import STRING_OR_INTEGER, STRING_OR_NULL, iter_json_lines, json_record
 
 
 class Source(str, Enum):
@@ -58,7 +57,7 @@ class Reject:
     reason: str
 
     def to_json(self) -> str:
-        return json.dumps({"line": self.line, "reason": self.reason}, ensure_ascii=False)
+        return json_record({"line": self.line, "reason": self.reason})
 
 
 def ingest_jsonl(
@@ -69,13 +68,13 @@ def ingest_jsonl(
 
     Each line must be a JSON object with a ``text`` field; ``id``, ``url``
     and ``source`` are optional. An id is a string or an integer, and a
-    missing or null id is synthesized from the 1-based line number; a url is
-    a string or null. Bad lines (invalid UTF-8, invalid JSON, missing or
-    non-string text, an id or url of another kind, an empty id) are reported
-    through ``on_reject`` and skipped; ingestion continues. Yielded +
-    rejected covers every input line, in input order. Lines are read by
-    ``iter_json_lines``, so one byte-order mark at the start of the first line
-    is dropped; a U+FEFF anywhere else is kept as text.
+    missing or null id is synthesized from the 1-based line number; a url or
+    source is a string or null. Bad lines (invalid UTF-8, invalid JSON,
+    missing or non-string text, an id, url or source of another kind, an empty
+    id) are reported through ``on_reject`` and skipped; ingestion continues.
+    Yielded + rejected covers every input line, in input order. Lines are read
+    by ``iter_json_lines``, so one byte-order mark at the start of the first
+    line is dropped; a U+FEFF anywhere else is kept as text.
     """
     for line_no, record, reason in iter_json_lines(stream):
         if reason is not None:
@@ -102,16 +101,15 @@ def ingest_jsonl(
         if not doc_id:
             _reject(on_reject, line_no, "empty id")
             continue
-        url = record.get("url")
+        url, source = record.get("url"), record.get("source")
         if not STRING_OR_NULL[1](url):
             _reject(on_reject, line_no, f"url is not {STRING_OR_NULL[0]}")
             continue
-        yield Document(
-            id=doc_id,
-            text=text,
-            url=url,
-            source=Source.coerce(record.get("source", Source.OTHER)),
-        )
+        # Coerced, a list or an object would be `other`, and a CulturaX document would skip safety.
+        if not STRING_OR_NULL[1](source):
+            _reject(on_reject, line_no, f"source is not {STRING_OR_NULL[0]}")
+            continue
+        yield Document(id=doc_id, text=text, url=url, source=source)
 
 
 def _reject(on_reject, line_no: int, reason: str) -> None:

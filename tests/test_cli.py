@@ -204,8 +204,9 @@ def test_clean_rejects_a_lone_surrogate_escape_as_invalid_json(tmp_path):
 
 def test_clean_rejects_ids_and_urls_of_another_kind(tmp_path):
     in_path = tmp_path / "docs.jsonl"
+    # Coerced to `other`, the list source let a CulturaX document skip the safety rule.
     lines = ['{"id":["x",1],"text":"نص"}', '{"id":1.0,"text":"نص"}', '{"id":"a","text":"نص","url":{"a":1}}',
-             '{"id":2,"text":"نص","url":"https://e.org/2"}']
+             '{"id":2,"text":"نص","url":"https://e.org/2"}', '{"id":3,"text":"نص","source":["culturax"]}']
     in_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     rejects_path = tmp_path / "rejects.jsonl"
     assert dispatch([
@@ -217,6 +218,7 @@ def test_clean_rejects_ids_and_urls_of_another_kind(tmp_path):
         {"line": 1, "reason": "id is not a string or an integer"},
         {"line": 2, "reason": "id is not a string or an integer"},
         {"line": 3, "reason": "url is not a string or null"},
+        {"line": 5, "reason": "source is not a string or null"},
     ]
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert report["sources"]["other"]["docs_in"] == 1
@@ -228,6 +230,8 @@ def test_clean_rejects_ids_and_urls_of_another_kind(tmp_path):
     # json.dumps writes NaN, which json.loads reads back; a NaN bound never fires.
     ({"gopher": {"max_punct_char_frac": math.nan}}, "'gopher.max_punct_char_frac' must be a finite number, got NaN"),
     ({"gopher": {"min_words": 5, "symbols": [""]}}, "symbols must not contain empty strings"),
+    ({"unsafe_phrases": [""]}, "unsafe_phrases must not contain empty strings"),
+    ({"ad_phrases": ["x", ""]}, "ad_phrases must not contain empty strings"),
 ])
 def test_clean_bad_config_key_is_validation_error(corpus_files, capsys, config, key):
     tmp_path, in_path, config_path, *_ = corpus_files
@@ -264,6 +268,17 @@ def test_validation_error_on_an_ascii_stderr_is_one_json_line(corpus_files):
     assert result.returncode == 1
     [line] = result.stderr.decode("ascii").splitlines()
     assert json.loads(line) == {"error": "unknown filter config key 'مفتاح'", "command": "clean"}
+
+
+def test_validation_error_escapes_unicode_line_breaks(tmp_path, capsys):
+    # U+0085, U+2028 and U+2029 are line breaks to str.splitlines, and
+    # json.dumps(..., ensure_ascii=False) writes them raw.
+    items = tmp_path / "items.json"
+    items.write_text(json.dumps("\x85\u2028\u2029"), encoding="utf-8")
+    argv = ["eval", "diff", "--items", str(items), "--scorers", "constant,anti-oracle", "--out", str(tmp_path / "o.json")]
+    assert dispatch(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": 'benchmark file must be a list, got "\x85\u2028\u2029"', "command": "eval"}
 
 
 def test_clean_failure_leaves_no_partial_output(corpus_files, capsys):

@@ -146,6 +146,7 @@ def _assert_one_json_error(err: str) -> None:
 @example(content=_PAST_FLOAT[3])
 @example(content=b"\xef\xbb\xbf" + _PAST_SSIZE_T[0])  # a byte-order mark, dropped from a whole file and from line 1
 @example(content=b'{"text": "\xff"}\n' + _PAST_SSIZE_T[0])  # a line that is not UTF-8
+@example(content=b'"\\u0085\\u2028\\u2029"')  # line breaks that JSON leaves raw in UTF-8 output
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_file_input_exits_0_or_1_with_one_json_error(workdir, case, content):
     (workdir / "F").write_bytes(content)

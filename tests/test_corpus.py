@@ -73,6 +73,11 @@ def test_ingest_keeps_string_and_integer_ids_and_string_urls():
     ('{"id":{"a":1},"text":"x"}', "id is not a string or an integer"),
     ('{"id":"b","text":"x","url":{"a":1}}', "url is not a string or null"),
     ('{"id":"b","text":"x","url":3}', "url is not a string or null"),
+    # These used to become `other`, so a CulturaX document skipped the safety rule.
+    ('{"id":"b","text":"x","source":["culturax"]}', "source is not a string or null"),
+    ('{"id":"b","text":"x","source":7}', "source is not a string or null"),
+    ('{"id":"b","text":"x","source":true}', "source is not a string or null"),
+    ('{"id":"b","text":"x","source":{"name":"culturax"}}', "source is not a string or null"),
 ])
 def test_ingest_rejects_id_or_url_of_another_kind(bad, reason):
     # These used to reach the document as Python reprs: "['x', 1]", "1.0", "{'a': 1}".
@@ -115,9 +120,10 @@ def test_ingest_strips_one_bom_on_first_line_only():
 
 def test_ingest_source_parsing():
     docs, _ = ingest(
-        ['{"text":"a","source":"culturax"}', '{"text":"b","source":"SANAD"}', '{"text":"c","source":"weird"}']
+        ['{"text":"a","source":"culturax"}', '{"text":"b","source":"SANAD"}', '{"text":"c","source":"weird"}',
+         '{"text":"d","source":null}', '{"text":"e"}']
     )
-    assert [d.source for d in docs] == [Source.CULTURAX, Source.SANAD, Source.OTHER]
+    assert [d.source for d in docs] == [Source.CULTURAX, Source.SANAD, Source.OTHER, Source.OTHER, Source.OTHER]
 
 
 _record = st.fixed_dictionaries({"text": st.text(max_size=20)})

@@ -481,6 +481,8 @@ def test_config_validation():
     ({"gopher": {"max_symbol_to_word_ratio": -0.1}}, "max_symbol_to_word_ratio must be >= 0, got -0.1"),
     # str.count("") is len + 1, so an empty symbol would remove every document with words.
     ({"gopher": {"symbols": ["#", ""]}}, "symbols must not contain empty strings"),
+    ({"unsafe_phrases": [""]}, "unsafe_phrases must not contain empty strings"),
+    ({"ad_phrases": ["x", ""]}, "ad_phrases must not contain empty strings"),
 ])
 def test_config_from_dict_names_bad_key(data, key):
     with pytest.raises(ValueError, match=key):

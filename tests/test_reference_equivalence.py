@@ -9,7 +9,8 @@ command, of the count-every-draw mixture sampler and of the list-based
 its own copy of ``validate_mcq``'s checks, kept as oracles: the fast paths
 must give the same text, the same detail strings, the same scores and results,
 the same CSV bytes, the same draws, the same dialogue files and the same MCQ
-items and rejections on any input.
+items and rejections on any input. The JSON writers take ``json.dumps`` as
+theirs.
 """
 import csv
 import hashlib
@@ -30,6 +31,7 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
 from ardata import instruct, tokenization
+from ardata._schema import json_document, json_record
 from ardata.cli import dispatch, make_tokenizer
 from ardata.corpus import Document, Source, ingest_jsonl, normalize_chars
 from ardata.evaluation import (
@@ -178,6 +180,8 @@ def test_check_gopher_equals_reference(text, gopher):
 
 
 @given(st.lists(st.text(_chars, max_size=8), max_size=40), st.lists(st.sampled_from(_WHITESPACE), min_size=1))
+@example(["", "٣"], ["\u3000"])  # starts with whitespace, and its first word has no letter
+@example(["2", "x"], [" "])  # starts with a word that has no letter
 @settings(max_examples=200, deadline=None)
 def test_alphabetic_word_count_equals_reference(words, separators):
     # Only the alphabetic-word bound can fail, and the last word, "1", has no
@@ -1199,3 +1203,28 @@ def _mcq_texts(draw):
 @settings(max_examples=500, deadline=None)
 def test_parse_mcq_equals_its_own_check_list(text):
     assert _item_or_reason(instruct.parse_mcq, text) == _item_or_reason(reference_parse_mcq, text)
+
+
+# --- JSON writers --------------------------------------------------------------------
+
+# Every codepoint, lone surrogates included, with the characters JSON escapes or
+# that need care drawn often: quote, backslash, controls, U+2028/U+2029, astral.
+_json_text = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029\ud800\udfff\U0001f600'),
+))
+_json_scalars = st.one_of(_json_text, st.none(), st.booleans(), st.integers())
+
+
+@given(st.dictionaries(_json_text, _json_scalars))
+@example({"text": "\ud83d", "id": '"\\\n', "line": 3, "origin": None, "ok": True})
+@settings(max_examples=300, deadline=None)
+def test_json_record_equals_json_dumps(record):
+    assert json_record(record) == json.dumps(record, sort_keys=True, ensure_ascii=False)
+
+
+@given(st.recursive(st.one_of(_json_scalars, st.floats()),
+                    lambda children: st.lists(children) | st.dictionaries(_json_text, children), max_leaves=20))
+@settings(max_examples=200, deadline=None)
+def test_json_document_equals_json_dumps(value):
+    assert json_document(value) == json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2)
