@@ -327,10 +327,11 @@ def cmd_report_merge(args) -> None:
     from . import filters
 
     def load(path: str) -> filters.CleaningReport:  # a schema error names the file, as read_json's errors do
+        data = read_json(path)
         try:
-            return filters.CleaningReport.from_dict(read_json(path))
-        except filters.ReportSchemaError as exc:
-            raise filters.ReportSchemaError(f"{path}: {exc}") from None
+            return filters.CleaningReport.from_dict(data)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     _write_json(args.out, reduce(filters.merge_reports, map(load, args.reports)).to_dict())
 

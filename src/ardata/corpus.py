@@ -26,26 +26,44 @@ class Source(str, Enum):
 
     @classmethod
     def coerce(cls, value) -> "Source":
+        """A label, matched ignoring case and outer whitespace; ``None`` and
+        unknown labels are ``OTHER``, so odd source tags still flow through (as
+        non-CulturaX). Any other value raises ValueError, since ``["culturax"]``
+        as ``OTHER`` would skip the safety rule."""
         if isinstance(value, Source):
             return value
+        if not STRING_OR_NULL[1](value):
+            raise ValueError(f"source is not {STRING_OR_NULL[0]}")
         try:
-            return cls(str(value).strip().lower())
+            return cls((value or "").strip().lower())
         except ValueError:
-            # Unknown labels fall back to OTHER so upstream corpora with odd
-            # source tags still flow through (treated as non-CulturaX).
             return cls.OTHER
 
 
 @dataclass
 class Document:
+    """Building one checks the fields in the order text, id, url, source; a
+    refused field raises ValueError with ``ingest_jsonl``'s reject reason, so
+    the library and ``clean`` accept the same documents. An integer id is
+    kept as its string."""
+
     id: str
     text: str
     url: str | None = None
     source: Source = Source.OTHER
 
     def __post_init__(self):
+        if self.text is None:
+            raise ValueError("missing text")
+        if not isinstance(self.text, str):
+            raise ValueError("text is not a string")
+        if not STRING_OR_INTEGER[1](self.id):
+            raise ValueError(f"id is not {STRING_OR_INTEGER[0]}")
+        self.id = str(self.id)
         if not self.id:
-            raise ValueError("document id must be non-empty")
+            raise ValueError("empty id")
+        if not STRING_OR_NULL[1](self.url):
+            raise ValueError(f"url is not {STRING_OR_NULL[0]}")
         self.source = Source.coerce(self.source)
 
 
@@ -66,55 +84,32 @@ def ingest_jsonl(
 ) -> Iterator[Document]:
     """Stream Documents out of newline-delimited JSON.
 
-    Each line must be a JSON object with a ``text`` field; ``id``, ``url``
-    and ``source`` are optional. An id is a string or an integer, and a
-    missing or null id is synthesized from the 1-based line number; a url or
-    source is a string or null. Bad lines (invalid UTF-8, invalid JSON,
-    missing or non-string text, an id, url or source of another kind, an empty
-    id) are reported through ``on_reject`` and skipped; ingestion continues.
+    Each line must be a JSON object whose ``text``, ``id``, ``url`` and
+    ``source`` fields make a ``Document``; a missing or null id is synthesized
+    from the 1-based line number. Bad lines (invalid UTF-8, invalid JSON, not
+    an object, or a field ``Document`` refuses, with its message as the
+    reason) are reported through ``on_reject`` and skipped; ingestion continues.
     Yielded + rejected covers every input line, in input order. Lines are read
     by ``iter_json_lines``, so one byte-order mark at the start of the first
     line is dropped; a U+FEFF anywhere else is kept as text.
     """
     for line_no, record, reason in iter_json_lines(stream):
-        if reason is not None:
-            _reject(on_reject, line_no, reason)
-            continue
-        if not isinstance(record, dict):
-            _reject(on_reject, line_no, "not a json object")
-            continue
-        text = record.get("text")
-        if text is None:
-            _reject(on_reject, line_no, "missing text")
-            continue
-        if not isinstance(text, str):
-            _reject(on_reject, line_no, "text is not a string")
-            continue
-        doc_id = record.get("id")
-        if doc_id is None:
-            doc_id = str(line_no)
-        elif STRING_OR_INTEGER[1](doc_id):
-            doc_id = str(doc_id)
-        else:
-            _reject(on_reject, line_no, f"id is not {STRING_OR_INTEGER[0]}")
-            continue
-        if not doc_id:
-            _reject(on_reject, line_no, "empty id")
-            continue
-        url, source = record.get("url"), record.get("source")
-        if not STRING_OR_NULL[1](url):
-            _reject(on_reject, line_no, f"url is not {STRING_OR_NULL[0]}")
-            continue
-        # Coerced, a list or an object would be `other`, and a CulturaX document would skip safety.
-        if not STRING_OR_NULL[1](source):
-            _reject(on_reject, line_no, f"source is not {STRING_OR_NULL[0]}")
-            continue
-        yield Document(id=doc_id, text=text, url=url, source=source)
-
-
-def _reject(on_reject, line_no: int, reason: str) -> None:
-    if on_reject is not None:
-        on_reject(Reject(line=line_no, reason=reason))
+        if reason is None and not isinstance(record, dict):
+            reason = "not a json object"
+        if reason is None:
+            doc_id = record.get("id")
+            try:
+                doc = Document(
+                    id=str(line_no) if doc_id is None else doc_id, text=record.get("text"),
+                    url=record.get("url"), source=record.get("source"),
+                )
+            except ValueError as exc:
+                reason = str(exc)
+            else:
+                yield doc
+                continue
+        if on_reject is not None:
+            on_reject(Reject(line=line_no, reason=reason))
 
 
 def document_to_record(doc: Document) -> dict:
@@ -177,14 +172,16 @@ _DATE = (
     r"|[٠-٩]{1,4}[-/.][٠-٩]{1,2}[-/.][٠-٩]{1,4})"
 )
 
-# A short first line (title) directly followed by a line that is just a
-# date, both only at the very start of the document.
-_TITLE_DATE = re.compile(r"\A[^\n]{1,80}\n[ \t]*" + _DATE + r"[ \t]*(?:\n|\Z)")
+# The run of leading headers, each a short line (title) directly followed by
+# a line that is just a date. Line breaks fix each pair's extent, so one match
+# drops what a loop over single pairs would, and stripping twice equals once.
+_TITLE_DATE = re.compile(r"\A(?:[^\n]{1,80}\n[ \t]*" + _DATE + r"[ \t]*(?:\n|\Z))+")
 
 
 def strip_title_date(doc: Document) -> Document:
-    """Drop a leading title/date header: at most the first two lines are
-    removed, and the rest of the document is byte-identical."""
+    """Drop the leading title/date headers: every pair of lines at the start
+    whose first has at most 80 characters and whose second is only a date.
+    The rest of the document is byte-identical."""
     m = _TITLE_DATE.match(doc.text)
     if m is None:
         return doc

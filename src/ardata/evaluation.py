@@ -57,21 +57,26 @@ class BenchmarkItem:
 
 
 def load_benchmark_items(path: str | Path) -> list[BenchmarkItem]:
-    """Read a benchmark file: a JSON array of item objects."""
+    """Read a benchmark file: a JSON array of item objects. Every error names
+    the file, so a bad item in ``--exemplars`` is told from one in ``--items``."""
+    data = read_json(path)
     items = []
-    for i, raw in enumerate(check(read_json(path), LIST, "benchmark file")):
-        where = f"item {i}: "
-        check(raw, OBJECT, f"item {i}")
-        items.append(
-            BenchmarkItem(
-                id=str(get_field(raw, "id", STRING_OR_INTEGER, where, i)),
-                question=get_field(raw, "question", STRING, where),
-                choices=list(get_field(raw, "choices", STRINGS, where)),
-                gold_index=get_field(raw, "gold_index", INTEGER, where),
-                category=get_field(raw, "category", STRING_OR_NULL, where, None),
-                context=get_field(raw, "context", STRING_OR_NULL, where, None),
+    try:
+        for i, raw in enumerate(check(data, LIST, "benchmark file")):
+            where = f"item {i}: "
+            check(raw, OBJECT, f"item {i}")
+            items.append(
+                BenchmarkItem(
+                    id=str(get_field(raw, "id", STRING_OR_INTEGER, where, i)),
+                    question=get_field(raw, "question", STRING, where),
+                    choices=list(get_field(raw, "choices", STRINGS, where)),
+                    gold_index=get_field(raw, "gold_index", INTEGER, where),
+                    category=get_field(raw, "category", STRING_OR_NULL, where, None),
+                    context=get_field(raw, "context", STRING_OR_NULL, where, None),
+                )
             )
-        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return items
 
 

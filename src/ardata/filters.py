@@ -118,8 +118,6 @@ class FilterConfig:
     permissible_char_min_frac: float = 0.95
     permissible_punctuation: str = DEFAULT_PERMISSIBLE_PUNCTUATION
     gopher: GopherConfig = field(default_factory=GopherConfig)
-    # Safety filtering (phrases + URL requirement) is scoped to these sources.
-    safety_sources: tuple[Source, ...] = (Source.CULTURAX,)
 
     def __post_init__(self):
         _check_values(
@@ -140,17 +138,11 @@ class FilterConfig:
         """Build from a parsed ``filters.json``.
 
         An unknown key or a wrongly typed value, at top level or under
-        ``gopher``, raises ValueError naming the key; so does a
-        ``safety_sources`` label that names no known source.
+        ``gopher``, raises ValueError naming the key.
         """
         kwargs = _checked_fields(cls, check(data, OBJECT, "filter config"), "")
         if "gopher" in kwargs:
             kwargs["gopher"] = GopherConfig(**_checked_fields(GopherConfig, kwargs["gopher"], "gopher."))
-        if "safety_sources" in kwargs:
-            try:
-                kwargs["safety_sources"] = tuple(Source(s.strip().lower()) for s in kwargs["safety_sources"])
-            except ValueError as exc:
-                raise ValueError(f"filter config key 'safety_sources': {exc}") from None
         return cls(**kwargs)
 
 
@@ -251,7 +243,7 @@ class _Features:
 
 
 def _check_safety(doc: Document, cfg: FilterConfig, features: _Features) -> str | None:
-    if doc.source not in cfg.safety_sources:
+    if doc.source != Source.CULTURAX:
         return None
     if cfg.require_url and not doc.url:
         return "missing url"
@@ -397,10 +389,6 @@ class SourceCounters:
             self.tokens_removed[rule] = self.tokens_removed.get(rule, 0) + count
 
 
-class ReportSchemaError(ValueError):
-    pass
-
-
 @dataclass
 class CleaningReport:
     """Per-source, per-rule removal counters in the shape of a before/after table.
@@ -445,35 +433,32 @@ class CleaningReport:
     @classmethod
     def from_dict(cls, data) -> "CleaningReport":
         """Rebuild a report from ``to_dict()`` output; a schema violation raises
-        ReportSchemaError naming the source and key. ``rules`` must name the
-        rules of ``RULE_ORDER`` in order, and a source must be one that
-        ``record`` can build: its removals are counted under those rules, the
-        same rules in ``docs_removed`` and ``tokens_removed``, and neither
-        removes more than came in."""
-        try:
-            rules = get_field(check(data, OBJECT, "report"), "rules", STRINGS, "report ")
-            if tuple(rules) != _RULE_NAMES:
-                raise ValueError(f"report 'rules' must be {list(_RULE_NAMES)}, got {rules}")
-            report = cls()
-            for name, raw in get_field(data, "sources", OBJECT, "report ").items():
-                where = f"source {name!r}"
-                check(raw, OBJECT, where)
-                counters = report.sources[name] = SourceCounters(
-                    docs_in=get_field(raw, "docs_in", COUNT, where + ": "),
-                    tokens_in=get_field(raw, "tokens_in", COUNT, where + ": "),
-                    docs_removed=dict(get_field(raw, "docs_removed", COUNTS, where + ": ")),
-                    tokens_removed=dict(get_field(raw, "tokens_removed", COUNTS, where + ": ")),
-                )
-                if counters.docs_removed.keys() != counters.tokens_removed.keys():
-                    raise ValueError(f"{where}: 'docs_removed' and 'tokens_removed' name different rules")
-                unknown = sorted(counters.docs_removed.keys() - set(_RULE_NAMES))
-                if unknown:
-                    raise ValueError(f"{where}: removals counted under rules not in 'rules': {unknown}")
-                for kind, kept in (("docs", counters.docs_kept), ("tokens", counters.tokens_kept)):
-                    if kept < 0:
-                        raise ValueError(f"{where}: '{kind}_removed' sums to more than '{kind}_in'")
-        except ValueError as exc:
-            raise ReportSchemaError(str(exc)) from None
+        ValueError naming the source and key. ``rules`` must name the rules of
+        ``RULE_ORDER`` in order, and a source must be one that ``record`` can
+        build: its removals are counted under those rules, the same rules in
+        ``docs_removed`` and ``tokens_removed``, and neither removes more than
+        came in."""
+        rules = get_field(check(data, OBJECT, "report"), "rules", STRINGS, "report ")
+        if tuple(rules) != _RULE_NAMES:
+            raise ValueError(f"report 'rules' must be {list(_RULE_NAMES)}, got {rules}")
+        report = cls()
+        for name, raw in get_field(data, "sources", OBJECT, "report ").items():
+            where = f"source {name!r}"
+            check(raw, OBJECT, where)
+            counters = report.sources[name] = SourceCounters(
+                docs_in=get_field(raw, "docs_in", COUNT, where + ": "),
+                tokens_in=get_field(raw, "tokens_in", COUNT, where + ": "),
+                docs_removed=dict(get_field(raw, "docs_removed", COUNTS, where + ": ")),
+                tokens_removed=dict(get_field(raw, "tokens_removed", COUNTS, where + ": ")),
+            )
+            if counters.docs_removed.keys() != counters.tokens_removed.keys():
+                raise ValueError(f"{where}: 'docs_removed' and 'tokens_removed' name different rules")
+            unknown = sorted(counters.docs_removed.keys() - set(_RULE_NAMES))
+            if unknown:
+                raise ValueError(f"{where}: removals counted under rules not in 'rules': {unknown}")
+            for kind, kept in (("docs", counters.docs_kept), ("tokens", counters.tokens_kept)):
+                if kept < 0:
+                    raise ValueError(f"{where}: '{kind}_removed' sums to more than '{kind}_in'")
         return report
 
     def csv_rows(self) -> list[list]:

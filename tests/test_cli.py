@@ -278,7 +278,7 @@ def test_validation_error_escapes_unicode_line_breaks(tmp_path, capsys):
     argv = ["eval", "diff", "--items", str(items), "--scorers", "constant,anti-oracle", "--out", str(tmp_path / "o.json")]
     assert dispatch(argv) == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert json.loads(line) == {"error": 'benchmark file must be a list, got "\x85\u2028\u2029"', "command": "eval"}
+    assert json.loads(line) == {"error": f'{items}: benchmark file must be a list, got "\x85\u2028\u2029"', "command": "eval"}
 
 
 def test_clean_failure_leaves_no_partial_output(corpus_files, capsys):
@@ -1260,7 +1260,7 @@ def test_eval_malformed_items_are_validation_errors(tmp_path, capsys, items, mes
     items_path.write_text(json.dumps(items), encoding="utf-8")
     assert dispatch(["eval", "cf", "--items", str(items_path)]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err == {"command": "eval", "error": message}
+    assert err == {"command": "eval", "error": f"{items_path}: {message}"}
 
 
 def test_eval_mcf_constant(bench_files, capsys):
@@ -1279,6 +1279,19 @@ def test_eval_acva(bench_files, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["metric"] == "f1_macro"
     assert result["overall"] == 1.0
+
+
+def test_eval_acva_names_the_file_holding_a_bad_item(bench_files, tmp_path, capsys):
+    # The same bad item in --exemplars and in --items used to print the same message.
+    _, tf_path, pool_path = bench_files
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps([{"question": "q", "choices": ["a", "b"], "gold_index": True}]), encoding="utf-8")
+    for items, exemplars in ((tf_path, bad_path), (bad_path, pool_path)):
+        assert dispatch([
+            "eval", "acva", "--items", str(items), "--exemplars", str(exemplars), "--scorer", "oracle", "--shots", "1",
+        ]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == f"{bad_path}: item 0: 'gold_index' must be an integer, got true"
 
 
 def test_eval_acva_negative_shots_is_validation_error(bench_files, capsys):

@@ -1,10 +1,13 @@
 import io
 import json
+import tempfile
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ardata.cli import dispatch
 from ardata.corpus import (
     Document,
     Source,
@@ -12,6 +15,8 @@ from ardata.corpus import (
     normalize_chars,
     strip_title_date,
 )
+
+from planted import base_text
 
 
 def ingest(lines):
@@ -145,6 +150,27 @@ def test_document_requires_nonempty_id():
         Document(id="", text="x")
 
 
+@pytest.mark.parametrize("fields, reason", [
+    ({"id": "x", "text": "t", "source": ["culturax"]}, "source is not a string or null"),
+    ({"id": "x", "text": "t", "source": 7}, "source is not a string or null"),
+    ({"id": "x", "text": "t", "url": 5}, "url is not a string or null"),
+    ({"id": 1.0, "text": "t"}, "id is not a string or an integer"),
+    ({"id": "x", "text": b"t"}, "text is not a string"),
+])
+def test_document_refuses_what_ingest_rejects(fields, reason):
+    # A library caller used to get `other` for ["culturax"], so the document skipped safety.
+    with pytest.raises(ValueError) as info:
+        Document(**fields)
+    assert str(info.value) == reason
+
+
+def test_document_keeps_an_integer_id_as_its_string_and_maps_labels():
+    doc = Document(id=7, text="t", source=" CulturaX ")
+    assert (doc.id, doc.source) == ("7", Source.CULTURAX)
+    assert Document(id="x", text="t", source="weird").source is Source.OTHER
+    assert Document(id="x", text="t", source=None).source is Source.OTHER
+
+
 # --- character unification ------------------------------------------------------
 
 
@@ -209,6 +235,12 @@ def test_strip_title_and_arabic_indic_date():
     assert strip_title_date(doc).text == "النص الفعلي."
 
 
+def test_strip_drops_the_whole_run_of_stacked_headers():
+    # One pass used to drop only the first pair, so `clean` of its own output dropped the second.
+    doc = _doc("عنوان\n2024-01-01\nعنوان ثان\n 2024-02-02\nثالث\n٢٠٢٤/٠٣/٠٣\nالنص.\nسطر\n2024-04-04")
+    assert strip_title_date(doc).text == "النص.\nسطر\n2024-04-04"
+
+
 def test_mid_document_date_not_stripped():
     text = "فقرة أولى بلا تاريخ\nفقرة ثانية\n2023-04-01\nفقرة ثالثة"
     assert strip_title_date(_doc(text)).text == text
@@ -239,9 +271,48 @@ _segment = st.text(alphabet="اب cd12-/.", min_size=0, max_size=12)
 
 @given(st.lists(_segment, min_size=1, max_size=8))
 @settings(max_examples=100)
-def test_strip_removes_at_most_two_lines_and_keeps_suffix(lines):
+def test_strip_removes_whole_leading_lines_and_keeps_suffix(lines):
     text = "\n".join(lines)
     result = strip_title_date(_doc(text)).text
     assert text.endswith(result)
     removed = text[: len(text) - len(result)]
-    assert removed.count("\n") <= 2
+    assert removed == "" or removed.endswith("\n") or result == ""
+    assert strip_title_date(_doc(result)).text == result
+
+
+# --- the clean ∘ clean law ---------------------------------------------------------
+
+# Headers stack on purpose; titles and bodies hold presentation forms (ﺑ folds
+# to ب, the ﷲ ligature to four letters, so a title of 77 letters plus ﷲ is past
+# 80 only once folded).
+_titles = st.sampled_from(["عنوان", "ﺑﺎﺏ", "خبر ﷲ", "ع" * 77 + "ﷲ", "ع" * 80, "2024-01-01"])
+_dates = st.sampled_from(["2024-01-01", " 01/02/2023\t", "٢٠٢٤/٠٣/٠٣", "1.2.3", "2024-01"])
+_headers = st.lists(st.tuples(_titles, _dates).map("\n".join), max_size=3).map("\n".join)
+_bodies = st.builds(
+    lambda seed, forms: base_text(seed).replace("ب", "ﺑ", forms), st.integers(0, 30), st.integers(0, 3),
+)
+_sources = st.sampled_from([("culturax", "https://example.org/a"), ("culturax", None), ("sanad", None), ("other", None)])
+
+
+@st.composite
+def _raw_lines(draw):
+    source, url = draw(_sources)
+    headers, body = draw(_headers), draw(_bodies)
+    record = {"text": headers + "\n" + body if headers else body, "source": source}
+    if url is not None:
+        record["url"] = url
+    return json.dumps(record, ensure_ascii=False)
+
+
+@given(st.lists(_raw_lines(), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_clean_of_its_own_kept_output_changes_nothing(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = Path(tmp, "raw.jsonl")
+        raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for name, source in (("once", raw), ("twice", Path(tmp, "once.jsonl"))):
+            assert dispatch(["clean", "--in", str(source), "--out", str(Path(tmp, f"{name}.jsonl")),
+                             "--report", str(Path(tmp, f"{name}.report.json"))]) == 0
+        assert Path(tmp, "twice.jsonl").read_bytes() == Path(tmp, "once.jsonl").read_bytes()
+        report = json.loads(Path(tmp, "twice.report.json").read_text(encoding="utf-8"))
+        assert all(c["docs_removed"] == {} and c["tokens_removed"] == {} for c in report["sources"].values())

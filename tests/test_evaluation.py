@@ -95,7 +95,7 @@ def test_load_benchmark_items_id_is_a_string_or_an_integer(tmp_path):
     assert [i.id for i in load_benchmark_items(path)] == ["q", "7", "2"]
     for bad in (["x", 1], 1.0, True, None):
         path.write_text(json.dumps([item, dict(item, id=bad)]), encoding="utf-8")
-        with pytest.raises(ValueError, match=r"^item 1: 'id' must be a string or an integer, got "):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: item 1: 'id' must be a string or an integer, got "):
             load_benchmark_items(path)
 
 

@@ -13,7 +13,6 @@ from ardata.filters import (
     CleaningReport,
     FilterConfig,
     GopherConfig,
-    ReportSchemaError,
     Rule,
     SourceCounters,
     apply_filter,
@@ -411,7 +410,7 @@ def _report_with(**source_keys):
     ({**_REPORT, "rules": ["ads", "safety", "lines", "chars", "gopher"]}, "report 'rules' must be ['safety', 'ads'"),
 ])
 def test_report_from_dict_names_bad_key(data, message):
-    with pytest.raises(ReportSchemaError) as info:
+    with pytest.raises(ValueError) as info:
         CleaningReport.from_dict(data)
     assert message in str(info.value)
 
@@ -433,13 +432,17 @@ def test_config_from_dict_round_trip():
             "unsafe_phrases": ["a", "b"],
             "ad_max_hits": 7,
             "gopher": {"min_words": 10, "stop_words": ["في"], "min_stop_words": 1},
-            "safety_sources": ["culturax", " Sanad "],
         }
     )
-    assert cfg.safety_sources == (Source.CULTURAX, Source.SANAD)
     assert cfg.unsafe_phrases == ("a", "b")
     assert cfg.ad_max_hits == 7
     assert cfg.gopher.min_words == 10
+
+
+def test_config_has_no_safety_sources_knob():
+    # Safety reads CulturaX documents only; the knob let a library caller turn it off with a label.
+    with pytest.raises(TypeError):
+        FilterConfig(safety_sources=("CulturaX",))
 
 
 def test_config_validation():
@@ -462,7 +465,7 @@ def test_config_validation():
     ({"require_url": "yes"}, "'require_url'"),
     ({"unsafe_phrases": ["ok", 3]}, "'unsafe_phrases'"),
     ({"safety_count_mode": 1}, "'safety_count_mode'"),
-    # An unknown label used to become `other`, moving safety filtering off CulturaX.
+    # Safety applies to CulturaX documents only; which sources it reads is no key.
     ({"safety_sources": ["culturaxx"]}, "'safety_sources'"),
     # A NaN bound turns its check off: no value compares above or below it.
     ({"gopher": {"max_punct_char_frac": math.nan}}, "'gopher.max_punct_char_frac' must be a finite number"),

@@ -6,10 +6,11 @@ n-gram scorer, of the evaluation harness's prompt templates and its separate
 accuracy and true/false scoring loops, of the tokenizer-outer ``fertility``
 command, of the count-every-draw mixture sampler and of the list-based
 ``instruct build`` and ``instruct mix`` writers, and of the MCQ parser with
-its own copy of ``validate_mcq``'s checks, kept as oracles: the fast paths
-must give the same text, the same detail strings, the same scores and results,
-the same CSV bytes, the same draws, the same dialogue files and the same MCQ
-items and rejections on any input. The JSON writers take ``json.dumps`` as
+its own copy of ``validate_mcq``'s checks, and of ``ingest_jsonl``'s own field
+checks and the single-pair title/date strip loop, kept as oracles: the fast
+paths must give the same text, the same detail strings, the same scores and
+results, the same CSV bytes, the same draws, the same dialogue files, the same
+MCQ items and rejections and the same documents and reject reasons on any input. The JSON writers take ``json.dumps`` as
 theirs.
 """
 import csv
@@ -33,7 +34,7 @@ from hypothesis import example, given, settings, strategies as st
 from ardata import instruct, tokenization
 from ardata._schema import json_document, json_record
 from ardata.cli import dispatch, make_tokenizer
-from ardata.corpus import Document, Source, ingest_jsonl, normalize_chars
+from ardata.corpus import _DATE, Document, Reject, Source, ingest_jsonl, normalize_chars, strip_title_date
 from ardata.evaluation import (
     BenchmarkItem, CharNgramScorer, EvalResult, OracleScorer, evaluate_cf, evaluate_mcf, evaluate_true_false, f1_macro,
     render_cf_context, render_mcf_context,
@@ -209,7 +210,7 @@ def reference_phrase_hits(text: str, phrases, mode: str) -> int:
 
 
 def reference_check_safety(doc: Document, cfg: FilterConfig) -> str | None:
-    if doc.source not in cfg.safety_sources:
+    if doc.source != Source.CULTURAX:
         return None
     if cfg.require_url and not doc.url:
         return "missing url"
@@ -296,7 +297,6 @@ _filter_configs = st.builds(
     permissible_char_min_frac=st.floats(0.0, 1.0),
     permissible_punctuation=st.text(_chars, max_size=6),
     gopher=_gopher,
-    safety_sources=st.lists(_sources, max_size=2).map(tuple),
 )
 
 
@@ -1228,3 +1228,110 @@ def test_json_record_equals_json_dumps(record):
 @settings(max_examples=200, deadline=None)
 def test_json_document_equals_json_dumps(value):
     assert json_document(value) == json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2)
+
+
+# --- one document rule: ingest's field checks and the title/date strip ----------------------
+
+
+def reference_ingest_record(line_no: int, record) -> tuple | str:
+    """``ingest_jsonl``'s own field checks as they were, before ``Document`` made
+    them: the document's fields, or the reject reason of the first failing check."""
+    if not isinstance(record, dict):
+        return "not a json object"
+    text = record.get("text")
+    if text is None:
+        return "missing text"
+    if not isinstance(text, str):
+        return "text is not a string"
+    doc_id = record.get("id")
+    if doc_id is None:
+        doc_id = str(line_no)
+    elif isinstance(doc_id, str) or type(doc_id) is int:
+        doc_id = str(doc_id)
+    else:
+        return "id is not a string or an integer"
+    if not doc_id:
+        return "empty id"
+    url, source = record.get("url"), record.get("source")
+    if url is not None and not isinstance(url, str):
+        return "url is not a string or null"
+    if source is not None and not isinstance(source, str):
+        return "source is not a string or null"
+    try:
+        source = Source(str(source).strip().lower())
+    except ValueError:
+        source = Source.OTHER
+    return doc_id, text, url, source
+
+
+_json_field = st.one_of(
+    st.text(max_size=6), st.sampled_from(["", "culturax", " CulturaX ", "sanad", "none"]), st.integers(),
+    st.booleans(), st.none(), st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.sampled_from(["culturax", 1]), max_size=2), st.dictionaries(st.just("a"), st.integers()),
+)
+
+
+@st.composite
+def _json_lines(draw):
+    """A line that is now and then not an object. An object's text is a string
+    in most lines, so most lines get past it to the id, url and source checks;
+    every other field is absent or of any JSON kind."""
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(_json_field))
+    record = {"text": draw(st.text(max_size=6))} if draw(st.booleans()) else {}
+    for key in ("id", "text", "url", "source", "other"):
+        if key not in record and draw(st.booleans()):
+            record[key] = draw(_json_field)
+    return json.dumps(record)
+
+
+@given(st.lists(_json_lines(), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_ingest_equals_its_former_field_checks_and_document(lines):
+    # ingest yields what Document builds, or rejects with exactly its message,
+    # and that is what ingest's own checks gave, reason for reason.
+    rejects = []
+    docs = iter(list(ingest_jsonl(lines, on_reject=rejects.append)))
+    rejected = iter(rejects)
+    for line_no, line in enumerate(lines, start=1):
+        record = json.loads(line)
+        expected = reference_ingest_record(line_no, record)
+        if isinstance(expected, str):
+            assert next(rejected) == Reject(line=line_no, reason=expected)
+        else:
+            doc = next(docs)
+            assert (doc.id, doc.text, doc.url, doc.source) == expected
+            expected = doc
+        if isinstance(record, dict):
+            doc_id = record.get("id")
+            try:
+                built = Document(id=str(line_no) if doc_id is None else doc_id, text=record.get("text"),
+                                 url=record.get("url"), source=record.get("source"))
+            except ValueError as exc:
+                built = str(exc)
+            assert built == expected
+    assert next(docs, None) is None and next(rejected, None) is None
+
+
+_ONE_TITLE_DATE = re.compile(r"\A[^\n]{1,80}\n[ \t]*" + _DATE + r"[ \t]*(?:\n|\Z)")
+
+
+def reference_strip_title_date(text: str) -> str:
+    """A loop over the single-pair pattern ``strip_title_date`` used to apply once."""
+    while m := _ONE_TITLE_DATE.match(text):
+        text = text[m.end():]
+    return text
+
+
+# Titles, dates and near misses (a 3-group date with a long group, a 2-group date,
+# an 81-character title, padding, an empty line), so headers stack and break off.
+_header_lines = st.lists(st.one_of(
+    st.sampled_from(["عنوان", "2024-01-01", " ٢٠٢٤/٠١/٠١\t", "1.2.3", "12345-1-1", "2024-01", "ع" * 81, "ع" * 80, ""]),
+    st.text("ع1-/ \t", max_size=12),
+), max_size=10).map("\n".join)
+
+
+@given(_header_lines)
+@settings(max_examples=500, deadline=None)
+def test_strip_title_date_equals_single_pair_loop(text):
+    assert strip_title_date(Document(id="d", text=text)).text == reference_strip_title_date(text)
