@@ -150,7 +150,7 @@ def cmd_fertility(args) -> None:
 
     def reports(path: str) -> list[tokenization.FertilityReport]:  # one read of the file for every tokenizer
         with open(path, "rb") as stream:
-            return tokenization.fertility_reports(corpus.ingest_jsonl(stream), toks, args.average)
+            return tokenization.fertility_reports(corpus.ingest_jsonl(stream), toks)
 
     rows = [["tokenizer", "dataset", "fertility"]]
     for tok_reports in zip(*map(reports, args.input)):  # tokenizer-major
@@ -361,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fertility", help="fertility CSV per (tokenizer, dataset)")
     p.add_argument("--in", dest="input", action="append", required=True)
     p.add_argument("--tokenizer", action="append", required=True)
-    p.add_argument("--average", choices=("micro", "macro"), default="micro")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fertility, outputs=("out",))
 
@@ -409,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = eval_sub.add_parser("cf", help="cloze-format accuracy")
     p.add_argument("--items", required=True)
     p.add_argument("--scorer", choices=SCORERS, default="ngram")
-    p.add_argument("--norm", choices=("none", "by_bytes", "by_tokens"), default="by_bytes")
+    p.add_argument("--norm", choices=("none", "by_bytes"), default="by_bytes")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_eval_cf, outputs=("out",))
 
@@ -431,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = eval_sub.add_parser("diff", help="CF minus MCF accuracy per scorer (CSV)")
     p.add_argument("--items", required=True)
     p.add_argument("--scorers", type=_scorer_names, default=",".join(SCORERS))
-    p.add_argument("--norm", choices=("none", "by_bytes", "by_tokens"), default="none")
+    p.add_argument("--norm", choices=("none", "by_bytes"), default="none")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_eval_diff, outputs=("out",))
 

@@ -1,6 +1,6 @@
 """Document model, streaming JSONL ingestion, and Arabic character/layout cleanup.
 
-Documents flow through the package as plain dataclasses. Ingestion is
+Documents flow through the package as frozen dataclasses. Ingestion is
 streaming (one record at a time) so corpora far larger than memory can be
 processed; malformed records are routed to a rejects channel instead of
 aborting the run.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -40,12 +40,13 @@ class Source(str, Enum):
             return cls.OTHER
 
 
-@dataclass
+@dataclass(frozen=True)
 class Document:
     """Building one checks the fields in the order text, id, url, source; a
     refused field raises ValueError with ``ingest_jsonl``'s reject reason, so
     the library and ``clean`` accept the same documents. An integer id is
-    kept as its string."""
+    kept as its string. Frozen, so no field skips the check by a later
+    assignment; ``dataclasses.replace`` builds a checked copy."""
 
     id: str
     text: str
@@ -59,12 +60,12 @@ class Document:
             raise ValueError("text is not a string")
         if not STRING_OR_INTEGER[1](self.id):
             raise ValueError(f"id is not {STRING_OR_INTEGER[0]}")
-        self.id = str(self.id)
+        object.__setattr__(self, "id", str(self.id))
         if not self.id:
             raise ValueError("empty id")
         if not STRING_OR_NULL[1](self.url):
             raise ValueError(f"url is not {STRING_OR_NULL[0]}")
-        self.source = Source.coerce(self.source)
+        object.__setattr__(self, "source", Source.coerce(self.source))
 
 
 @dataclass(frozen=True)
@@ -185,4 +186,4 @@ def strip_title_date(doc: Document) -> Document:
     m = _TITLE_DATE.match(doc.text)
     if m is None:
         return doc
-    return Document(id=doc.id, text=doc.text[m.end():], url=doc.url, source=doc.source)
+    return replace(doc, text=doc.text[m.end():])

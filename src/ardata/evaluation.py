@@ -3,8 +3,8 @@
 
 CF compares the log-likelihood of each full answer string appended to the
 question context; no option letters appear in the prompt. Optionally each
-score is normalized by the answer's UTF-8 byte length or word count, which
-removes the systematic bias toward short answers. MCF enumerates the options
+score is normalized by the answer's UTF-8 byte length, which removes the
+systematic bias toward short answers. MCF enumerates the options
 in the prompt and scores only the option letters. All three formats score
 items in one loop (``_predict``). Ties always resolve to the lowest index,
 and tie counts are reported.
@@ -214,20 +214,15 @@ def evaluate_cf(items: Sequence[BenchmarkItem], scorer: Scorer, norm: str = "non
     """Cloze-format accuracy: argmax over log-likelihoods of the full answers.
 
     norm="by_bytes" divides each score by the answer's UTF-8 byte length
-    (normalized accuracy); "by_tokens" divides by its whitespace word count
-    (at least 1); "none" uses raw scores. Items where the scorer raises are
-    excluded and counted in ``errored``.
+    (normalized accuracy); "none" uses raw scores. Items where the scorer
+    raises are excluded and counted in ``errored``.
     """
     if norm == "none":
         divisor_fn = None
     elif norm == "by_bytes":
         divisor_fn = lambda item, i: len(item.choices[i].encode("utf-8"))
-    elif norm == "by_tokens":
-        from .tokenization import segment_words
-
-        divisor_fn = lambda item, i: max(len(segment_words(item.choices[i])), 1)
     else:
-        raise ValueError(f"unknown norm {norm!r} (expected none, by_bytes, or by_tokens)")
+        raise ValueError(f"unknown norm {norm!r} (expected none or by_bytes)")
     preds, ties = _predict(items, scorer, render_cf_context, _spaced_choices, divisor_fn)
     return _result(items, preds, ties, _accuracy, "accuracy" if norm == "none" else "accuracy_norm", "cf")
 

@@ -511,7 +511,8 @@ def iter_pipeline(
     split (``tokenization.shared_words``).
     """
     for doc in docs:
-        cleaned = strip_title_date(replace(doc, text=normalize_chars(doc.text)))
+        text = normalize_chars(doc.text)
+        cleaned = strip_title_date(doc if text is doc.text else replace(doc, text=text))
         decision = first_failure(cleaned, cfg)
         report.record(cleaned.source, tok.count_tokens(cleaned.text), decision)
         if decision.keep:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -600,22 +601,30 @@ def iter_chunk_outcomes(
     ``"mcq"``), document id, then chunk index. ``valid_dialogues`` may still
     refuse an MCQ dialogue, for a ChatML marker taken from the chunk.
     ``max_chars`` and the template are checked before any document is read.
+    Each document is chunked as it is read, and each chunk seeded once for
+    every template; the chunks, not the documents, are held for the sort.
     """
     _check_max_chars(max_chars)
     templates = ("standard", "mcq") if template == "both" else (template,)
     prompts = [_prompter(one, exemplar) for one in templates]
-    docs = sorted(docs, key=lambda d: d.id)
+    # Flat, with each 64-bit seed in an array (8 bytes, against ~44 for an int
+    # in a list), so the chunks cost little more memory than the documents.
+    chunks: list[str] = []
+    seeds = array("Q")
+    for doc_id, doc_chunks in sorted(
+        ((doc.id, chunk_document(doc, max_chars)) for doc in docs), key=lambda pair: pair[0]
+    ):
+        chunks += doc_chunks
+        seeds.extend(_stable_hash(doc_id, idx, seed) for idx in range(len(doc_chunks)))
     for one, prompt in zip(templates, prompts):
         parse = (lambda text: mcq_to_dialogue(parse_mcq(text))) if one == "mcq" else parse_dialogue_response
-        for doc in docs:
-            for idx, chunk in enumerate(chunk_document(doc, max_chars)):
-                chunk_seed = _stable_hash(doc.id, idx, seed)
-                response = generator.generate(prompt(chunk, chunk_seed), chunk_seed)
-                try:
-                    outcome = parse(response)
-                except Rejection as rejection:
-                    outcome = rejection
-                yield outcome
+        for chunk, chunk_seed in zip(chunks, seeds):
+            response = generator.generate(prompt(chunk, chunk_seed), chunk_seed)
+            try:
+                outcome = parse(response)
+            except Rejection as rejection:
+                outcome = rejection
+            yield outcome
 
 
 def _detect_enum_style(value: str) -> str | None:

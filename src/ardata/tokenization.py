@@ -142,52 +142,30 @@ class FertilityReport:
     total_words: int
     total_tokens: int
     fertility: float
-    average: str = "micro"
 
 
-def fertility_reports(
-    corpus: Iterable[Document | str],
-    toks: Sequence[TokenizerAdapter],
-    average: str = "micro",
-) -> list[FertilityReport]:
+def fertility_reports(corpus: Iterable[Document | str], toks: Sequence[TokenizerAdapter]) -> list[FertilityReport]:
     """Corpus fertility for each tokenizer of ``toks``, in its order, from one
     pass over ``corpus`` that splits each document into words once: the word
     count comes from ``shared_words``, so each built-in tokenizer's
     ``count_tokens`` of the same text reuses that split.
 
-    Micro average (the default): sum tokens over all documents, divide by the
-    summed word count once. ``average="macro"`` instead takes the mean of
-    per-document ratios over the documents that have words. ``average`` is
-    checked before ``corpus`` is read. Raises ValueError on a corpus with no
+    Tokens are summed over all documents and divided by the summed word
+    count once (the micro average). Raises ValueError on a corpus with no
     words.
     """
-    if average not in ("micro", "macro"):
-        raise ValueError(f"unknown average {average!r} (expected 'micro' or 'macro')")
-    words = docs_with_words = 0
+    words = 0
     tokens = [0] * len(toks)
-    ratio_sums = [0.0] * len(toks)
     for doc in corpus:
         text = doc if isinstance(doc, str) else doc.text
-        doc_words = len(shared_words(text))
-        words += doc_words
-        docs_with_words += doc_words > 0
+        words += len(shared_words(text))
         for i, tok in enumerate(toks):
-            doc_tokens = tok.count_tokens(text)
-            tokens[i] += doc_tokens
-            if doc_words:
-                ratio_sums[i] += doc_tokens / doc_words
+            tokens[i] += tok.count_tokens(text)
     if words == 0:
         raise ValueError("empty corpus: no words to score")
-    return [
-        FertilityReport(tok.name, words, t, t / words if average == "micro" else ratio_sum / docs_with_words, average)
-        for tok, t, ratio_sum in zip(toks, tokens, ratio_sums)
-    ]
+    return [FertilityReport(tok.name, words, t, t / words) for tok, t in zip(toks, tokens)]
 
 
-def fertility(
-    corpus: Iterable[Document | str],
-    tok: TokenizerAdapter,
-    average: str = "micro",
-) -> FertilityReport:
+def fertility(corpus: Iterable[Document | str], tok: TokenizerAdapter) -> FertilityReport:
     """``fertility_reports`` for one tokenizer."""
-    return fertility_reports(corpus, [tok], average)[0]
+    return fertility_reports(corpus, [tok])[0]

@@ -1326,6 +1326,17 @@ def test_bad_scorer_is_usage_error_before_the_items_are_read(tmp_path, capsys, a
     assert message in err and "missing.json" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fertility", "--in", "missing.jsonl", "--tokenizer", "whitespace", "--average", "micro"],
+     "unrecognized arguments: --average micro"),
+    (["eval", "cf", "--items", "missing.json", "--norm", "by_tokens"], "argument --norm: invalid choice: 'by_tokens'"),
+    (["eval", "diff", "--items", "missing.json", "--norm", "by_tokens"], "argument --norm: invalid choice: 'by_tokens'"),
+], ids=["fertility-average", "cf-by-tokens", "diff-by-tokens"])
+def test_one_fertility_and_two_norms_are_offered(capsys, argv, message):
+    assert dispatch(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 # --- config -----------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import tempfile
@@ -169,6 +170,24 @@ def test_document_keeps_an_integer_id_as_its_string_and_maps_labels():
     assert (doc.id, doc.source) == ("7", Source.CULTURAX)
     assert Document(id="x", text="t", source="weird").source is Source.OTHER
     assert Document(id="x", text="t", source=None).source is Source.OTHER
+
+
+@pytest.mark.parametrize("name, value", [
+    ("id", ""), ("text", None), ("url", 5), ("source", ["culturax"]), ("source", Source.CULTURAX),
+], ids=["id", "text", "url", "source-list", "source"])
+def test_document_fields_cannot_be_assigned(name, value):
+    # An assigned field skipped the check: a source of ["culturax"] skipped safety.
+    doc = Document(id="x", text="t", url="https://example.org", source="sanad")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(doc, name, value)
+    assert doc == Document(id="x", text="t", url="https://example.org", source=Source.SANAD)
+
+
+def test_replace_checks_the_changed_copy():
+    doc = Document(id=7, text="t", source="culturax")
+    assert dataclasses.replace(doc, text="u") == Document(id="7", text="u", source=Source.CULTURAX)
+    with pytest.raises(ValueError, match="source is not a string or null"):
+        dataclasses.replace(doc, source=["culturax"])
 
 
 # --- character unification ------------------------------------------------------

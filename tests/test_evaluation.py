@@ -129,20 +129,6 @@ def test_cf_normalization_flips_prediction():
     assert norm.predictions == [1] and norm.overall == 1.0
 
 
-def test_cf_by_tokens_divides_by_word_count():
-    # Raw and per byte (8 vs 5 bytes), -4 beats -6. Per word (1 vs 3 words): -4 vs -2 flips it.
-    item = BenchmarkItem(id="0", question="which?", choices=["abcdefgh", "x y z"], gold_index=1)
-    scorer = FixedScorer({" abcdefgh": -4.0, " x y z": -6.0})
-    assert evaluate_cf([item], scorer, norm="none").predictions == [0]
-    assert evaluate_cf([item], scorer, norm="by_bytes").predictions == [0]
-    by_tokens = evaluate_cf([item], scorer, norm="by_tokens")
-    assert by_tokens.predictions == [1]
-    assert by_tokens.overall == 1.0 and by_tokens.metric == "accuracy_norm"
-    # A choice of whitespace only has no word and divides by 1.
-    blank = BenchmarkItem(id="1", question="which?", choices=["\t", "a b"], gold_index=0)
-    assert evaluate_cf([blank], FixedScorer({" \t": -3.0, " a b": -4.0}), norm="by_tokens").predictions == [1]
-
-
 def test_cf_by_bytes_equals_none_for_equal_length_choices():
     items = [
         BenchmarkItem(id=str(i), question=f"q{i}?", choices=["aaaa", "bbbb", "cccc"], gold_index=i % 3)
@@ -199,8 +185,9 @@ def test_cf_errored_items_excluded_and_counted():
 
 
 def test_cf_unknown_norm_rejected():
-    with pytest.raises(ValueError):
-        evaluate_cf(make_items(2), ConstantScorer(), norm="wild")
+    for norm in ("wild", "by_tokens"):
+        with pytest.raises(ValueError, match=rf"unknown norm '{norm}' \(expected none or by_bytes\)"):
+            evaluate_cf(make_items(2), ConstantScorer(), norm=norm)
 
 
 def test_cf_context_contains_question_and_cue():

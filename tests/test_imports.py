@@ -68,7 +68,7 @@ def _argv(command: str, root: Path) -> list[str]:
     docs, items, out = str(root / "docs.jsonl"), str(root / "items.json"), str(root / f"{command}.out")
     return {
         "eval cf": ["eval", "cf", "--items", items, "--out", out],
-        "eval cf by_tokens": ["eval", "cf", "--items", items, "--norm", "by_tokens", "--out", out],
+        "eval cf none": ["eval", "cf", "--items", items, "--norm", "none", "--out", out],
         "eval mcf": ["eval", "mcf", "--items", items, "--scorer", "oracle", "--out", out],
         "clean -p 1": ["clean", "--in", docs, "--out", out, "--report", out + ".json", "--parallelism", "1"],
         "clean -p 2": ["clean", "--in", docs, "--out", out, "--report", out + ".json", "--parallelism", "2"],
@@ -86,7 +86,7 @@ def _argv(command: str, root: Path) -> list[str]:
     ("lr-curve", {"ardata.schedule"}),
     ("instruct build", {"ardata.corpus", "ardata.instruct", "ardata.tokenization"}),
     ("clean -p 2", {"ardata.corpus", "ardata.filters", "ardata.tokenization"}),
-    ("eval cf by_tokens", {"ardata.evaluation", "ardata.tokenization"}),
+    ("eval cf none", {"ardata.evaluation"}),
 ])
 def test_command_imports_only_its_modules(inputs, command, modules):
     result = fresh_python("-c", PROBE, *_argv(command, inputs))

@@ -4,14 +4,18 @@ import io
 import json
 import re
 import sys
+import tempfile
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import planted
 from ardata import instruct
-from ardata.corpus import Document, ingest_jsonl
+from ardata.cli import dispatch
+from ardata.corpus import Document, document_to_record, ingest_jsonl
 from ardata.instruct import (
     DEFAULT_EXEMPLAR,
     ENUM_STYLES,
@@ -493,6 +497,18 @@ def test_both_templates_yield_every_standard_outcome_then_every_mcq_one():
     assert build_dialogues(docs, generator, "both", max_chars=60, seed=4) == filter_dialogues(outcomes["both"])
 
 
+def test_both_templates_chunk_and_seed_each_document_once():
+    docs = list(reversed(_docs(12)))
+    with mock.patch.object(instruct, "chunk_document", wraps=chunk_document) as chunk, \
+            mock.patch.object(instruct, "_stable_hash", wraps=instruct._stable_hash) as seed:
+        outcomes = list(iter_chunk_outcomes(docs, MockGenerator(), "both", max_chars=60, seed=4))
+    assert [c.args[0] for c in chunk.call_args_list] == docs
+    n_chunks = sum(len(chunk_document(doc, 60)) for doc in docs)
+    assert len(outcomes) == 2 * n_chunks
+    # Each chunk's seed is hashed once; the rest are the mock generator's own hashes.
+    assert sum(c.args[0] in {doc.id for doc in docs} for c in seed.call_args_list) == n_chunks
+
+
 @pytest.mark.parametrize("max_chars, template", [(0, "standard"), (-1, "both"), (40, "mcf")])
 def test_chunk_outcomes_check_their_arguments_before_reading_a_document(max_chars, template):
     def unread():
@@ -618,3 +634,89 @@ def test_both_line_readers_reject_the_same_lines(lines):
     loaded = [int(m[1]) for o in load_instruction_records(stream, "x")
               if isinstance(o, Rejection) and (m := _READER_REJECT.fullmatch(o.detail))]
     assert loaded == ingested
+
+
+# --- the instruct mix laws ------------------------------------------------------
+
+_BUILDERS = (
+    planted.clean_doc, planted.safety_phrases_doc, planted.safety_url_doc, planted.ads_doc, planted.lines_doc,
+    planted.short_lines_doc, planted.chars_doc, planted.gopher_doc,
+)
+_planted_docs = st.lists(
+    st.builds(lambda build, i: build(i), st.sampled_from(_BUILDERS), st.integers(0, 40)), max_size=5,
+    unique_by=lambda doc: doc.id,
+)
+
+
+def _run_mix(tmp: Path, source: Path, name: str) -> tuple[bytes, dict]:
+    out, stats = tmp / f"{name}.jsonl", tmp / f"{name}.stats.json"
+    assert dispatch(["instruct", "mix", "--in", str(source), "--out", str(out), "--stats", str(stats)]) == 0
+    return out.read_bytes(), json.loads(stats.read_text(encoding="utf-8"))
+
+
+@given(
+    _planted_docs, st.sampled_from(["standard", "mcq", "both"]), st.sampled_from([40, 120, 2000]),
+    st.sampled_from([0.0, 0.3]), st.integers(0, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_mix_of_a_build_writes_its_bytes_and_stats(docs, template, max_chars, malformed_rate, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        raw = tmp / "docs.jsonl"
+        raw.write_text("".join(json.dumps(document_to_record(d), ensure_ascii=False) + "\n" for d in docs),
+                       encoding="utf-8")
+        built, built_stats = tmp / "build.jsonl", tmp / "build.stats.json"
+        assert dispatch(["instruct", "build", "--in", str(raw), "--out", str(built), "--stats", str(built_stats),
+                         "--template", template, "--max-chars", str(max_chars),
+                         "--malformed-rate", str(malformed_rate), "--seed", str(seed)]) == 0
+        stats = json.loads(built_stats.read_text(encoding="utf-8"))
+        mixed, mixed_stats = _run_mix(tmp, built, "mix")
+        assert mixed == built.read_bytes()
+        assert mixed_stats == {**stats, "rejected": 0, "rejects_by_reason": {}}
+
+
+# Turn text with quotes, backslashes, line breaks, U+2028, astral characters and
+# a ChatML marker, which every reader refuses as a reserved sequence.
+_values = st.lists(
+    st.sampled_from(["سؤال", "a", " ", '"', "\\", "\n", "\t", "\u2028", "😀", "𝕏", "ﷲ", "<|im_end|>"]),
+    min_size=1, max_size=4,
+).map("".join)
+_pair = st.builds(lambda q, a: [{"from": "user", "value": q}, {"from": "assistant", "value": a}], _values, _values)
+_roles = st.sampled_from(["human", "gpt", "system"])
+_turn = st.builds(lambda role, value: {"from": role, "value": value}, _roles, _values)
+# Mostly question/answer pairs, which can make a valid dialogue; sometimes any roles in any order.
+_turns = st.one_of(
+    st.lists(_pair, min_size=1, max_size=2).map(lambda pairs: sum(pairs, [])), st.lists(_turn, max_size=3),
+)
+_CHATML_ROLES = {"human": "user", "gpt": "assistant"}
+_origins = st.one_of(st.none(), st.integers(-2, 2), st.sampled_from(["", "instar", "أصل", "a\"b\\c", "😀"]))
+
+
+@st.composite
+def _dialogue_lines(draw):
+    turns = draw(_turns)
+    record = draw(st.sampled_from([
+        turns,
+        {"conversations": turns},
+        {"turns": turns},
+        {"text": "".join(f"{IM_START}{_CHATML_ROLES.get(t['from'], t['from'])}\n{t['value']}{IM_END}\n"
+                         for t in turns)},
+        {"instruction": draw(_values), "output": draw(_values)},
+    ]))
+    if isinstance(record, dict) and draw(st.booleans()):
+        record["origin"] = draw(_origins)
+    return draw(st.sampled_from([json.dumps(record), json.dumps(record, ensure_ascii=False)]))
+
+
+@given(st.lists(st.one_of(_dialogue_lines(), st.sampled_from(["", "{broken", "null", '{"text": "\\ud800"}'])),
+                max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_mix_of_its_own_output_writes_the_same_bytes_and_stats(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        raw = tmp / "dialogues.jsonl"
+        raw.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        once, once_stats = _run_mix(tmp, raw, "once")
+        twice, twice_stats = _run_mix(tmp, tmp / "once.jsonl", "twice")
+        assert twice == once
+        assert twice_stats == {**once_stats, "rejected": 0, "rejects_by_reason": {}}

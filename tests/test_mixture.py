@@ -1,5 +1,6 @@
 import math
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -320,7 +321,7 @@ def test_fresh_documents_each_pass_give_the_list_sequence():
 
 def test_reassigned_text_keeps_its_first_pass_count():
     # A restarted stream must yield the same documents in the same order, so each
-    # position is counted on the first pass only; text reassigned later is not recounted.
+    # position is counted on the first pass only; a document replaced later is not recounted.
     docs = [Document(id="d0", text="w"), Document(id="d1", text="w")]
 
     class Growing:
@@ -331,7 +332,7 @@ def test_reassigned_text_keeps_its_first_pass_count():
 
         def __iter__(self):
             self.passes += 1
-            docs[0].text = " ".join(["w"] * self.passes)
+            docs[0] = replace(docs[0], text=" ".join(["w"] * self.passes))
             return iter(docs)
 
     tok = _CountingTokenizer()

@@ -474,12 +474,7 @@ def reference_accuracy_eval(items, scorer, context_fn, continuations_fn, divisor
 
 
 def reference_evaluate_cf(items, scorer, norm) -> EvalResult:
-    tok = WhitespaceTokenizer()
-    divisor_fn = {
-        "none": None,
-        "by_bytes": lambda item, i: len(item.choices[i].encode("utf-8")),
-        "by_tokens": lambda item, i: max(tok.count_tokens(item.choices[i]), 1),
-    }[norm]
+    divisor_fn = {"none": None, "by_bytes": lambda item, i: len(item.choices[i].encode("utf-8"))}[norm]
     metric = "accuracy" if norm == "none" else "accuracy_norm"
     return reference_accuracy_eval(
         items, scorer, reference_render_cf, lambda item: [" " + c for c in item.choices], divisor_fn, metric, "cf"
@@ -570,7 +565,7 @@ def _same_run(evaluate, reference):
 @given(_eval_items("q"))
 @settings(max_examples=200, deadline=None)
 def test_cf_and_mcf_equal_the_accuracy_loop(items):
-    for norm in ("none", "by_bytes", "by_tokens"):
+    for norm in ("none", "by_bytes"):
         _same_run(lambda s: evaluate_cf(items, s, norm=norm), lambda s: reference_evaluate_cf(items, s, norm))
     _same_run(lambda s: evaluate_mcf(items, s), lambda s: reference_evaluate_mcf(items, s))
     for item in items:
@@ -670,7 +665,7 @@ class _UnmemoizedVocab:
         return sum(len(self._tok.tokenize_word(w)) for w in segment_words(text))
 
 
-def reference_fertility_csv(inputs: list[str], specs: list[str], average: str) -> bytes:
+def reference_fertility_csv(inputs: list[str], specs: list[str]) -> bytes:
     """The tokenizer-outer loop ``ardata fertility`` ran before: one ingest per (tokenizer, file)."""
     rows = [["tokenizer", "dataset", "fertility"]]
     for spec in specs:
@@ -679,7 +674,7 @@ def reference_fertility_csv(inputs: list[str], specs: list[str], average: str) -
             tok = _UnmemoizedVocab(tok)
         for path in inputs:
             with open(path, "rb") as stream:
-                report = fertility(ingest_jsonl(stream), tok, average=average)
+                report = fertility(ingest_jsonl(stream), tok)
             rows.append([tok.name, Path(path).stem, repr(report.fertility)])
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
@@ -695,9 +690,9 @@ _files = st.lists(st.one_of(_doc_texts, _doc_texts, st.just(None)), min_size=1, 
 )
 
 
-@given(st.lists(_files, min_size=2, max_size=2), st.sampled_from(["micro", "macro"]))
+@given(st.lists(_files, min_size=2, max_size=2))
 @settings(max_examples=40, deadline=None)
-def test_fertility_command_equals_tokenizer_outer_loop(files, average):
+def test_fertility_command_equals_tokenizer_outer_loop(files):
     with tempfile.TemporaryDirectory() as tmp:
         inputs = []
         for i, texts in enumerate(files):
@@ -709,13 +704,13 @@ def test_fertility_command_equals_tokenizer_outer_loop(files, average):
         vocab.write_text("\n".join(_VOCAB_ENTRIES) + "\n", encoding="utf-8")
         specs = ["whitespace", "character", f"vocab:{vocab}"]
         out = Path(tmp) / "fertility.csv"
-        argv = ["fertility", "--average", average, "--out", str(out)]
+        argv = ["fertility", "--out", str(out)]
         for path in inputs:
             argv += ["--in", path]
         for spec in specs:
             argv += ["--tokenizer", spec]
         assert dispatch(argv) == 0
-        assert out.read_bytes() == reference_fertility_csv(inputs, specs, average)
+        assert out.read_bytes() == reference_fertility_csv(inputs, specs)
 
 
 # --- count-once oracles: vocab word memo ---------------------------------------------------

@@ -129,11 +129,8 @@ def test_micro_average_not_mean_of_ratios():
         def count_tokens(self, text):
             return 7 if len(text.split()) == 3 else 1
 
-    corpus = docs("a b c", "d")
-    report = fertility(corpus, SevenOne())
+    report = fertility(docs("a b c", "d"), SevenOne())
     assert report.fertility == 8 / 4 == 2.0
-    macro = fertility(corpus, SevenOne(), average="macro")
-    assert macro.fertility == pytest.approx((7 / 3 + 1) / 2)
 
 
 def test_empty_corpus_raises():
@@ -151,12 +148,11 @@ def test_fertility_matches_brute_force_oracle():
         assert got == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("average", ["micro", "macro"])
-def test_fertility_reports_are_each_tokenizers_fertility_from_one_pass(average):
+def test_fertility_reports_are_each_tokenizers_fertility_from_one_pass():
     texts = random_corpus(random.Random(11))
     toks = [WhitespaceTokenizer(), CharacterTokenizer(), VocabTokenizer(["ab", "ال", "ب"])]
     one_pass = (doc for doc in docs(*texts))  # a generator: it can be read only once
-    assert fertility_reports(one_pass, toks, average) == [fertility(docs(*texts), tok, average) for tok in toks]
+    assert fertility_reports(one_pass, toks) == [fertility(docs(*texts), tok) for tok in toks]
 
 
 def test_fertility_reports_split_each_document_once_for_every_tokenizer():
@@ -207,15 +203,6 @@ def test_fertility_invariant_under_sharding_and_order(texts, data):
     assert whole.fertility == (ra.total_tokens + rb.total_tokens) / (ra.total_words + rb.total_words)
     shuffled = data.draw(st.permutations(texts), label="shuffled")
     assert fertility(shuffled, tok).fertility == whole.fertility
-
-
-def test_unknown_average_raises_before_the_corpus_is_read():
-    def unread():
-        raise AssertionError("the corpus was read")
-        yield
-
-    with pytest.raises(ValueError, match="unknown average 'bogus'"):
-        fertility_reports(unread(), [WhitespaceTokenizer()], average="bogus")
 
 
 def test_finer_tokenizer_never_lower_fertility():
